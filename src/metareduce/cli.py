@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ from .dynamics import (DriftViolated, build_metastable_structure,
                        check_lyapunov_drift, find_fixed_points)
 from .errors import ConfigError, MetareduceError, NumericError
 from .grid import Grid
-from .kernel import (discretize_kernel, load_kernel, save_kernel,
-                     trace_kernel)
+from .kernel import (discretize_kernel, escape_mass, killed_kernel,
+                     load_kernel, save_kernel, trace_kernel)
 from .montecarlo import (empirical_diluted_trace, estimate_committor,
                          simulate_chain)
 from .quasipotential import compute_h_matrix, refinement_check
@@ -43,8 +44,8 @@ REDUC_N_MAX = 50
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 
@@ -74,9 +75,6 @@ class Pipeline:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._models = {}
         self._kernels = {}
-        self._structure = None
-        self._fixed_points = None
-        self._table = None
 
     def model(self, sigma):
         if sigma not in self._models:
@@ -85,19 +83,14 @@ class Pipeline:
             self._models[sigma] = m
         return self._models[sigma]
 
-    @property
+    @functools.cached_property
     def fixed_points(self):
-        if self._fixed_points is None:
-            self._fixed_points = find_fixed_points(self.model(self.cfg.sigmas[0]))
-        return self._fixed_points
+        return find_fixed_points(self.model(self.cfg.sigmas[0]))
 
-    @property
+    @functools.cached_property
     def structure(self):
-        if self._structure is None:
-            self._structure = build_metastable_structure(
-                self.model(self.cfg.sigmas[0]), self.fixed_points,
-                self.cfg.delta)
-        return self._structure
+        return build_metastable_structure(
+            self.model(self.cfg.sigmas[0]), self.fixed_points, self.cfg.delta)
 
     def membership(self):
         return self.grid.membership(self.structure)
@@ -116,13 +109,17 @@ class Pipeline:
         _, m_set, _ = self.membership()
         return trace_kernel(self.kernel(sigma), m_set)
 
-    @property
+    @functools.cached_property
     def table(self):
-        if self._table is None:
-            self._table = compute_h_matrix(
-                self.model(self.cfg.sigmas[0]), self.grid, self.structure,
-                self.cfg.r_hop)
-        return self._table
+        return compute_h_matrix(self.model(self.cfg.sigmas[0]), self.grid,
+                                self.structure, self.cfg.r_hop)
+
+    @functools.cached_property
+    def refinement(self):
+        """H on the grid against its twofold refinement; H is sigma-free."""
+        return refinement_check(
+            self.model(self.cfg.sigmas[0]), self.grid, self.structure,
+            self.cfg.r_hop, tol=self.cfg.tol_refine, coarse=self.table)
 
     def theta(self, sigma):
         if self.cfg.theta == "auto":
@@ -308,9 +305,8 @@ def cmd_validate(pipe: Pipeline):
             checks.append({"name": name, "passed": bool(passed),
                            "skipped": bool(skipped), "detail": detail})
 
-        kernel = pipe.kernel(sigma)
-        decomp_full = eigendecompose(kernel)
-        gap = verify_spectral_gap(decomp_full, n, RHO_THRESHOLD)
+        top = eigendecompose(pipe.kernel(sigma), n_modes=n + 1)
+        gap = verify_spectral_gap(top, n, RHO_THRESHOLD)
         add("spectral_gap", gap.passed, {
             "leading_moduli": gap.leading_moduli.tolist(),
             "next_modulus": gap.next_modulus})
@@ -330,7 +326,6 @@ def cmd_validate(pipe: Pipeline):
         upc_ok = True
         upc_detail = []
         for i, b in enumerate(balls):
-            from .kernel import killed_kernel
             killed = killed_kernel(trace, b)
             res = check_uniform_positivity(killed, UPC_TARGET,
                                            n_cap=positivity_cap(sigma))
@@ -360,8 +355,7 @@ def cmd_validate(pipe: Pipeline):
             {"max_deviation": float(devs.max()), "m": model_r.m,
              "theta": theta})
 
-        ref = refinement_check(pipe.model(sigma), pipe.grid, pipe.structure,
-                               cfg.r_hop, tol=cfg.tol_refine)
+        ref = pipe.refinement
         add("grid_refinement_stability", True, {
             "warning": not ref.passed,
             "max_relative_change": ref.max_relative_change,
@@ -407,15 +401,14 @@ def cmd_validate(pipe: Pipeline):
 
 def _qsd_law_check(trace, ball, n_max=10, rtol=QSD_LAW_RTOL):
     """Matrix-power killing probabilities against the geometric law."""
-    from .kernel import killed_kernel
     killed = killed_kernel(trace, ball)
     sol = solve_qsd(trace, ball)
-    kill_mass = 1.0 - killed.matrix.sum(axis=1)
+    kill_mass = escape_mass(trace, ball)
     v = sol.qsd.copy()
     worst = 0.0
     for step in range(1, n_max + 1):
         prob = float(v @ kill_mass)
-        expect = sol.lambda0 ** (step - 1) * (1.0 - sol.lambda0)
+        expect = sol.lambda0 ** (step - 1) * sol.escape
         worst = max(worst, abs(prob / expect - 1.0))
         v = v @ killed.matrix
     return worst <= rtol, {"max_relative_dev": worst, "lambda0": sol.lambda0}

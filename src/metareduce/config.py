@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +78,7 @@ class RunConfig:
         return DeterministicMapModel(
             dim=dim, pi=pi, jac=jac, box=np.asarray(self.box, float),
             cov=np.asarray(self.cov, float), sigma=float(sigma),
-            map_id=self.map_name)
+            map_id=self.map_name, map_params=self.map_params)
 
 
 def _require(doc, key, kind, where="config"):

@@ -22,7 +22,8 @@ class DeterministicMapModel:
 
     ``pi`` and ``jac`` act on points of shape (d,).  ``box`` has shape (d, 2)
     with rows (lo, hi).  ``cov`` is the noise covariance (symmetric positive
-    definite) and ``sigma`` the scalar noise level.
+    definite) and ``sigma`` the scalar noise level.  ``map_id`` and
+    ``map_params`` name the map; the kernel cache keys on both.
     """
 
     dim: int
@@ -33,6 +34,7 @@ class DeterministicMapModel:
     sigma: float
     map_id: str = "custom"
     cov_bounds: tuple = field(default=None)
+    map_params: dict = field(default=None, compare=False)
 
     def __post_init__(self):
         box = np.atleast_2d(np.asarray(self.box, dtype=float))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ TRACE_ROW_TOL = 1e-10
 RAW_ROW_FLOOR = 1e-300
 POWER_ITER_CAP = 200_000
 POWER_ITER_TOL = 1e-12
+CACHE_SCHEMA = 2                # bump when the cached kernel's meaning changes
 
 
 @dataclass(frozen=True)
@@ -116,13 +118,16 @@ def discretize_kernel(model, grid, row_chunk=256):
                         np.arange(grid.n_nodes))
 
 
-def killed_kernel(kernel, subset):
-    """Sub-kernel of the process killed on first exit from the subset.
+def escape_mass(kernel, subset):
+    """Per-row mass sent from the subset to its complement, summed from the
+    entries outside, not taken as 1 - (row sum): at small sigma it is far
+    below machine epsilon but still positive."""
+    loc = kernel.local_indices(np.asarray(subset, dtype=int))
+    return np.delete(kernel.matrix[loc], loc, axis=1).sum(axis=1)
 
-    The mass a row loses is the sum of its entries outside the subset, not
-    1 - (row sum): at small sigma the escape mass is far below machine
-    epsilon but still a positive, representable number.
-    """
+
+def killed_kernel(kernel, subset):
+    """Sub-kernel of the process killed on first exit from the subset."""
     subset = np.asarray(subset, dtype=int)
     if subset.size == 0:
         raise NumericError("killed_kernel needs a nonempty subset")
@@ -132,9 +137,7 @@ def killed_kernel(kernel, subset):
                             kernel.domain.copy())
     loc = kernel.local_indices(subset)
     sub = kernel.matrix[np.ix_(loc, loc)]
-    comp = np.setdiff1d(np.arange(kernel.size), loc)
-    lost = kernel.matrix[np.ix_(loc, comp)].sum(axis=1)
-    if kernel.kind == "stochastic" and lost.max() <= 0.0:
+    if kernel.kind == "stochastic" and escape_mass(kernel, subset).max() <= 0.0:
         raise NumericError("killing a proper subset must lose mass in some row")
     return KernelMatrix(sub, kernel.weight, "substochastic", subset)
 
@@ -198,7 +201,9 @@ def invariant_measure(kernel, tol=POWER_ITER_TOL, max_iter=POWER_ITER_CAP):
 
 def kernel_metadata(model, grid):
     return {
+        "cache_schema": CACHE_SCHEMA,
         "map_id": model.map_id,
+        "map_params": model.map_params,
         "dim": model.dim,
         "box": model.box.tolist(),
         "nodes": list(grid.shape),
@@ -213,15 +218,19 @@ def cache_key(meta):
 
 
 def save_kernel(cache_dir, model, grid, kernel):
-    """Write the <hash>.meta.json / <hash>.kern sidecar pair."""
+    """Write the <hash>.kern data, then its <hash>.meta.json, each through a
+    temporary file and a rename, so a reader never sees a partial pair."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     meta = kernel_metadata(model, grid)
     key = cache_key(meta)
     meta["hash"] = key
     payload = np.ascontiguousarray(kernel.matrix, dtype="<f8")
-    (cache_dir / f"{key}.kern").write_bytes(payload.tobytes())
-    (cache_dir / f"{key}.meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=1))
+    for name, data in ((f"{key}.kern", payload.tobytes()),
+                       (f"{key}.meta.json",
+                        json.dumps(meta, sort_keys=True, indent=1).encode())):
+        tmp = cache_dir / f"{name}.{os.getpid()}.tmp"
+        tmp.write_bytes(data)
+        os.replace(tmp, cache_dir / name)
     return key
 
 

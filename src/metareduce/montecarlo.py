@@ -272,31 +272,28 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         if block == 0:
             continue
         rng = rng_stream(seed, w)
-        x = np.tile(structure.centers[i], (block, 1))
+        # state of the active runs only, kept in run order: each step draws
+        # one noise row per active run, in that order
+        xa = np.tile(structure.centers[i], (block, 1))
         visits = np.zeros(block, dtype=np.int64)
         recorded = np.ones(block, dtype=np.int64)   # blocks recorded so far
-        active = np.ones(block, bool)
         steps = 0
-        while active.any():
+        while xa.shape[0]:
             steps += 1
             if steps > step_cap:
                 raise SimulationTimeout(f"trace run exceeded {step_cap} steps")
-            xa = x[active]
             xa = _apply_map(model, xa) \
                 + model.sigma * (rng.standard_normal(xa.shape) @ L.T)
-            x[active] = xa
             d2 = ((xa[:, None, :] - structure.centers[None, :, :]) ** 2).sum(axis=2)
             inball = d2 <= structure.radii[None, :] ** 2
             in_m = inball.any(axis=1)
-            ball = np.where(in_m, inball.argmax(axis=1), -1)
-            idx = np.where(active)[0]
-            visits[idx[in_m]] += 1
-            due = in_m & (visits[idx] == recorded[idx] * m)
-            if due.any():
-                for k, b in zip(idx[due], ball[due]):
-                    counts[b, recorded[k]] += 1
-                    recorded[k] += 1
-            active[idx[recorded[idx] > n_blocks]] = False
+            visits += in_m
+            due = in_m & (visits == recorded * m)
+            np.add.at(counts, (inball[due].argmax(axis=1), recorded[due]), 1)
+            recorded += due
+            keep = recorded <= n_blocks
+            if not keep.all():
+                xa, visits, recorded = xa[keep], visits[keep], recorded[keep]
     freqs = counts / n_runs
     se = np.sqrt(freqs * (1.0 - freqs) / n_runs)
     return freqs, se

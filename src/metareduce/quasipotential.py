@@ -10,10 +10,10 @@ posteriori through the saturation check.
 
 from __future__ import annotations
 
-import heapq
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +66,28 @@ class ActionGraph:
         w = 0.5 * np.einsum("ij,jk,ik->i", diff, self.cov_inv, diff)
         return idx, w, hop
 
+    @functools.cached_property
+    def edges(self):
+        """CSR weights and hops of all edges, assembled once per graph."""
+        return _edges(self)
+
     def mean_out_degree(self, sample=64):
         step = max(1, self.n_nodes // sample)
         degs = [self.neighbors(u)[0].size for u in range(0, self.n_nodes, step)]
         return float(np.mean(degs))
+
+
+def _edges(graph):
+    """Weight and hop CSR matrices over all edges; zero weights stay edges
+    (an image that lands on a node costs nothing to reach it)."""
+    from scipy.sparse import csr_matrix
+    out = [graph.neighbors(u) for u in range(graph.n_nodes)]
+    cols, weights, hops = (np.concatenate([o[k] for o in out])
+                           for k in range(3))
+    indptr = np.cumsum([0] + [o[0].size for o in out])
+    shape = (graph.n_nodes, graph.n_nodes)
+    return (csr_matrix((weights, cols, indptr), shape=shape),
+            csr_matrix((hops, cols, indptr), shape=shape))
 
 
 def build_action_graph(model, grid, r_hop):
@@ -91,30 +109,25 @@ def build_action_graph(model, grid, r_hop):
 
 def quasipotential_from(graph, source_set):
     """Multi-source Dijkstra distances; also returns per-node max hop length
-    along the discovered shortest path (for the saturation check)."""
+    along the discovered shortest path (for the saturation check).  The
+    targets of one node are distinct; an ActionGraph reuses its edges."""
+    from scipy.sparse.csgraph import dijkstra
     sources = np.atleast_1d(np.asarray(source_set, int))
     if sources.size == 0:
         raise NumericError("source set must be nonempty")
+    w, hop = graph.edges if isinstance(graph, ActionGraph) else _edges(graph)
+    dist, pred, _ = dijkstra(w, indices=sources, min_only=True,
+                             return_predecessors=True)
+    # max hop to the root of the shortest-path tree by pointer doubling: it
+    # follows predecessors, since zero-weight edges tie distances
     n = graph.n_nodes
-    dist = np.full(n, np.inf)
+    child = np.where(pred >= 0)[0]
     maxhop = np.zeros(n)
-    done = np.zeros(n, bool)
-    pq = []
-    for s in sources:
-        dist[s] = 0.0
-        heapq.heappush(pq, (0.0, int(s)))
-    while pq:
-        d, u = heapq.heappop(pq)
-        if done[u]:
-            continue
-        done[u] = True
-        idx, w, hop = graph.neighbors(u)
-        nd = d + w
-        better = nd < dist[idx]
-        for v, dv, hv in zip(idx[better], nd[better], hop[better]):
-            dist[v] = dv
-            maxhop[v] = max(maxhop[u], hv)
-            heapq.heappush(pq, (dv, int(v)))
+    maxhop[child] = np.asarray(hop[pred[child], child]).ravel()
+    up = np.arange(n)
+    up[child] = pred[child]
+    while (up[up] != up).any():
+        maxhop, up = np.maximum(maxhop, maxhop[up]), up[up]
     return dist, maxhop
 
 
@@ -265,15 +278,17 @@ class RefinementReport:
         return self.max_relative_change <= self.tolerance
 
 
-def refinement_check(model, grid, structure, r_hop, tol=0.05):
+def refinement_check(model, grid, structure, r_hop, tol=0.05, coarse=None):
     """Compare H entries on the grid and its twofold refinement.
 
-    A failure is reported, never raised: grid error at the requested
-    resolution is a diagnostic, not a contract violation.
+    ``coarse`` is the table already built on ``grid``, if any.  A failure
+    is reported, never raised: grid error at the requested resolution is a
+    diagnostic, not a contract violation.
     """
     from .grid import Grid
     fine = Grid.from_box(model.box, [2 * (s - 1) + 1 for s in grid.shape])
-    coarse_t = compute_h_matrix(model, grid, structure, r_hop)
+    coarse_t = coarse if coarse is not None else compute_h_matrix(
+        model, grid, structure, r_hop)
     fine_t = compute_h_matrix(model, fine, structure, r_hop)
     mask = ~np.eye(structure.n_balls, dtype=bool)
     c = coarse_t.h_matrix[mask]

@@ -8,9 +8,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, PrincipalNotSimple, ZeroColumn
-from .kernel import killed_kernel
+from .kernel import escape_mass, killed_kernel
 
-BIORTH_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
 CLUSTER_COND_CAP = 1e8
 CLUSTER_GAP = 1e-9
@@ -42,8 +41,11 @@ class SpectralDecomposition:
 
 
 def eigendecompose(kernel, n_modes=None):
-    """Full dense eigendecomposition of a kernel matrix.
+    """Eigendecomposition of a kernel matrix, in full or of its top modes.
 
+    With ``n_modes + 1 < n - 1`` only the top ``n_modes + 1`` modes are
+    computed (ARPACK on K and K^T), the extra one so that a cluster at the
+    cutoff stays whole; otherwise a dense solve computes all n modes.
     The sign/phase convention makes the largest-modulus entry of each right
     eigenvector real and equal to 1; left vectors absorb the inverse factor
     so products are preserved.
@@ -54,18 +56,31 @@ def eigendecompose(kernel, n_modes=None):
         n_modes = n
     if not (1 <= n_modes <= n):
         raise NumericError("n_modes must lie in [1, dimension]")
-    lam, vl, vr = scipy.linalg.eig(K, left=True, right=True)
+    if n_modes + 1 < n - 1:
+        # implicitly restarted Arnoldi from a fixed start, so reruns agree
+        from scipy.sparse.linalg import ArpackNoConvergence, eigs
+        try:
+            (lam, vr), (lam_l, vl) = [eigs(M, k=n_modes + 1, v0=np.ones(n))
+                                      for M in (K, K.T)]
+        except ArpackNoConvergence as exc:
+            raise NumericError(f"Arnoldi did not converge: {exc}") from exc
+        free = list(range(lam.size))   # pair with the nearest left value
+        vl = vl[:, [free.pop(int(np.argmin(np.abs(lam_l[free] - z))))
+                    for z in lam]]
+    else:
+        lam, vl, vr = scipy.linalg.eig(K, left=True, right=True)
+        vl = vl.conj()
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
     lam = lam[order]
     R = vr[:, order].astype(complex)
-    L = vl[:, order].conj().T.astype(complex)
+    L = vl[:, order].T.astype(complex)
 
     clusters = _cluster(lam)
     defective = []
     for c in clusters:
         idx = list(c)
         G = L[idx, :] @ R[:, idx]
-        # LAPACK vectors are unit norm, so a healthy cluster has a Gram
+        # solver vectors are unit norm, so a healthy cluster has a Gram
         # matrix with smallest singular value of order 1; near-parallel
         # left/right spaces drive it to zero even when cond(G) stays small
         sv = np.linalg.svd(G, compute_uv=False)
@@ -73,9 +88,10 @@ def eigendecompose(kernel, n_modes=None):
             defective.append(tuple(idx))
             continue
         L[idx, :] = np.linalg.solve(G, L[idx, :])
+    lam, R, L = lam[:n_modes], R[:, :n_modes], L[:n_modes, :]
 
     # phase fixing: top entry of each right vector becomes 1 (real positive)
-    for k in range(n):
+    for k in range(n_modes):
         j = int(np.argmax(np.abs(R[:, k])))
         c = R[j, k]
         if c != 0:
@@ -90,9 +106,9 @@ def eigendecompose(kernel, n_modes=None):
         raise NumericError(f"eigen residual {max_res:.3g} exceeds tolerance")
 
     return SpectralDecomposition(
-        eigenvalues=lam[:n_modes].copy(),
-        right=R[:, :n_modes].copy(),
-        left=L[:n_modes, :].copy(),
+        eigenvalues=lam.copy(),
+        right=R.copy(),
+        left=L.copy(),
         domain=kernel.domain.copy(),
         n_modes=n_modes,
         binormalized=not defective,
@@ -153,6 +169,7 @@ class QsdSolution:
     lambda0: float
     qsd: np.ndarray
     next_modulus: float
+    escape: float           # 1 - lambda0, summed from the mass leaving
 
     @property
     def gap_ratio(self):
@@ -160,7 +177,7 @@ class QsdSolution:
 
     @property
     def mean_killing_time(self):
-        return 1.0 / (1.0 - self.lambda0)
+        return 1.0 / self.escape
 
 
 def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
@@ -168,6 +185,8 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
 
     Returns the principal left eigenpair of the killed sub-kernel, with the
     QSD normalized to a probability vector over the ball's grid indices.
+    lambda0 = 1 - escape, escape = QSD . (row masses leaving the ball): the
+    eigenvalue itself rounds to 1 once escape falls below machine epsilon.
     """
     killed = killed_kernel(trace_on_m, np.asarray(ball_indices, int))
     lam, vl = scipy.linalg.eig(killed.matrix.T)
@@ -175,8 +194,8 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
     lam = lam[order]
     vl = vl[:, order]
     lam0 = lam[0]
-    if abs(lam0.imag) > 1e-12 or not (0.0 < lam0.real < 1.0):
-        raise NumericError(f"principal eigenvalue {lam0} outside (0, 1)")
+    if abs(lam0.imag) > 1e-12 or not lam0.real > 0.0:
+        raise NumericError(f"principal eigenvalue {lam0} is not positive")
     lam0 = float(lam0.real)
     next_mod = float(np.abs(lam[1])) if lam.size > 1 else 0.0
     if next_mod / lam0 > 1.0 - 1e-10:
@@ -189,10 +208,14 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
         raise NumericError("principal left eigenvector is not nonnegative")
     q = np.clip(q, 0.0, None)
     q /= q.sum()
-    resid = np.abs(q @ killed.matrix - lam0 * q).sum()
+    escape = float(q @ escape_mass(trace_on_m, ball_indices))
+    if not escape > 0.0:
+        raise NumericError("no mass escapes the ball under its QSD")
+    resid = np.abs(q @ killed.matrix - (1.0 - escape) * q).sum()
     if resid > 1e-8:
         raise NumericError(f"QSD residual {resid:.3g} above 1e-8")
-    return QsdSolution(ball_index, killed.domain.copy(), lam0, q, next_mod)
+    return QsdSolution(ball_index, killed.domain.copy(), 1.0 - escape, q,
+                       next_mod, escape)
 
 
 @dataclass(frozen=True)

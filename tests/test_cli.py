@@ -1,11 +1,17 @@
 """End-to-end CLI contracts: exit codes, file outputs, caching, idempotence."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metareduce
+import metareduce.cli
+import metareduce.quasipotential
 from metareduce.cli import main
 
 BASE = {
@@ -109,6 +115,25 @@ class TestSpectrum:
         lines = (tmp_path / "out" / "spectrum_0.35.csv").read_text().splitlines()
         assert lines[0] == "mode,re,im,modulus,dist_to_one"
         assert len(lines) == 102
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 5
+            for field in fields:
+                float(field)
+
+    def test_cache_keys_on_map_params(self, tmp_path):
+        lam1 = []
+        for beta in (2.0, 2.5):
+            path = write_config(tmp_path, map={"name": "tanh",
+                                               "params": {"beta": beta}})
+            assert run(path, "spectrum") == 0
+            doc = json.loads((tmp_path / "out" / "gap_0.35.json").read_text())
+            lam1.append(doc["leading_moduli"][1])
+        cache = tmp_path / "cache"
+        assert len(list(cache.glob("*.kern"))) == 2
+        assert len(list(cache.glob("*.meta.json"))) == 2
+        assert not list(cache.glob("*.tmp"))
+        assert abs(lam1[0] - lam1[1]) > 1e-3
 
 
 class TestQuasipotential:
@@ -213,6 +238,51 @@ class TestValidate:
             assert by_name[name]["passed"]
         assert code == 0
 
+    def test_h_tables_built_once_for_all_sigmas(self, tmp_path, monkeypatch):
+        calls = []
+        original = metareduce.quasipotential.compute_h_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        for module in (metareduce.quasipotential, metareduce.cli):
+            monkeypatch.setattr(module, "compute_h_matrix", counted)
+        path = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.4, 0.35])
+        run(path, "validate")
+        for tag in ("0.5", "0.4", "0.35"):
+            doc = json.loads(
+                (tmp_path / "out" / f"validate_{tag}.json").read_text())
+            names = [c["name"] for c in doc["checks"]]
+            assert "grid_refinement_stability" in names
+        assert 1 <= len(calls) <= 2
+
+    def test_reruns_byte_identical(self, tmp_path):
+        path = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.35])
+        outs = []
+        for _ in range(2):
+            run(path, "validate")
+            outs.append({p.name: p.read_bytes()
+                         for p in sorted((tmp_path / "out").iterdir())})
+        assert len(outs[0]) == 2
+        assert outs[0] == outs[1]
+
+    def test_small_sigma_reference_passes(self, tmp_path):
+        # 401-node reference at sigma = 0.12 and 0.1, where the escape mass
+        # is below 1e-9 and the top eigenvalues cluster within 1e-9
+        path = write_config(tmp_path, sigma=None, sigmas=[0.12, 0.1],
+                            grid_nodes=401)
+        assert run(path, "validate") == 0
+        for tag in ("0.12", "0.1"):
+            doc = json.loads(
+                (tmp_path / "out" / f"validate_{tag}.json").read_text())
+            assert doc["passed"]
+            for check in doc["checks"]:
+                assert check["passed"]
+                if check["name"] not in ("committor_ldp",
+                                         "reduction_monte_carlo"):
+                    assert not check["skipped"]
+
     def test_coarse_grid_refinement_warning(self, tmp_path):
         path = write_config(tmp_path, grid_nodes=51, tol_refine=0.01)
         run(path, "validate")
@@ -220,3 +290,17 @@ class TestValidate:
             (tmp_path / "out" / "validate_0.35.json").read_text())
         by_name = {c["name"]: c for c in doc["checks"]}
         assert by_name["grid_refinement_stability"]["detail"]["warning"]
+
+
+def test_import_leaves_sparse_solvers_unloaded():
+    # ARPACK and csgraph are imported where they are used, so that
+    # ``import metareduce`` stays as fast as before
+    src = str(Path(metareduce.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, metareduce; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.sparse.linalg', 'scipy.sparse.csgraph'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"

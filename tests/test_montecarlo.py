@@ -197,6 +197,25 @@ class TestDilutedTrace:
                                               1000, MASTER_SEED)
         np.testing.assert_allclose(freqs.sum(axis=0), 1.0, atol=1e-12)
 
+    def test_seeded_counts_unchanged(self, structure):
+        # fixed counts for one seed and block layout: how the runs are
+        # stepped and tallied must not move them
+        freqs, _ = mr.empirical_diluted_trace(make_ref_model(0.5), structure,
+                                              0, 3, 4, 1000, 7, workers=2)
+        counts = np.rint(freqs * 1000).astype(int)
+        np.testing.assert_array_equal(counts, [[1000, 731, 606, 555, 510],
+                                               [0, 269, 394, 445, 490]])
+
+    @pytest.mark.parametrize("start,workers", [(0, 1), (1, 3)])
+    def test_every_block_counts_every_run(self, structure, start, workers):
+        n_runs = 1500
+        freqs, _ = mr.empirical_diluted_trace(make_ref_model(0.4), structure,
+                                              start, 2, 6, n_runs,
+                                              MASTER_SEED, workers=workers)
+        counts = np.rint(freqs * n_runs).astype(int)
+        np.testing.assert_allclose(freqs * n_runs, counts, atol=1e-9)
+        assert (counts.sum(axis=0) == n_runs).all()
+
     def test_reproducible(self, structure):
         model = make_ref_model(0.35)
         a, _ = mr.empirical_diluted_trace(model, structure, 0, 2, 5, 1000,

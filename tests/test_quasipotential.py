@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metareduce as mr
 from metareduce.dynamics import DeterministicMapModel
@@ -99,6 +101,60 @@ class TestDijkstra:
         assert dist[2] == pytest.approx(1.5)
 
 
+@st.composite
+def small_graphs(draw):
+    """Random digraphs of at most 12 nodes: distinct targets per node,
+    integer weights (so path sums are exact) with some zeros, and hops."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=4 * n, unique=True))
+    edges = [(u, v, float(draw(st.integers(0, 4)))) for u, v in pairs
+             if u != v]
+    hops = {(u, v): float(draw(st.integers(0, 9))) for u, v, _ in edges}
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    return n, edges, hops, sources
+
+
+class HopGraph(FakeGraph):
+    def __init__(self, n, edges, hops):
+        super().__init__(n, edges)
+        self._hops = hops
+
+    def neighbors(self, u):
+        idx, w, _ = super().neighbors(u)
+        return idx, w, np.array([self._hops[(u, int(v))] for v in idx])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_dijkstra_matches_floyd_warshall(graph):
+    n, edges, hops, sources = graph
+    dist, maxhop = quasipotential_from(HopGraph(n, edges, hops), sources)
+    fw = np.full((n, n), np.inf)
+    np.fill_diagonal(fw, 0.0)
+    for u, v, w in edges:
+        fw[u, v] = w
+    for k in range(n):
+        fw = np.minimum(fw, fw[:, [k]] + fw[[k], :])
+    np.testing.assert_array_equal(dist, fw[sources].min(axis=0))
+    # maxhop[v] must be the largest hop along one shortest path from the
+    # sources: grow the set of nodes reached by a tight edge whose hop
+    # bookkeeping matches, starting from the sources
+    witnessed = set(sources)
+    assert (maxhop[sources] == 0.0).all()
+    grew = True
+    while grew:
+        grew = False
+        for u, v, w in edges:
+            if (u in witnessed and v not in witnessed
+                    and dist[u] + w == dist[v]
+                    and maxhop[v] == max(maxhop[u], hops[(u, v)])):
+                witnessed.add(v)
+                grew = True
+    assert witnessed == set(np.where(np.isfinite(dist))[0].tolist())
+
+
 class TestActionGraph:
     def test_linear_map_edge_weights(self):
         # weight of edge x -> y is (y - x/2)^2 / 2 for pi(x) = x/2, cov = 1
@@ -133,6 +189,21 @@ class TestActionGraph:
             if prev is not None:
                 assert worst < prev
             prev = worst
+
+    def test_zero_weight_edges_kept(self):
+        # pi(x) = x/2 sends some nodes exactly onto other nodes; those edges
+        # cost 0 and must stay edges of the shortest-path graph
+        dim, pi, jac = build_map("linear", {"a": 0.5})
+        model = DeterministicMapModel(1, pi, jac, [[-1, 1]], [[1.0]], 0.3,
+                                      "linear")
+        graph = mr.build_action_graph(model, Grid.from_box(model.box, 101),
+                                      0.5)
+        zero = [(u, int(v)) for u in range(graph.n_nodes)
+                for v, w in zip(*graph.neighbors(u)[:2]) if w == 0 and v != u]
+        assert len(zero) > 10
+        for u, v in zero:
+            dist, maxhop = quasipotential_from(graph, [u])
+            assert dist[v] == 0.0 and maxhop[v] == 0.0
 
     def test_out_degree_matches_ball_volume(self, ref):
         model = make_ref_model(0.35)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 import metareduce as mr
+from metareduce.dynamics import DeterministicMapModel
 from metareduce.errors import PrincipalNotSimple
+from metareduce.grid import Grid
 from metareduce.kernel import killed_kernel
-from metareduce.spectral import check_uniform_positivity, positivity_cap
+from metareduce.maps import build_map
+from metareduce.spectral import (RESIDUAL_TOL, check_uniform_positivity,
+                                 positivity_cap)
 
 from conftest import kernel_from_matrix
 
@@ -72,12 +76,53 @@ class TestEigendecompose:
         assert a.right[k, 1].real == pytest.approx(1.0)
         assert abs(a.right[k, 1].imag) < 1e-14
 
+    @pytest.mark.parametrize("sigma", [0.5, 0.3])
+    def test_top_modes_match_dense_solve(self, cache, sigma):
+        _check_top_modes(cache.kernel(sigma), 3)
+
+    def test_top_modes_keep_double_eigenvalue(self):
+        # four wells: the kernel is K1 (x) K1, so lambda_1 = lambda_2 exactly
+        # and the extra mode completes the pair at the cutoff 4 / 5
+        dim, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+        model = DeterministicMapModel(2, pi, jac, [[-2.0, 2.0]] * 2,
+                                      np.eye(2), 0.35, "tanh2d")
+        kernel = mr.discretize_kernel(model, Grid.from_box(model.box, 25))
+        d = _check_top_modes(kernel, 5)
+        assert abs(d.eigenvalues[1] - d.eigenvalues[2]) <= 1e-12
+        assert d.eigenvalues[1].real == pytest.approx(0.97594, abs=1e-5)
+
+    def test_top_modes_rerun_identically(self, cache):
+        a = mr.eigendecompose(cache.kernel(0.4), n_modes=3)
+        b = mr.eigendecompose(cache.kernel(0.4), n_modes=3)
+        for x, y in ((a.eigenvalues, b.eigenvalues), (a.right, b.right),
+                     (a.left, b.left)):
+            assert x.tobytes() == y.tobytes()
+
     def test_defective_cluster_flagged(self):
         jordan = kernel_from_matrix([[0.5, 0.5], [0.0, 0.5]],
                                     kind="substochastic")
         d = mr.eigendecompose(jordan)
         assert not d.binormalized
         assert d.defective_clusters == ((0, 1),)
+
+
+def _check_top_modes(kernel, k):
+    """Top-k Krylov modes against the top k of the dense full solve."""
+    dense = mr.eigendecompose(kernel)
+    top = mr.eigendecompose(kernel, n_modes=k)
+    assert top.n_modes == k and top.right.shape == (kernel.size, k)
+    np.testing.assert_allclose(top.eigenvalues, dense.eigenvalues[:k],
+                               rtol=0, atol=1e-12)
+    assert top.binormalized
+    assert np.abs(top.left @ top.right - np.eye(k)).max() <= 1e-10
+    K = kernel.matrix
+    norm = np.abs(K).sum(axis=1).max()
+    assert top.max_residual <= RESIDUAL_TOL * norm
+    assert np.abs(K @ top.right - top.right * top.eigenvalues).max() \
+        <= RESIDUAL_TOL * norm
+    assert np.abs(top.left @ K - top.eigenvalues[:, None] * top.left).max() \
+        <= RESIDUAL_TOL * norm
+    return top
 
 
 class TestVerifySpectralGap:
@@ -134,6 +179,24 @@ class TestSolveQsd:
             prob = v @ kill_mass
             expected = sol.lambda0 ** (n - 1) * (1.0 - sol.lambda0)
             assert abs(prob - expected) <= 1e-10
+            v = v @ killed.matrix
+
+    def test_escape_mass_below_epsilon(self, cache, ref):
+        # sigma = 0.08: the killed kernel's principal eigenvalue rounds to 1,
+        # yet the escape mass, summed from the entries leaving the ball, is
+        # positive and gives the geometric killing law to rounding
+        trace = cache.trace(0.08)
+        ball = ref["balls"][0]
+        sol = mr.solve_qsd(trace, ball)
+        assert 0.0 < sol.escape < 1e-15
+        assert sol.mean_killing_time == 1.0 / sol.escape
+        killed = killed_kernel(trace, ball)
+        loc = trace.local_indices(ball)
+        kill_mass = np.delete(trace.matrix[loc], loc, axis=1).sum(axis=1)
+        v = sol.qsd.copy()
+        for n in range(1, 11):
+            expected = sol.lambda0 ** (n - 1) * sol.escape
+            assert abs(v @ kill_mass / expected - 1.0) <= 1e-8
             v = v @ killed.matrix
 
     def test_quasiergodic_fixed_point(self, cache, ref):
