@@ -92,6 +92,7 @@ class Pipeline:
         return build_metastable_structure(
             self.model(self.cfg.sigmas[0]), self.fixed_points, self.cfg.delta)
 
+    @functools.cached_property
     def membership(self):
         return self.grid.membership(self.structure)
 
@@ -106,7 +107,7 @@ class Pipeline:
         return self._kernels[sigma]
 
     def trace_on_m(self, sigma):
-        _, m_set, _ = self.membership()
+        _, m_set, _ = self.membership
         return trace_kernel(self.kernel(sigma), m_set)
 
     @functools.cached_property
@@ -193,7 +194,7 @@ def cmd_spectrum(pipe: Pipeline):
 
 
 def cmd_qsd(pipe: Pipeline):
-    balls, _, _ = pipe.membership()
+    balls, _, _ = pipe.membership
     pts = pipe.grid.points()
     for sigma in pipe.cfg.sigmas:
         trace = pipe.trace_on_m(sigma)
@@ -241,7 +242,7 @@ def cmd_quasipotential(pipe: Pipeline):
 
 
 def cmd_reduce(pipe: Pipeline):
-    balls, _, _ = pipe.membership()
+    balls, _, _ = pipe.membership
     for sigma in pipe.cfg.sigmas:
         trace = pipe.trace_on_m(sigma)
         decomp = eigendecompose(trace)
@@ -294,7 +295,7 @@ def cmd_simulate(pipe: Pipeline):
 
 def cmd_validate(pipe: Pipeline):
     cfg = pipe.cfg
-    balls, m_set, _ = pipe.membership()
+    balls, m_set, _ = pipe.membership
     table = pipe.table
     n = pipe.structure.n_balls
     overall = True

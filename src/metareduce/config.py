@@ -18,8 +18,6 @@ MIN_GRID_NODES = 51
 
 _MC_DEFAULTS = {
     "committor_runs": 10_000,
-    "ex_starts": 128,
-    "ex_reps": 200,
     "trace_runs": 10_000,
     "trace_blocks": 20,
     "sim_steps": 100_000,

@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import (BallConstructionFailed, ConfigError, DriftViolated,
                      MarginalFixedPoint, NoStableFixedPoint, NumericError)
+from .grid import Grid
 
 STABILITY_MARGIN = 1e-6         # |rho - 1| below this is marginal
 NEWTON_RESIDUAL_FACTOR = 1e-10  # * diam(X)
@@ -20,7 +21,8 @@ RADIUS_FLOOR_FACTOR = 1e-3      # * diam(X)
 class DeterministicMapModel:
     """A map with its invariant box and the Gaussian noise it is driven by.
 
-    ``pi`` and ``jac`` act on points of shape (d,).  ``box`` has shape (d, 2)
+    ``pi`` and ``jac`` act on arrays of points of shape (..., d) and return
+    shapes (..., d) and (..., d, d).  ``box`` has shape (d, 2)
     with rows (lo, hi).  ``cov`` is the noise covariance (symmetric positive
     definite) and ``sigma`` the scalar noise level.  ``map_id`` and
     ``map_params`` name the map; the kernel cache keys on both.
@@ -60,38 +62,31 @@ class DeterministicMapModel:
         return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
 
     def in_box(self, x):
-        return bool(np.all(x >= self.box[:, 0]) and np.all(x <= self.box[:, 1]))
+        """Whether each point of x, shape (..., d), lies in the closed box."""
+        return np.all((x >= self.box[:, 0]) & (x <= self.box[:, 1]), axis=-1)
 
     def validate(self, nodes_per_axis=33, n_jac_samples=32, seed=0):
         """Sampled positive-invariance and Jacobian consistency checks."""
-        axes = [np.linspace(lo, hi, nodes_per_axis) for lo, hi in self.box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        for x in pts:
-            if not self.in_box(self.pi(x)):
-                raise NumericError(
-                    f"box is not positively invariant: pi({x}) leaves it")
+        pts = Grid.from_box(self.box, nodes_per_axis).points()
+        outside = ~self.in_box(self.pi(pts))
+        if outside.any():
+            raise NumericError("box is not positively invariant: "
+                               f"pi({pts[outside.argmax()]}) leaves it")
         rng = np.random.default_rng(seed)
         lo, hi = self.box[:, 0], self.box[:, 1]
-        for _ in range(n_jac_samples):
-            x = lo + (hi - lo) * rng.random(self.dim)
-            J = np.atleast_2d(self.jac(x))
-            Jfd = _fd_jacobian(self.pi, x)
-            scale = max(np.abs(Jfd).max(), 1.0)
-            if np.abs(J - Jfd).max() > JAC_CHECK_RTOL * scale:
-                raise NumericError(
-                    f"Jacobian disagrees with finite differences at {x}")
+        xs = lo + (hi - lo) * rng.random((n_jac_samples, self.dim))
+        # central differences: row k of x + e is x + h e_k, so the result
+        # is indexed [sample, k, j] and is transposed to [sample, j, k]
+        h = 1e-6
+        x, e = xs[:, None, :], h * np.eye(self.dim)
+        jfd = ((self.pi(x + e) - self.pi(x - e)) / (2 * h)).swapaxes(-1, -2)
+        scale = np.maximum(np.abs(jfd).max(axis=(-2, -1)), 1.0)
+        err = np.abs(self.jac(xs) - jfd).max(axis=(-2, -1))
+        bad = err > JAC_CHECK_RTOL * scale
+        if bad.any():
+            raise NumericError("Jacobian disagrees with finite differences "
+                               f"at {xs[bad.argmax()]}")
         return True
-
-
-def _fd_jacobian(pi, x, h=1e-6):
-    d = x.size
-    J = np.empty((d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h
-        J[:, k] = (np.atleast_1d(pi(x + e)) - np.atleast_1d(pi(x - e))) / (2 * h)
-    return J
 
 
 @dataclass(frozen=True)
@@ -117,10 +112,16 @@ class MetastableStructure:
         return len(self.radii)
 
     def ball_of(self, x):
-        """Index of the ball containing x (closed balls), or -1."""
-        d2 = ((self.centers - x) ** 2).sum(axis=1)
-        hits = np.where(d2 <= self.radii ** 2)[0]
-        return int(hits[0]) if hits.size else -1
+        """Index of the closed ball containing each point of x, shape
+        (..., d), or -1; where balls overlap the first one wins."""
+        x = np.asarray(x, float)
+        out = np.full(x.shape[:-1], -1)
+        for k in range(self.n_balls - 1, -1, -1):     # the first ball last
+            d2 = 0.0
+            for a in range(x.shape[-1]):
+                d2 = d2 + (x[..., a] - self.centers[k, a]) ** 2
+            out[d2 <= self.radii[k] ** 2] = k
+        return out[()]
 
 
 def classify_stability(jacobian):
@@ -150,9 +151,7 @@ def find_fixed_points(model, seeds_per_axis=12):
         raise ConfigError("seeds_per_axis must be >= 8")
     diam = model.diam
     tol = NEWTON_RESIDUAL_FACTOR * diam
-    axes = [np.linspace(lo, hi, seeds_per_axis) for lo, hi in model.box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    seeds = np.stack([m.ravel() for m in mesh], axis=-1)
+    seeds = Grid.from_box(model.box, seeds_per_axis).points()
 
     found = []
     for s in seeds:
@@ -193,10 +192,10 @@ def find_fixed_points(model, seeds_per_axis=12):
 def _newton(model, x0, tol, max_iter=100):
     x = np.array(x0, dtype=float)
     for _ in range(max_iter):
-        F = np.atleast_1d(model.pi(x)) - x
+        F = model.pi(x) - x
         if np.linalg.norm(F) <= tol:
             return x
-        J = np.atleast_2d(model.jac(x)) - np.eye(model.dim)
+        J = model.jac(x) - np.eye(model.dim)
         try:
             step = np.linalg.solve(J, F)
         except np.linalg.LinAlgError:
@@ -255,19 +254,17 @@ def build_metastable_structure(model, fixed_points, delta, n_boundary=64, seed=1
 
 
 def _ball_invariant(model, center, radius, n_boundary, seed):
-    rng = np.random.default_rng(seed)
-    pts = [center]
-    for scale in (1.0, 0.5, 0.25):
-        if model.dim == 1:
-            pts += [center + np.array([radius * scale]),
-                    center - np.array([radius * scale])]
-        else:
-            for _ in range(n_boundary):
-                u = rng.standard_normal(model.dim)
-                u /= np.linalg.norm(u)
-                pts.append(center + radius * scale * u)
+    scales = np.array([1.0, 0.5, 0.25])
+    if model.dim == 1:
+        offsets = np.concatenate([radius * scales, -radius * scales])[:, None]
+    else:
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal((3 * n_boundary, model.dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        offsets = radius * np.repeat(scales, n_boundary)[:, None] * u
+    pts = np.vstack([center, center + offsets])
     r2 = radius ** 2 + 1e-15
-    return all(((np.atleast_1d(model.pi(p)) - center) ** 2).sum() <= r2 for p in pts)
+    return bool((((model.pi(pts) - center) ** 2).sum(axis=-1) <= r2).all())
 
 
 @dataclass(frozen=True)
@@ -299,7 +296,7 @@ def check_lyapunov_drift(model, n_samples=64, seed=2, shell=(1.05, 2.0)):
         u /= np.linalg.norm(u)
         scale = shell[0] + (shell[1] - shell[0]) * rng.random()
         x = center + u * scale * np.linalg.norm(half)
-        px = np.atleast_1d(model.pi(x))
+        px = model.pi(x)
         drift = float(px @ px + model.sigma ** 2 * trace_cov - x @ x)
         worst = max(worst, drift)
         if drift >= 0:

@@ -60,24 +60,18 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def nearest_index(self, x):
-        """Flattened index of the node nearest to x (clipped to the box)."""
-        x = np.atleast_1d(np.asarray(x, float))
-        multi = []
-        for a, xi in zip(self.axes, x):
-            h = a[1] - a[0]
-            k = int(round((xi - a[0]) / h))
-            multi.append(min(max(k, 0), a.size - 1))
-        return int(np.ravel_multi_index(multi, self.shape))
-
-    def ball_indices(self, center, radius):
-        """Sorted indices of nodes inside the closed ball (center, radius)."""
-        pts = self.points()
-        d2 = ((pts - np.atleast_1d(center)) ** 2).sum(axis=1)
-        return np.where(d2 <= radius ** 2 + 1e-15)[0]
+        """Flattened index of the node nearest to each point of x, shape
+        (..., d), clipped to the box."""
+        x = np.asarray(x, float)
+        multi = [np.clip(np.round((x[..., k] - a[0]) / (a[1] - a[0])),
+                         0, a.size - 1).astype(int)
+                 for k, a in enumerate(self.axes)]
+        return np.ravel_multi_index(multi, self.shape)
 
     def membership(self, structure):
         """Index sets for each ball, for M, and for the complement of M."""
-        balls = [self.ball_indices(c, r)
+        pts = self.points()
+        balls = [np.where(((pts - c) ** 2).sum(axis=1) <= r ** 2 + 1e-15)[0]
                  for c, r in zip(structure.centers, structure.radii)]
         m_set = np.unique(np.concatenate(balls)) if balls else np.array([], int)
         comp = np.setdiff1d(np.arange(self.n_nodes), m_set)

@@ -78,7 +78,7 @@ def gaussian_rate(model, x, y):
     """One-step large-deviation rate <y - pi(x), cov^{-1}(y - pi(x))> / 2."""
     x = np.atleast_1d(np.asarray(x, float))
     y = np.atleast_1d(np.asarray(y, float))
-    r = y - np.atleast_1d(model.pi(x))
+    r = y - model.pi(x)
     try:
         z = np.linalg.solve(model.cov, r)
     except np.linalg.LinAlgError as exc:
@@ -96,7 +96,7 @@ def discretize_kernel(model, grid, row_chunk=256):
         raise NumericError("discretize_kernel needs sigma > 0")
     pts = grid.points()
     n = grid.n_nodes
-    images = np.array([np.atleast_1d(model.pi(p)) for p in pts])
+    images = model.pi(pts)
     try:
         cov_inv = np.linalg.inv(model.cov)
     except np.linalg.LinAlgError as exc:

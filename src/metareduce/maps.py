@@ -1,8 +1,10 @@
 """Built-in deterministic maps and their Jacobians.
 
-Every builder returns a pair ``(pi, jac)`` of callables operating on points of
-shape ``(d,)``: ``pi`` returns the image point, ``jac`` the d x d Jacobian.
-Maps are registered under a string id so they can be named in run configs.
+Every builder returns ``(d, pi, jac)``.  ``pi`` and ``jac`` act on arrays of
+points of shape ``(..., d)``: ``pi`` returns the images, shape ``(..., d)``,
+and ``jac`` the Jacobians, shape ``(..., d, d)``.  A single point is the
+case ``(d,)``.  Maps are registered under a string id so they can be named
+in run configs.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _tanh(params):
         return np.tanh(beta * x)
 
     def jac(x):
-        return np.array([[beta * (1.0 - np.tanh(beta * x[0]) ** 2)]])
+        return (beta * (1.0 - np.tanh(beta * x) ** 2))[..., None]
 
     return 1, pi, jac
 
@@ -57,7 +59,7 @@ def _cubic(params):
         return a * x - b * x ** 3 + d
 
     def jac(x):
-        return np.array([[a - 3.0 * b * x[0] ** 2]])
+        return (a - 3.0 * b * x ** 2)[..., None]
 
     return 1, pi, jac
 
@@ -71,7 +73,7 @@ def _linear(params):
         return a * x
 
     def jac(x):
-        return a * np.eye(x.size)
+        return np.full(x.shape + (1,), a)
 
     return 1, pi, jac
 
@@ -89,7 +91,7 @@ def _poly(params):
         return np.polynomial.polynomial.polyval(x, coeffs)
 
     def jac(x):
-        return np.array([[np.polynomial.polynomial.polyval(x[0], dcoeffs)]])
+        return np.polynomial.polynomial.polyval(x, dcoeffs)[..., None]
 
     return 1, pi, jac
 
@@ -98,14 +100,13 @@ def _poly(params):
 def _tanh2d(params):
     beta = params.pop("beta", (2.0, 2.0))
     _no_extra(params, "tanh2d")
-    b1, b2 = float(beta[0]), float(beta[1])
+    b = np.array([float(beta[0]), float(beta[1])])
 
     def pi(x):
-        return np.array([np.tanh(b1 * x[0]), np.tanh(b2 * x[1])])
+        return np.tanh(b * x)
 
     def jac(x):
-        return np.diag([b1 * (1.0 - np.tanh(b1 * x[0]) ** 2),
-                        b2 * (1.0 - np.tanh(b2 * x[1]) ** 2)])
+        return (b * (1.0 - np.tanh(b * x) ** 2))[..., None] * np.eye(2)
 
     return 2, pi, jac
 
@@ -118,14 +119,14 @@ def _coupled2d(params):
     b1, b2 = float(beta[0]), float(beta[1])
 
     def pi(x):
-        return np.array([np.tanh(b1 * x[0] + gamma * x[1]),
-                         np.tanh(b2 * x[1] + gamma * x[0])])
+        return np.stack([np.tanh(b1 * x[..., 0] + gamma * x[..., 1]),
+                         np.tanh(b2 * x[..., 1] + gamma * x[..., 0])], axis=-1)
 
     def jac(x):
-        s1 = 1.0 - np.tanh(b1 * x[0] + gamma * x[1]) ** 2
-        s2 = 1.0 - np.tanh(b2 * x[1] + gamma * x[0]) ** 2
-        return np.array([[b1 * s1, gamma * s1],
-                         [gamma * s2, b2 * s2]])
+        s1 = 1.0 - np.tanh(b1 * x[..., 0] + gamma * x[..., 1]) ** 2
+        s2 = 1.0 - np.tanh(b2 * x[..., 1] + gamma * x[..., 0]) ** 2
+        return np.stack([np.stack([b1 * s1, gamma * s1], axis=-1),
+                         np.stack([gamma * s2, b2 * s2], axis=-1)], axis=-2)
 
     return 2, pi, jac
 

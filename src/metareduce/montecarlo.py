@@ -8,7 +8,7 @@ and are reduced in worker order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,15 +28,6 @@ def rng_stream(master_seed, worker_id):
 
 def _chol(model):
     return np.linalg.cholesky(model.cov)
-
-
-def _apply_map(model, xa):
-    """Map a (block, d) array of points through pi, vectorizing when safe."""
-    if model.dim == 1:
-        out = np.asarray(model.pi(xa[:, 0]))
-        if out.shape == (xa.shape[0],):
-            return out[:, None]
-    return np.array([np.atleast_1d(model.pi(p)) for p in xa])
 
 
 @dataclass
@@ -63,7 +54,10 @@ def simulate_chain(model, structure, x0, n_steps, seed, record_events=True):
     """Iterate X_{n+1} = pi(X_n) + sigma * L xi_n, logging ball entries/exits.
 
     Positions leaving the box are kept (the drift pulls them back) but
-    counted; a position farther than 100 * diam(X) raises Runaway.
+    counted; a position farther than 100 * diam(X) raises Runaway.  Only
+    the positions are computed step by step: box exits, ball residence and
+    events are found per chunk of steps, an exit before an entry at the
+    same step.
     """
     x0 = np.atleast_1d(np.asarray(x0, float))
     if not model.in_box(x0):
@@ -73,7 +67,9 @@ def simulate_chain(model, structure, x0, n_steps, seed, record_events=True):
     nballs = structure.n_balls
     runaway2 = (RUNAWAY_FACTOR * model.diam) ** 2
 
-    ev_steps, ev_balls, ev_kinds, ev_pos = [], [], [], []
+    empty = np.empty(0, dtype=np.int64)
+    # per chunk: event steps, balls, kinds and positions
+    events = [(empty, empty, empty, np.empty((0, model.dim)))]
     entry_counts = np.zeros(nballs, dtype=np.int64)
     steps_in_ball = np.zeros(nballs, dtype=np.int64)
     exits_box = 0
@@ -84,40 +80,36 @@ def simulate_chain(model, structure, x0, n_steps, seed, record_events=True):
     while done < n_steps:
         take = min(chunk, n_steps - done)
         noise = model.sigma * (rng.standard_normal((take, model.dim)) @ L.T)
+        path = np.empty((take, model.dim))
         for k in range(take):
-            x = np.atleast_1d(model.pi(x)) + noise[k]
-            step = done + k + 1
+            path[k] = x = model.pi(x) + noise[k]
             if (x @ x) > runaway2:
-                raise Runaway(f"|X_{step}| exceeded 100 diam(X)")
-            if not model.in_box(x):
-                exits_box += 1
-            ball = structure.ball_of(x)
-            if ball >= 0:
-                steps_in_ball[ball] += 1
-            if ball != current:
-                if record_events:
-                    if current >= 0:
-                        ev_steps.append(step)
-                        ev_balls.append(current)
-                        ev_kinds.append(-1)
-                        ev_pos.append(x.copy())
-                    if ball >= 0:
-                        ev_steps.append(step)
-                        ev_balls.append(ball)
-                        ev_kinds.append(+1)
-                        ev_pos.append(x.copy())
-                if ball >= 0:
-                    entry_counts[ball] += 1
-                current = ball
+                raise Runaway(f"|X_{done + k + 1}| exceeded 100 diam(X)")
+        exits_box += int((~model.in_box(path)).sum())
+        ball = structure.ball_of(path)
+        steps_in_ball += np.bincount(ball[ball >= 0], minlength=nballs)
+        prev = np.concatenate([[current], ball[:-1]])
+        moved = np.nonzero(ball != prev)[0]
+        entered = moved[ball[moved] >= 0]
+        entry_counts += np.bincount(ball[entered], minlength=nballs)
+        if record_events:
+            left = moved[prev[moved] >= 0]
+            at = np.concatenate([left, entered])
+            kinds = np.repeat([-1, 1], [left.size, entered.size])
+            # stable: an exit stays before an entry at the same step
+            order = np.argsort(at, kind="stable")
+            at, kinds = at[order], kinds[order]
+            events.append((done + at + 1,
+                           np.where(kinds < 0, prev[at], ball[at]),
+                           kinds, path[at]))
+        current = ball[-1]
         done += take
+    ev_steps, ev_balls, ev_kinds, ev_pos = map(np.concatenate, zip(*events))
     return SimulationTrace(
         master_seed=int(seed), sigma=model.sigma, n_steps=int(n_steps),
         worker_count=1,
-        event_steps=np.array(ev_steps, dtype=np.int64),
-        event_balls=np.array(ev_balls, dtype=np.int64),
-        event_kinds=np.array(ev_kinds, dtype=np.int64),
-        event_positions=(np.array(ev_pos) if ev_pos
-                         else np.empty((0, model.dim))),
+        event_steps=ev_steps, event_balls=ev_balls, event_kinds=ev_kinds,
+        event_positions=ev_pos,
         entry_counts=entry_counts, steps_in_ball=steps_in_ball,
         exits_from_box=exits_box, final_position=x.copy())
 
@@ -138,6 +130,30 @@ def _worker_blocks(total, workers):
     return [base + (1 if w < rem else 0) for w in range(workers)]
 
 
+def _run(model, x, rng, step_cap, what, retire, *state):
+    """Step the runs x, shape (n, d), until ``retire`` has stopped them all.
+
+    Each step maps the active runs and adds one noise row per active run,
+    in run order.  ``retire(step, x, idx, *state)`` gets the new positions
+    of the active runs, their indices among the n runs and their per-run
+    state arrays (which it may update in place), and returns a mask of the
+    runs that stop; the arrays are compacted only on steps where some do.
+    """
+    L = _chol(model)
+    idx = np.arange(x.shape[0])
+    step = 0
+    while x.shape[0]:
+        step += 1
+        if step > step_cap:
+            raise SimulationTimeout(f"{what} run exceeded {step_cap} steps")
+        x = model.pi(x) + model.sigma * (rng.standard_normal(x.shape) @ L.T)
+        stop = retire(step, x, idx, *state)
+        if stop.any():
+            keep = ~stop
+            x, idx = x[keep], idx[keep]
+            state = [a[keep] for a in state]
+
+
 def estimate_committor(model, structure, i, j, n_runs, seed, workers=1,
                        step_cap=DEFAULT_STEP_CAP):
     """P[reach ball j before returning to ball i], started at the i-th
@@ -152,31 +168,23 @@ def estimate_committor(model, structure, i, j, n_runs, seed, workers=1,
         raise NumericError("committor needs i != j")
     if n_runs < 100:
         raise NumericError("n_runs must be >= 100")
-    L = _chol(model)
-    x_start = structure.centers[i]
+    # ball j first, so that a point in both counts as a hit
+    pair = replace(structure, centers=structure.centers[[j, i]],
+                   radii=structure.radii[[j, i]])
     hits = 0
     for w, block in enumerate(_worker_blocks(n_runs, workers)):
         if block == 0:
             continue
-        rng = rng_stream(seed, w)
-        x = np.tile(x_start, (block, 1))
-        active = np.ones(block, bool)
-        steps = 0
-        while active.any():
-            steps += 1
-            if steps > step_cap:
-                raise SimulationTimeout(f"committor run exceeded {step_cap} steps")
-            xa = x[active]
-            xa = _apply_map(model, xa) \
-                + model.sigma * (rng.standard_normal(xa.shape) @ L.T)
-            x[active] = xa
-            d2i = ((xa - structure.centers[i]) ** 2).sum(axis=1)
-            d2j = ((xa - structure.centers[j]) ** 2).sum(axis=1)
-            in_j = d2j <= structure.radii[j] ** 2
-            in_i = d2i <= structure.radii[i] ** 2
-            hits += int(in_j.sum())
-            idx = np.where(active)[0]
-            active[idx[in_j | in_i]] = False
+        hit = np.zeros(block, bool)
+
+        def retire(step, x, idx):
+            ball = pair.ball_of(x)
+            hit[idx[ball == 0]] = True
+            return ball >= 0
+
+        _run(model, np.tile(structure.centers[i], (block, 1)),
+             rng_stream(seed, w), step_cap, "committor", retire)
+        hits += int(hit.sum())
     if hits == 0:
         raise ZeroHits("no run reached the target ball",
                        upper_bound=3.0 / n_runs)
@@ -184,11 +192,6 @@ def estimate_committor(model, structure, i, j, n_runs, seed, workers=1,
     se = float(np.sqrt(p * (1.0 - p) / n_runs))
     return EstimateWithError(p, se, n_runs, model.sigma,
                              float(model.sigma ** 2 * np.log(p)))
-
-
-def _in_m(x, structure):
-    d2 = ((x[:, None, :] - structure.centers[None, :, :]) ** 2).sum(axis=2)
-    return (d2 <= structure.radii[None, :] ** 2).any(axis=1)
 
 
 def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
@@ -218,35 +221,25 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
                         p[axis] += s * h[axis]
                         if model.in_box(p):
                             starts.append(p)
-    L = _chol(model)
     best_mean, best_se = -np.inf, np.nan
     total = 0
     for s_idx, x0 in enumerate(starts):
-        times = np.zeros(n_reps)
-        off = 0
+        times = []
         for w, block in enumerate(_worker_blocks(n_reps, workers)):
             if block == 0:
                 continue
-            rng = rng_stream(seed, s_idx * max(workers, 1) + w)
-            x = np.tile(np.atleast_1d(x0), (block, 1))
             t = np.zeros(block)
-            active = np.ones(block, bool)
-            steps = 0
-            while active.any():
-                steps += 1
-                if steps > step_cap:
-                    raise SimulationTimeout(f"hit run exceeded {step_cap} steps")
-                xa = x[active]
-                imgs = np.array([np.atleast_1d(model.pi(p)) for p in xa]) \
-                    if model.dim > 1 else np.atleast_2d(model.pi(xa[:, 0])).T
-                xa = imgs + model.sigma * (rng.standard_normal(xa.shape) @ L.T)
-                x[active] = xa
-                hit = _in_m(xa, structure)
-                idx = np.where(active)[0]
-                t[idx[hit]] = steps
-                active[idx[hit]] = False
-            times[off:off + block] = t
-            off += block
+
+            def retire(step, x, idx):
+                hit = structure.ball_of(x) >= 0
+                t[idx[hit]] = step
+                return hit
+
+            _run(model, np.tile(x0, (block, 1)),
+                 rng_stream(seed, s_idx * max(workers, 1) + w), step_cap,
+                 "hit", retire)
+            times.append(t)
+        times = np.concatenate(times)
         total += n_reps
         mean = float(times.mean())
         if mean > best_mean:
@@ -264,36 +257,25 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         raise NumericError("n_runs must be >= 1000")
     if m < 1:
         raise NumericError("m must be >= 1")
-    nballs = structure.n_balls
-    counts = np.zeros((nballs, n_blocks + 1), dtype=np.int64)
+    counts = np.zeros((structure.n_balls, n_blocks + 1), dtype=np.int64)
     counts[i, 0] = n_runs    # visit 0 is the start, inside ball i
-    L = _chol(model)
+
+    def retire(step, x, idx, visits, recorded):
+        ball = structure.ball_of(x)
+        in_m = ball >= 0
+        visits += in_m
+        due = in_m & (visits == recorded * m)
+        np.add.at(counts, (ball[due], recorded[due]), 1)
+        recorded += due
+        return recorded > n_blocks
+
     for w, block in enumerate(_worker_blocks(n_runs, workers)):
         if block == 0:
             continue
-        rng = rng_stream(seed, w)
-        # state of the active runs only, kept in run order: each step draws
-        # one noise row per active run, in that order
-        xa = np.tile(structure.centers[i], (block, 1))
-        visits = np.zeros(block, dtype=np.int64)
-        recorded = np.ones(block, dtype=np.int64)   # blocks recorded so far
-        steps = 0
-        while xa.shape[0]:
-            steps += 1
-            if steps > step_cap:
-                raise SimulationTimeout(f"trace run exceeded {step_cap} steps")
-            xa = _apply_map(model, xa) \
-                + model.sigma * (rng.standard_normal(xa.shape) @ L.T)
-            d2 = ((xa[:, None, :] - structure.centers[None, :, :]) ** 2).sum(axis=2)
-            inball = d2 <= structure.radii[None, :] ** 2
-            in_m = inball.any(axis=1)
-            visits += in_m
-            due = in_m & (visits == recorded * m)
-            np.add.at(counts, (inball[due].argmax(axis=1), recorded[due]), 1)
-            recorded += due
-            keep = recorded <= n_blocks
-            if not keep.all():
-                xa, visits, recorded = xa[keep], visits[keep], recorded[keep]
+        # per run: visits to M so far, and blocks recorded so far
+        _run(model, np.tile(structure.centers[i], (block, 1)),
+             rng_stream(seed, w), step_cap, "trace", retire,
+             np.zeros(block, dtype=np.int64), np.ones(block, dtype=np.int64))
     freqs = counts / n_runs
     se = np.sqrt(freqs * (1.0 - freqs) / n_runs)
     return freqs, se

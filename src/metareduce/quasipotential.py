@@ -97,13 +97,13 @@ def build_action_graph(model, grid, r_hop):
         raise HopRadiusTooSmall(
             f"r_hop = {r_hop} below 3 * max grid spacing = {3 * h_max}")
     pts = grid.points()
-    images = np.array([np.atleast_1d(model.pi(p)) for p in pts])
+    images = model.pi(pts)
     cov_inv = np.linalg.inv(model.cov)
-    for u in range(grid.n_nodes):
-        nearest = grid.nearest_index(images[u])
-        if np.linalg.norm(pts[nearest] - images[u]) > r_hop:
-            raise HopRadiusTooSmall(
-                f"image of node {u} has no grid node within r_hop")
+    gap = np.linalg.norm(pts[grid.nearest_index(images)] - images, axis=1)
+    far = gap > r_hop
+    if far.any():
+        raise HopRadiusTooSmall(
+            f"image of node {far.argmax()} has no grid node within r_hop")
     return ActionGraph(grid, images, cov_inv, float(r_hop))
 
 
@@ -161,7 +161,7 @@ def compute_h_matrix(model, grid, structure, r_hop, graph=None):
     if graph is None:
         graph = build_action_graph(model, grid, r_hop)
     n = structure.n_balls
-    centers = [grid.nearest_index(c) for c in structure.centers]
+    centers = grid.nearest_index(structure.centers)
     v_surfaces = np.empty((n, grid.n_nodes))
     h = np.zeros((n, n))
     for i in range(n):

@@ -65,6 +65,13 @@ class TestConfigErrors:
         path = write_config(tmp_path, map={"name": "nope"})
         assert run(path, "analyze") == 2
 
+    @pytest.mark.parametrize("field", ["ex_starts", "ex_reps"])
+    def test_unused_mc_fields_rejected(self, tmp_path, capsys, field):
+        path = write_config(tmp_path, mc={field: 100})
+        assert run(path, "analyze") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "unknown mc fields" in err["message"] and field in err["message"]
+
 
 class TestAnalyze:
     def test_tanh_three_fixed_points(self, tmp_path):
@@ -220,6 +227,34 @@ class TestSimulate:
         run(path, "simulate", "--seed", "99")
         second = (tmp_path / "out" / "results.csv").read_text()
         assert first != second
+
+
+class TestTanh2d:
+    def test_four_wells_end_to_end(self, tmp_path):
+        path = write_config(
+            tmp_path, map={"name": "tanh2d", "params": {"beta": [2.0, 2.0]}},
+            dim=2, box=[[-2, 2], [-2, 2]], cov=[[1.0, 0.0], [0.0, 1.0]],
+            sigma=0.4, grid_nodes=51, r_hop=2.5,
+            mc={"committor_runs": 200, "trace_runs": 0, "sim_steps": 2000})
+        out = tmp_path / "out"
+        assert run(path, "analyze") == 0
+        assert json.loads((out / "analyze.json").read_text())["n_stable"] == 4
+        assert run(path, "simulate") == 0
+        lines = (out / "results.csv").read_text().splitlines()[1:]
+        assert sum(l.startswith("committor_") for l in lines) == 12
+        assert run(path, "reduce") == 0
+        doc = json.loads((out / "reduced_0.4.json").read_text())
+        assert doc["n_balls"] == 4
+        p = np.array(doc["P"])
+        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-10)
+        # wells in lexicographic order (-,-), (-,+), (+,-), (+,+): the
+        # reflections x -> -x and y -> -y and the swap of x and y, which
+        # generate the symmetries of the square, permute them
+        for perm in ([2, 3, 0, 1], [1, 0, 3, 2], [0, 2, 1, 3]):
+            np.testing.assert_allclose(p[np.ix_(perm, perm)], p, atol=1e-10)
+        assert p[0, 0] == pytest.approx(0.58969, abs=1e-5)
+        assert p[0, 1] == pytest.approx(0.16552, abs=1e-5)
+        assert p[0, 3] == pytest.approx(0.07928, abs=1e-5)
 
 
 class TestValidate:

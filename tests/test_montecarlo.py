@@ -5,7 +5,7 @@ import pytest
 
 import metareduce as mr
 from metareduce.errors import NumericError, Runaway, ZeroHits
-from metareduce.dynamics import DeterministicMapModel
+from metareduce.dynamics import DeterministicMapModel, MetastableStructure
 from metareduce.maps import build_map
 from metareduce.montecarlo import fit_log_scaling
 
@@ -16,6 +16,19 @@ from conftest import (HAND_K3, MASTER_SEED, exact_committor,
 @pytest.fixture(scope="module")
 def structure():
     model = make_ref_model(0.35)
+    return mr.build_metastable_structure(model, mr.find_fixed_points(model),
+                                         0.2)
+
+
+def tanh2d_model(sigma):
+    dim, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+    return DeterministicMapModel(2, pi, jac, [[-2.0, 2.0]] * 2, np.eye(2),
+                                 sigma, "tanh2d")
+
+
+@pytest.fixture(scope="module")
+def structure2d():
+    model = tanh2d_model(0.4)
     return mr.build_metastable_structure(model, mr.find_fixed_points(model),
                                          0.2)
 
@@ -95,7 +108,106 @@ class TestSimulateChain:
         assert trace.exits_from_box > 0
 
 
+class TestSeededSimulation:
+    """Fixed outputs for one seed: how the chain is stepped and its events
+    are detected must not move them."""
+
+    def test_1d_events(self, structure):
+        t = mr.simulate_chain(make_ref_model(0.1), structure,
+                              structure.centers[0], 150, 7)
+        assert t.event_steps.tolist() == [59, 60, 66, 67, 107, 108, 112, 113,
+                                          123, 124]
+        assert t.event_balls.tolist() == [0] * 10
+        assert t.event_kinds.tolist() == [-1, 1] * 5
+        assert t.event_positions[:, 0].tolist() == [
+            -1.2074769746770129, -0.901457624001704, -0.7185483432758819,
+            -0.9882093602959565, -1.16212343913931, -1.07977477278331,
+            -0.7400628546984057, -0.87934105954256, -1.1775353042309242,
+            -0.8725488989467736]
+        assert t.entry_counts.tolist() == [5, 0]
+        assert t.steps_in_ball.tolist() == [145, 0]
+        assert t.exits_from_box == 0
+        assert t.final_position.tolist() == [-0.883858623910974]
+
+    def test_2d_events(self, structure2d):
+        t = mr.simulate_chain(tanh2d_model(0.07), structure2d,
+                              structure2d.centers[0], 200, 7)
+        assert t.event_steps.tolist() == [127, 128, 139, 142, 148, 149]
+        assert t.event_balls.tolist() == [0] * 6
+        assert t.event_kinds.tolist() == [-1, 1] * 3
+        assert t.event_positions.tolist() == [
+            [-0.8350760306935262, -0.7627483079767812],
+            [-0.8652227076186906, -0.8597787800101471],
+            [-1.1652239473485795, -0.921471174658668],
+            [-0.9556275933113297, -1.0412262272631725],
+            [-1.0743834266373695, -0.7129080570428071],
+            [-1.0216154932564725, -1.0042990263825893]]
+        assert t.entry_counts.tolist() == [3, 0, 0, 0]
+        assert t.steps_in_ball.tolist() == [195, 0, 0, 0]
+        assert t.exits_from_box == 0
+        assert t.final_position.tolist() == [-1.0102488554539362,
+                                             -0.9006034738978868]
+
+    @pytest.mark.parametrize("dim,summary", [
+        (1, (27027, 8, 946362267, -13513, 183679658, 289.85976752827,
+             [6675, 6838], [9588, 9896], 974, [1.296506491293991])),
+        (2, (8035, 0, 282373469, -4017, 48355064, -120.71263672370848,
+             [1012, 1047, 977, 981], [1096, 1130, 1068, 1072], 1855,
+             [1.1333641910731078, -1.3963529551587635])),
+    ])
+    def test_long_run_across_chunks(self, structure, structure2d, dim,
+                                    summary):
+        # 70k steps cross the 65,536-step chunk boundary; the 1D run has 8
+        # steps with an exit and an entry, which must be logged in that order
+        model, st = ((make_ref_model(0.5), structure) if dim == 1
+                     else (tanh2d_model(0.5), structure2d))
+        t = mr.simulate_chain(model, st, st.centers[0], 70_000, 7)
+        k = np.arange(t.event_steps.size)
+        assert (t.event_steps.size, int((np.diff(t.event_steps) == 0).sum()),
+                int(t.event_steps.sum()), int(k @ t.event_kinds),
+                int(k @ t.event_balls), float(t.event_positions.sum()),
+                t.entry_counts.tolist(), t.steps_in_ball.tolist(),
+                t.exits_from_box, t.final_position.tolist()) == summary
+
+    def test_exit_logged_before_entry(self):
+        # pi(x) = -x jumps between the two balls at every step
+        dim, pi, jac = build_map("linear", {"a": -1.0})
+        model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], 0.0,
+                                      "flip")
+        st = MetastableStructure(np.array([[-1.0], [1.0]]),
+                                 np.array([0.5, 0.5]), 0.5)
+        t = mr.simulate_chain(model, st, np.array([1.0]), 3, 7)
+        assert t.event_steps.tolist() == [1, 1, 2, 2, 3, 3]
+        assert t.event_balls.tolist() == [1, 0, 0, 1, 1, 0]
+        assert t.event_kinds.tolist() == [-1, 1] * 3
+        assert t.entry_counts.tolist() == [2, 1]
+        assert t.steps_in_ball.tolist() == [2, 1]
+
+
 class TestEstimateCommittor:
+    @pytest.mark.parametrize("workers,hits", [(1, 58), (3, 56)])
+    def test_seeded_1d(self, structure, workers, hits):
+        # fixed hit counts for one seed and block layout
+        est = mr.estimate_committor(make_ref_model(0.5), structure, 0, 1, 500,
+                                    7, workers=workers)
+        assert est.estimate == hits / 500
+
+    @pytest.mark.parametrize("j,hits", [(1, 94), (3, 86)])
+    def test_seeded_tanh2d(self, structure2d, j, hits):
+        est = mr.estimate_committor(tanh2d_model(0.5), structure2d, 0, j, 300,
+                                    7, workers=2)
+        assert est.estimate == hits / 300
+
+    def test_overlap_counts_as_hit(self):
+        # pi(x) = 0 puts every run inside both balls after one step
+        dim, pi, jac = build_map("linear", {"a": 0.0})
+        model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], 0.01,
+                                      "zero")
+        st = MetastableStructure(np.array([[0.2], [0.0]]),
+                                 np.array([0.5, 0.5]), 0.5)
+        est = mr.estimate_committor(model, st, 0, 1, 100, MASTER_SEED)
+        assert est.estimate == 1.0
+
     def test_same_ball_rejected(self, structure):
         with pytest.raises(NumericError):
             mr.estimate_committor(make_ref_model(0.4), structure, 0, 0, 1000,
@@ -153,6 +265,22 @@ class TestExactOracles:
 
 
 class TestEstimateEx:
+    def test_seeded_1d(self, structure):
+        model = make_ref_model(0.5)
+        est = mr.estimate_ex(model, structure, mr.Grid.from_box(model.box, 101),
+                             100, 7, fixed_points=mr.find_fixed_points(model),
+                             n_reps=20, workers=2)
+        assert (est.estimate, est.stderr, est.n_samples) \
+            == (6.4, 1.3810750960945721, 2120)
+
+    def test_seeded_tanh2d(self, structure2d):
+        model = tanh2d_model(0.5)
+        est = mr.estimate_ex(model, structure2d, mr.Grid.from_box(model.box, 11),
+                             100, 7, fixed_points=mr.find_fixed_points(model),
+                             n_reps=10)
+        assert (est.estimate, est.stderr, est.n_samples) \
+            == (30.0, 10.20457413777436, 1660)
+
     def test_worst_case_is_order_one_at_large_sigma(self, structure):
         model = make_ref_model(0.8)
         grid = mr.Grid.from_box(model.box, 401)
