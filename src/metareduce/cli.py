@@ -23,16 +23,15 @@ from .dynamics import (DriftViolated, build_metastable_structure,
                        check_lyapunov_drift, find_fixed_points)
 from .errors import ConfigError, MetareduceError, NumericError
 from .grid import Grid
-from .kernel import (discretize_kernel, escape_mass, killed_kernel,
-                     load_kernel, save_kernel, trace_kernel)
+from .kernel import discretize_kernel, load_kernel, save_kernel, trace_kernel
 from .montecarlo import (empirical_diluted_trace, estimate_committor,
                          simulate_chain)
 from .quasipotential import compute_h_matrix, refinement_check
-from .reduction import (build_reduced_chain, choose_m, default_theta,
+from .reduction import (build_reduced_chain, default_theta,
                         diluted_marginal_deviation, reduced_chain_marginals,
-                        stochastic_power)
+                        solve_all_qsds)
 from .spectral import (check_uniform_positivity, eigendecompose,
-                       positivity_cap, solve_qsd, verify_spectral_gap)
+                       positivity_cap, verify_spectral_gap)
 
 RHO_THRESHOLD = 0.9
 UPC_TARGET = 1.9
@@ -79,7 +78,8 @@ class Pipeline:
     def model(self, sigma):
         if sigma not in self._models:
             m = self.cfg.build_model(sigma)
-            m.validate()
+            if not self._models:        # the map checks do not read sigma
+                m.validate()
             self._models[sigma] = m
         return self._models[sigma]
 
@@ -197,10 +197,8 @@ def cmd_qsd(pipe: Pipeline):
     balls, _, _ = pipe.membership
     pts = pipe.grid.points()
     for sigma in pipe.cfg.sigmas:
-        trace = pipe.trace_on_m(sigma)
         summary = []
-        for i, b in enumerate(balls):
-            sol = solve_qsd(trace, b, ball_index=i)
+        for i, sol in enumerate(solve_all_qsds(pipe.trace_on_m(sigma), balls)):
             rows = [(int(gi), *map(float, pts[gi]), float(wi))
                     for gi, wi in zip(sol.domain, sol.qsd)]
             coords = [f"x{k}" for k in range(pipe.cfg.dim)]
@@ -265,12 +263,14 @@ def cmd_simulate(pipe: Pipeline):
         if cfg.mc["sim_steps"] > 0:
             trace = simulate_chain(model, structure, structure.centers[0],
                                    cfg.mc["sim_steps"], cfg.seed)
-            lines = [json.dumps({
-                "step": int(s), "ball": int(b), "kind": int(k),
-                "position": list(map(float, p))}, sort_keys=True)
-                for s, b, k, p in zip(trace.event_steps, trace.event_balls,
-                                      trace.event_kinds,
-                                      trace.event_positions)]
+            # the lines json.dumps(..., sort_keys=True) writes; positions
+            # are finite, since a runaway position raises
+            lines = [f'{{"ball": {b}, "kind": {k}, "position": '
+                     f'[{", ".join(map(repr, p.tolist()))}], "step": {s}}}'
+                     for s, b, k, p in zip(trace.event_steps,
+                                           trace.event_balls,
+                                           trace.event_kinds,
+                                           trace.event_positions)]
             (pipe.out_dir / f"events_{_sig_tag(sigma)}.ndjson").write_text(
                 "\n".join(lines) + ("\n" if lines else ""))
             rows.append(("balls_visited", sigma,
@@ -314,6 +314,9 @@ def cmd_validate(pipe: Pipeline):
 
         trace = pipe.trace_on_m(sigma)
         decomp = eigendecompose(trace)
+        theta = pipe.theta(sigma)
+        model_r, projectors = build_reduced_chain(
+            trace, decomp, balls, sigma, theta, h0=table.h0)
         lam1 = decomp.eigenvalues[1].real
         log_asym = sigma ** 2 * np.log(1.0 - lam1)
         rel = abs(log_asym + table.h0) / table.h0
@@ -321,14 +324,13 @@ def cmd_validate(pipe: Pipeline):
             {"sigma2_log_gap": float(log_asym), "H0": table.h0,
              "relative_error": float(rel)})
 
-        qsd_ok, qsd_detail = _qsd_law_check(trace, balls[0])
+        qsd_ok, qsd_detail = _qsd_law_check(model_r.qsds[0])
         add("qsd_geometric_law", qsd_ok, qsd_detail)
 
         upc_ok = True
         upc_detail = []
-        for i, b in enumerate(balls):
-            killed = killed_kernel(trace, b)
-            res = check_uniform_positivity(killed, UPC_TARGET,
+        for i, sol in enumerate(model_r.qsds):
+            res = check_uniform_positivity(sol.killed, UPC_TARGET,
                                            n_cap=positivity_cap(sigma))
             upc_ok &= res.achieved
             upc_detail.append({"ball": i, "n0": res.n0,
@@ -336,9 +338,6 @@ def cmd_validate(pipe: Pipeline):
                                "achieved": res.achieved})
         add("uniform_positivity", upc_ok, upc_detail)
 
-        theta = pipe.theta(sigma)
-        model_r, projectors = build_reduced_chain(
-            trace, decomp, balls, sigma, theta, h0=table.h0)
         basis_ok = (np.abs(projectors.mu @ projectors.psi.T - np.eye(n)).max()
                     <= 1e-8
                     and np.abs(projectors.mu @ projectors.indicators.T
@@ -350,8 +349,8 @@ def cmd_validate(pipe: Pipeline):
 
         start_local = trace.local_indices(
             np.array([pipe.grid.nearest_index(pipe.structure.centers[0])]))[0]
-        devs = diluted_marginal_deviation(trace, projectors, model_r.p,
-                                          start_local, model_r.m, REDUC_N_MAX)
+        devs = diluted_marginal_deviation(model_r.km, projectors, model_r.p,
+                                          start_local, REDUC_N_MAX)
         add("reduction_exact_matrix", devs.max() <= REDUC_ABS_TOL,
             {"max_deviation": float(devs.max()), "m": model_r.m,
              "theta": theta})
@@ -400,18 +399,15 @@ def cmd_validate(pipe: Pipeline):
     return 0 if overall else 1
 
 
-def _qsd_law_check(trace, ball, n_max=10, rtol=QSD_LAW_RTOL):
+def _qsd_law_check(sol, n_max=10, rtol=QSD_LAW_RTOL):
     """Matrix-power killing probabilities against the geometric law."""
-    killed = killed_kernel(trace, ball)
-    sol = solve_qsd(trace, ball)
-    kill_mass = escape_mass(trace, ball)
     v = sol.qsd.copy()
     worst = 0.0
     for step in range(1, n_max + 1):
-        prob = float(v @ kill_mass)
+        prob = float(v @ sol.escape_rows)
         expect = sol.lambda0 ** (step - 1) * sol.escape
         worst = max(worst, abs(prob / expect - 1.0))
-        v = v @ killed.matrix
+        v = v @ sol.killed.matrix
     return worst <= rtol, {"max_relative_dev": worst, "lambda0": sol.lambda0}
 
 

@@ -92,10 +92,6 @@ class BasisDegenerate(NumericError):
     """<QSD_i| Pi0 Pi* vanished; the (mu, psi) basis cannot be built."""
 
 
-class NeumannDiverged(NumericError):
-    """Neumann series increments grew for several consecutive terms."""
-
-
 class NegativeEntry(NumericError):
     """Reduced matrix entry below the clamping floor (regime violation)."""
 

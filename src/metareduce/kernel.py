@@ -26,11 +26,12 @@ RAW_ROW_FLOOR = 1e-300
 POWER_ITER_CAP = 200_000
 POWER_ITER_TOL = 1e-12
 CACHE_SCHEMA = 2                # bump when the cached kernel's meaning changes
+ROW_CHUNK = 256                 # kernel rows assembled per block
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense nonnegative matrix over grid-cell indices with quadrature weight.
+    """Dense nonnegative matrix over grid-cell indices.
 
     ``kind`` is "stochastic" (rows sum to 1) or "substochastic" (rows sum to
     at most 1).  ``domain`` holds the flattened grid indices the rows/columns
@@ -38,7 +39,6 @@ class KernelMatrix:
     """
 
     matrix: np.ndarray
-    weight: float
     kind: str
     domain: np.ndarray
 
@@ -86,11 +86,11 @@ def gaussian_rate(model, x, y):
     return float(0.5 * r @ z)
 
 
-def discretize_kernel(model, grid, row_chunk=256):
+def discretize_kernel(model, grid):
     """Row-normalized Gaussian quadrature kernel on all grid nodes.
 
-    Rows are assembled in chunks so the (n, n, d) difference tensor is never
-    materialized in full.
+    Rows are assembled ``ROW_CHUNK`` at a time so the (n, n, d) difference
+    tensor is never materialized in full.
     """
     if model.sigma <= 0:
         raise NumericError("discretize_kernel needs sigma > 0")
@@ -104,8 +104,8 @@ def discretize_kernel(model, grid, row_chunk=256):
     norm = (2 * np.pi * model.sigma ** 2) ** (model.dim / 2) \
         * np.sqrt(np.linalg.det(model.cov))
     raw = np.empty((n, n))
-    for start in range(0, n, row_chunk):
-        stop = min(start + row_chunk, n)
+    for start in range(0, n, ROW_CHUNK):
+        stop = min(start + ROW_CHUNK, n)
         diffs = pts[None, :, :] - images[start:stop, None, :]
         quad = np.einsum("ijk,kl,ijl->ij", diffs, cov_inv, diffs)
         raw[start:stop] = np.exp(-0.5 * quad / model.sigma ** 2)
@@ -114,7 +114,7 @@ def discretize_kernel(model, grid, row_chunk=256):
     if sums.min() < RAW_ROW_FLOOR:
         raise DegenerateRow(
             f"raw row sum {sums.min():.3g} underflowed; refine sigma or grid")
-    return KernelMatrix(raw / sums[:, None], grid.weight, "stochastic",
+    return KernelMatrix(raw / sums[:, None], "stochastic",
                         np.arange(grid.n_nodes))
 
 
@@ -133,13 +133,13 @@ def killed_kernel(kernel, subset):
         raise NumericError("killed_kernel needs a nonempty subset")
     if subset.size == kernel.domain.size:
         warnings.warn("subset is the full domain; killed kernel equals the kernel")
-        return KernelMatrix(kernel.matrix.copy(), kernel.weight, kernel.kind,
+        return KernelMatrix(kernel.matrix.copy(), kernel.kind,
                             kernel.domain.copy())
     loc = kernel.local_indices(subset)
     sub = kernel.matrix[np.ix_(loc, loc)]
     if kernel.kind == "stochastic" and escape_mass(kernel, subset).max() <= 0.0:
         raise NumericError("killing a proper subset must lose mass in some row")
-    return KernelMatrix(sub, kernel.weight, "substochastic", subset)
+    return KernelMatrix(sub, "substochastic", subset)
 
 
 def trace_kernel(kernel, subset):
@@ -152,7 +152,7 @@ def trace_kernel(kernel, subset):
         raise NumericError("trace_kernel needs a stochastic kernel")
     subset = np.asarray(subset, dtype=int)
     if subset.size == kernel.domain.size:
-        return KernelMatrix(kernel.matrix.copy(), kernel.weight, "stochastic",
+        return KernelMatrix(kernel.matrix.copy(), "stochastic",
                             kernel.domain.copy())
     loc = kernel.local_indices(subset)
     comp = np.setdiff1d(np.arange(kernel.size), loc)
@@ -176,7 +176,7 @@ def trace_kernel(kernel, subset):
             f"{np.abs(sums - 1.0).max():.3g}")
     traced = np.clip(traced, 0.0, None)
     traced /= traced.sum(axis=1)[:, None]
-    return KernelMatrix(traced, kernel.weight, "stochastic", subset)
+    return KernelMatrix(traced, "stochastic", subset)
 
 
 def invariant_measure(kernel, tol=POWER_ITER_TOL, max_iter=POWER_ITER_CAP):
@@ -250,5 +250,4 @@ def load_kernel(cache_dir, model, grid):
     raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
     if raw.size != n * n:
         return None
-    return KernelMatrix(raw.reshape(n, n).copy(), grid.weight, "stochastic",
-                        np.arange(n))
+    return KernelMatrix(raw.reshape(n, n).copy(), "stochastic", np.arange(n))

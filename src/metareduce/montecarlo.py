@@ -32,10 +32,6 @@ def _chol(model):
 
 @dataclass
 class SimulationTrace:
-    master_seed: int
-    sigma: float
-    n_steps: int
-    worker_count: int
     event_steps: np.ndarray     # step index of each ball-entry/exit event
     event_balls: np.ndarray     # ball index (entered or exited)
     event_kinds: np.ndarray     # +1 entry, -1 exit
@@ -50,7 +46,7 @@ class SimulationTrace:
         return np.where(self.entry_counts > 0)[0]
 
 
-def simulate_chain(model, structure, x0, n_steps, seed, record_events=True):
+def simulate_chain(model, structure, x0, n_steps, seed):
     """Iterate X_{n+1} = pi(X_n) + sigma * L xi_n, logging ball entries/exits.
 
     Positions leaving the box are kept (the drift pulls them back) but
@@ -92,22 +88,19 @@ def simulate_chain(model, structure, x0, n_steps, seed, record_events=True):
         moved = np.nonzero(ball != prev)[0]
         entered = moved[ball[moved] >= 0]
         entry_counts += np.bincount(ball[entered], minlength=nballs)
-        if record_events:
-            left = moved[prev[moved] >= 0]
-            at = np.concatenate([left, entered])
-            kinds = np.repeat([-1, 1], [left.size, entered.size])
-            # stable: an exit stays before an entry at the same step
-            order = np.argsort(at, kind="stable")
-            at, kinds = at[order], kinds[order]
-            events.append((done + at + 1,
-                           np.where(kinds < 0, prev[at], ball[at]),
-                           kinds, path[at]))
+        left = moved[prev[moved] >= 0]
+        at = np.concatenate([left, entered])
+        kinds = np.repeat([-1, 1], [left.size, entered.size])
+        # stable: an exit stays before an entry at the same step
+        order = np.argsort(at, kind="stable")
+        at, kinds = at[order], kinds[order]
+        events.append((done + at + 1,
+                       np.where(kinds < 0, prev[at], ball[at]),
+                       kinds, path[at]))
         current = ball[-1]
         done += take
     ev_steps, ev_balls, ev_kinds, ev_pos = map(np.concatenate, zip(*events))
     return SimulationTrace(
-        master_seed=int(seed), sigma=model.sigma, n_steps=int(n_steps),
-        worker_count=1,
         event_steps=ev_steps, event_balls=ev_balls, event_kinds=ev_kinds,
         event_positions=ev_pos,
         entry_counts=entry_counts, steps_in_ball=steps_in_ball,
@@ -121,7 +114,6 @@ class EstimateWithError:
     n_samples: int
     sigma: float
     log_scale: float = field(default=np.nan)   # sigma^2 log(estimate)
-    flag: str = ""
 
 
 def _worker_blocks(total, workers):
@@ -130,28 +122,40 @@ def _worker_blocks(total, workers):
     return [base + (1 if w < rem else 0) for w in range(workers)]
 
 
-def _run(model, x, rng, step_cap, what, retire, *state):
-    """Step the runs x, shape (n, d), until ``retire`` has stopped them all.
+def _run(model, x0, n_runs, seed, workers, stream0, step_cap, what, retire,
+         *state):
+    """Step ``n_runs`` runs started at x0 until ``retire`` has stopped them.
 
-    Each step maps the active runs and adds one noise row per active run,
-    in run order.  ``retire(step, x, idx, *state)`` gets the new positions
-    of the active runs, their indices among the n runs and their per-run
-    state arrays (which it may update in place), and returns a mask of the
-    runs that stop; the arrays are compacted only on steps where some do.
+    The runs are split into contiguous worker blocks, run one after
+    another; block w draws from stream ``stream0 + w`` of the seed.  Each
+    step maps the active runs of a block and adds one noise row per active
+    run, in run order.  ``retire(step, x, idx, *state)`` gets the new
+    positions of the active runs, their indices among all n_runs runs and
+    their entries of the per-run state arrays (which it may update in
+    place), and returns a mask of the runs that stop; the arrays are
+    compacted only on steps where some do.
     """
     L = _chol(model)
-    idx = np.arange(x.shape[0])
-    step = 0
-    while x.shape[0]:
-        step += 1
-        if step > step_cap:
-            raise SimulationTimeout(f"{what} run exceeded {step_cap} steps")
-        x = model.pi(x) + model.sigma * (rng.standard_normal(x.shape) @ L.T)
-        stop = retire(step, x, idx, *state)
-        if stop.any():
-            keep = ~stop
-            x, idx = x[keep], idx[keep]
-            state = [a[keep] for a in state]
+    start = 0
+    for w, block in enumerate(_worker_blocks(n_runs, workers)):
+        rng = rng_stream(seed, stream0 + w)
+        x = np.tile(x0, (block, 1))
+        idx = np.arange(start, start + block)
+        block_state = [a[start:start + block] for a in state]
+        start += block
+        step = 0
+        while x.shape[0]:
+            step += 1
+            if step > step_cap:
+                raise SimulationTimeout(
+                    f"{what} run exceeded {step_cap} steps")
+            x = model.pi(x) + model.sigma * (
+                rng.standard_normal(x.shape) @ L.T)
+            stop = retire(step, x, idx, *block_state)
+            if stop.any():
+                keep = ~stop
+                x, idx = x[keep], idx[keep]
+                block_state = [a[keep] for a in block_state]
 
 
 def estimate_committor(model, structure, i, j, n_runs, seed, workers=1,
@@ -171,20 +175,16 @@ def estimate_committor(model, structure, i, j, n_runs, seed, workers=1,
     # ball j first, so that a point in both counts as a hit
     pair = replace(structure, centers=structure.centers[[j, i]],
                    radii=structure.radii[[j, i]])
-    hits = 0
-    for w, block in enumerate(_worker_blocks(n_runs, workers)):
-        if block == 0:
-            continue
-        hit = np.zeros(block, bool)
+    hit = np.zeros(n_runs, bool)
 
-        def retire(step, x, idx):
-            ball = pair.ball_of(x)
-            hit[idx[ball == 0]] = True
-            return ball >= 0
+    def retire(step, x, idx):
+        ball = pair.ball_of(x)
+        hit[idx[ball == 0]] = True
+        return ball >= 0
 
-        _run(model, np.tile(structure.centers[i], (block, 1)),
-             rng_stream(seed, w), step_cap, "committor", retire)
-        hits += int(hit.sum())
+    _run(model, structure.centers[i], n_runs, seed, workers, 0, step_cap,
+         "committor", retire)
+    hits = int(hit.sum())
     if hits == 0:
         raise ZeroHits("no run reached the target ball",
                        upper_bound=3.0 / n_runs)
@@ -224,22 +224,15 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
     best_mean, best_se = -np.inf, np.nan
     total = 0
     for s_idx, x0 in enumerate(starts):
-        times = []
-        for w, block in enumerate(_worker_blocks(n_reps, workers)):
-            if block == 0:
-                continue
-            t = np.zeros(block)
+        times = np.zeros(n_reps)
 
-            def retire(step, x, idx):
-                hit = structure.ball_of(x) >= 0
-                t[idx[hit]] = step
-                return hit
+        def retire(step, x, idx):
+            hit = structure.ball_of(x) >= 0
+            times[idx[hit]] = step
+            return hit
 
-            _run(model, np.tile(x0, (block, 1)),
-                 rng_stream(seed, s_idx * max(workers, 1) + w), step_cap,
-                 "hit", retire)
-            times.append(t)
-        times = np.concatenate(times)
+        _run(model, x0, n_reps, seed, workers, s_idx * max(workers, 1),
+             step_cap, "hit", retire)
         total += n_reps
         mean = float(times.mean())
         if mean > best_mean:
@@ -269,13 +262,10 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         recorded += due
         return recorded > n_blocks
 
-    for w, block in enumerate(_worker_blocks(n_runs, workers)):
-        if block == 0:
-            continue
-        # per run: visits to M so far, and blocks recorded so far
-        _run(model, np.tile(structure.centers[i], (block, 1)),
-             rng_stream(seed, w), step_cap, "trace", retire,
-             np.zeros(block, dtype=np.int64), np.ones(block, dtype=np.int64))
+    # per run: visits to M so far, and blocks recorded so far
+    _run(model, structure.centers[i], n_runs, seed, workers, 0, step_cap,
+         "trace", retire, np.zeros(n_runs, dtype=np.int64),
+         np.ones(n_runs, dtype=np.int64))
     freqs = counts / n_runs
     se = np.sqrt(freqs * (1.0 - freqs) / n_runs)
     return freqs, se

@@ -149,7 +149,7 @@ class QuasipotentialTable:
         return self.h_matrix.shape[0]
 
 
-def compute_h_matrix(model, grid, structure, r_hop, graph=None):
+def compute_h_matrix(model, grid, structure, r_hop):
     """Dijkstra costs between ball-center nodes and derived path quantities.
 
     H(i, j) is the quasipotential from ball i's center node to the node
@@ -158,8 +158,7 @@ def compute_h_matrix(model, grid, structure, r_hop, graph=None):
     simple (no repeated indices), of length at most N - 1, costed by
     summing H entries.
     """
-    if graph is None:
-        graph = build_action_graph(model, grid, r_hop)
+    graph = build_action_graph(model, grid, r_hop)
     n = structure.n_balls
     centers = grid.nearest_index(structure.centers)
     v_surfaces = np.empty((n, grid.n_nodes))
@@ -178,7 +177,7 @@ def compute_h_matrix(model, grid, structure, r_hop, graph=None):
                 raise RHopSaturated(
                     f"optimal path {i}->{j} uses a hop above "
                     f"{SATURATION_FRACTION} * r_hop; increase r_hop")
-    _check_triangle(h)
+    _check_triangle(h, "triangle inequality")
     h0 = float(min(h[i, j] for i in range(n) for j in range(n) if i != j)) \
         if n > 1 else np.inf
 
@@ -211,14 +210,14 @@ def _simple_paths(i, j, n):
             yield (i, *mids, j)
 
 
-def _check_triangle(h):
-    n = h.shape[0]
-    for i in range(n):
-        for ell in range(n):
-            for j in range(n):
-                if h[i, ell] + h[ell, j] < h[i, j] - TRIANGLE_TOL:
-                    raise NumericError(
-                        f"triangle inequality violated at ({i},{ell},{j})")
+def _check_triangle(h, what):
+    """Raise at the first (i, l, j), in lexicographic order, where
+    h[i, l] + h[l, j] < h[i, j] - TRIANGLE_TOL."""
+    bad = np.argwhere(h[:, :, None] + h[None, :, :]
+                      < h[:, None, :] - TRIANGLE_TOL)
+    if bad.size:
+        i, ell, j = bad[0]
+        raise NumericError(f"{what} violated at ({i},{ell},{j})")
 
 
 def h_theta(table, theta):
@@ -231,13 +230,7 @@ def h_theta(table, theta):
     out = table.h_matrix - table.longest_optimal * theta
     np.fill_diagonal(out, 0.0)
     if (n - 2) * theta <= table.h0_hat:
-        for i in range(n):
-            for ell in range(n):
-                for j in range(n):
-                    if out[i, ell] + out[ell, j] < out[i, j] - TRIANGLE_TOL:
-                        raise NumericError(
-                            "adjusted triangle inequality violated at "
-                            f"({i},{ell},{j})")
+        _check_triangle(out, "adjusted triangle inequality")
     return out
 
 

@@ -14,15 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BasisDegenerate, NegativeEntry, NeumannDiverged,
-                     NumericError, Overflow, ThetaTooLarge)
+from .errors import (BasisDegenerate, NegativeEntry, NumericError, Overflow,
+                     ThetaTooLarge)
 from .spectral import solve_qsd
 
 BIORTH_TOL = 1e-8
 COMPLETENESS_TOL = 1e-6
 ROW_SUM_TOL = 1e-10
 CLAMP_FLOOR = -1e-8
-NEUMANN_TOL = 1e-14
 SQUARING_DRIFT_TOL = 1e-12
 
 
@@ -89,9 +88,8 @@ class Projectors:
 def build_projectors(decomp, n_balls, ball_local, qsds):
     """Assemble Pi0 (top-N spectral projector), Pi*, mu_i, psi_j and eps_ij.
 
-    mu_i = QSD_i [Id - Pi0_perp Pi*]^{-1} Pi0, realized by summing the
-    Neumann series of the N x N matrix eps (the series is geometric because
-    eps is exponentially small in the metastable regime).
+    mu_i = QSD_i [Id - Pi0_perp Pi*]^{-1} Pi0, realized by one solve with
+    the N x N matrix Id - eps in the N-dimensional coordinates.
     """
     n = n_balls
     if decomp.n_modes < n:
@@ -120,24 +118,10 @@ def build_projectors(decomp, n_balls, ball_local, qsds):
     if np.abs((np.eye(n) - eps) @ qsd_rows).max(axis=1).min() < 1e-12:
         raise BasisDegenerate("<QSD_i| Pi0 Pi* vanished for some ball")
 
-    # Neumann series for (I - eps)^{-1} in the N-dimensional coordinates
-    acc = np.eye(n)
-    term = np.eye(n)
-    grow = 0
-    last = np.inf
-    for _ in range(10_000):
-        term = term @ eps
-        inc = np.abs(term).max()
-        acc += term
-        if inc < NEUMANN_TOL:
-            break
-        grow = grow + 1 if inc > last else 0
-        if grow >= 5:
-            raise NeumannDiverged("Neumann increments grew 5 consecutive terms")
-        last = inc
-    else:
-        raise NeumannDiverged("Neumann series did not reach tolerance")
-    mu = acc @ (qsd_rows @ pi0)
+    try:
+        mu = np.linalg.solve(np.eye(n) - eps, qsd_rows @ pi0)
+    except np.linalg.LinAlgError as exc:
+        raise BasisDegenerate(f"Id - eps is singular: {exc}") from exc
 
     if np.abs(mu @ psi.T - np.eye(n)).max() > BIORTH_TOL:
         raise NumericError("<mu_i, psi_j> = delta_ij failed")
@@ -153,11 +137,12 @@ def build_kstar(trace_on_m, projectors):
     return projectors.pistar @ trace_on_m.matrix
 
 
-def build_p(trace_on_m, decomp, projectors, m):
+def build_p(km, decomp, projectors, m):
     """Reduced matrix P_ij = <mu_i, (trunc K0)^m psi_j> via eigencoordinates.
 
     Also reports the per-entry multiplicative deviation from the watched-chain
-    probability <QSD_i, (K0)^m 1_{B_j}> predicted to be exponentially small.
+    probability <QSD_i, (K0)^m 1_{B_j}> predicted to be exponentially small;
+    ``km`` is (K0)^m as a matrix.
     """
     if m < 1:
         raise NumericError("m must be >= 1")
@@ -183,7 +168,6 @@ def build_p(trace_on_m, decomp, projectors, m):
     p = p / sums[:, None]
 
     # multiplicative comparison against the exact watched-chain hop
-    km = stochastic_power(trace_on_m.matrix, m)
     exact = (projectors.qsd_rows @ km) @ projectors.indicators.T
     rel = p / exact - 1.0
     return p, rel, clamped
@@ -232,7 +216,8 @@ def _renormalize(m):
 
 @dataclass(frozen=True)
 class ReducedChainModel:
-    """Everything the reduction produces, ready for serialization."""
+    """Everything the reduction produces; ``to_dict`` serializes all but
+    ``km``, the watched kernel (K0)^m on M."""
 
     n_balls: int
     m: int
@@ -244,6 +229,7 @@ class ReducedChainModel:
     rho: float
     multiplicative_error: np.ndarray
     qsds: tuple
+    km: np.ndarray
 
     def to_dict(self):
         return {
@@ -263,30 +249,30 @@ class ReducedChainModel:
 
 def build_reduced_chain(trace_on_m, decomp, ball_grid_indices, sigma, theta,
                         h0=None):
-    """Full reduction: QSDs, P*, projectors, m and the reduced matrix P."""
+    """Full reduction: QSDs, P*, projectors, m, (K0)^m and the reduced
+    matrix P."""
     pstar, qsds = build_pstar(trace_on_m, ball_grid_indices)
     local = ball_local_indices(trace_on_m, ball_grid_indices)
     n = len(local)
     projectors = build_projectors(decomp, n, local, qsds)
     m = choose_m(sigma, theta, h0=h0)
-    p, rel, _ = build_p(trace_on_m, decomp, projectors, m)
+    km = stochastic_power(trace_on_m.matrix, m)
+    p, rel, _ = build_p(km, decomp, projectors, m)
     mods = np.abs(decomp.eigenvalues)
     rho = float(mods[n]) if decomp.n_modes > n else 0.0
     model = ReducedChainModel(n, m, float(theta), p, pstar,
                               projectors.eps, decomp.eigenvalues[:n + 1],
-                              rho, rel, tuple(qsds))
+                              rho, rel, tuple(qsds), km)
     return model, projectors
 
 
-def diluted_marginal_deviation(trace_on_m, projectors, p, start_local, m,
-                               n_max):
+def diluted_marginal_deviation(km, projectors, p, start_local, n_max):
     """Exact comparison of the watched chain against the reduced chain.
 
     Returns per-step deviations max_j |delta_x (K0)^{nm} 1_{B_j} - (P^n)_ij|
-    for n = 0..n_max, computed by repeated squaring and vector iteration.
+    for n = 0..n_max, by vector iteration with ``km`` = (K0)^m.
     """
-    km = stochastic_power(trace_on_m.matrix, m)
-    v = np.zeros(trace_on_m.size)
+    v = np.zeros(km.shape[0])
     v[start_local] = 1.0
     marginals = reduced_chain_marginals(p, _ball_of_local(projectors, start_local), n_max)
     devs = []

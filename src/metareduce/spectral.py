@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, PrincipalNotSimple, ZeroColumn
-from .kernel import escape_mass, killed_kernel
+from .kernel import KernelMatrix, escape_mass, killed_kernel
 
 RESIDUAL_TOL = 1e-8
 CLUSTER_COND_CAP = 1e8
@@ -35,9 +35,6 @@ class SpectralDecomposition:
     binormalized: bool
     defective_clusters: tuple = field(default_factory=tuple)
     max_residual: float = 0.0
-
-    def mode_in_defective_cluster(self, k):
-        return any(k in c for c in self.defective_clusters)
 
 
 def eigendecompose(kernel, n_modes=None):
@@ -170,6 +167,8 @@ class QsdSolution:
     qsd: np.ndarray
     next_modulus: float
     escape: float           # 1 - lambda0, summed from the mass leaving
+    killed: KernelMatrix    # the chain killed on leaving the ball
+    escape_rows: np.ndarray  # per-row mass leaving the ball
 
     @property
     def gap_ratio(self):
@@ -184,7 +183,8 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
     """Quasistationary distribution of the trace process killed off one ball.
 
     Returns the principal left eigenpair of the killed sub-kernel, with the
-    QSD normalized to a probability vector over the ball's grid indices.
+    QSD normalized to a probability vector over the ball's grid indices,
+    and the killed kernel and row masses it was solved from.
     lambda0 = 1 - escape, escape = QSD . (row masses leaving the ball): the
     eigenvalue itself rounds to 1 once escape falls below machine epsilon.
     """
@@ -208,14 +208,15 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
         raise NumericError("principal left eigenvector is not nonnegative")
     q = np.clip(q, 0.0, None)
     q /= q.sum()
-    escape = float(q @ escape_mass(trace_on_m, ball_indices))
+    rows = escape_mass(trace_on_m, ball_indices)
+    escape = float(q @ rows)
     if not escape > 0.0:
         raise NumericError("no mass escapes the ball under its QSD")
     resid = np.abs(q @ killed.matrix - (1.0 - escape) * q).sum()
     if resid > 1e-8:
         raise NumericError(f"QSD residual {resid:.3g} above 1e-8")
     return QsdSolution(ball_index, killed.domain.copy(), 1.0 - escape, q,
-                       next_mod, escape)
+                       next_mod, escape, killed, rows)
 
 
 @dataclass(frozen=True)

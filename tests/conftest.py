@@ -89,7 +89,7 @@ HAND_K3 = np.array([[0.5, 0.3, 0.2],
 
 def kernel_from_matrix(matrix, kind="stochastic"):
     m = np.asarray(matrix, float)
-    return mr.KernelMatrix(m, 1.0, kind, np.arange(m.shape[0]))
+    return mr.KernelMatrix(m, kind, np.arange(m.shape[0]))
 
 
 # --- exact oracles for the Monte Carlo estimators -----------------------------

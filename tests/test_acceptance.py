@@ -47,8 +47,7 @@ def reduced(cache, ref, table):
                                           table.h0 / 4.0, h0=table.h0)
         start = trace.local_indices(np.array(
             [ref["grid"].nearest_index(ref["structure"].centers[0])]))[0]
-        devs = diluted_marginal_deviation(trace, proj, model.p, start,
-                                          model.m, 50)
+        devs = diluted_marginal_deviation(model.km, proj, model.p, start, 50)
         out[sigma] = (model, proj, devs)
     return out
 

@@ -12,7 +12,9 @@ import pytest
 import metareduce
 import metareduce.cli
 import metareduce.quasipotential
-from metareduce.cli import main
+from metareduce.cli import Pipeline, main
+from metareduce.config import load_config
+from metareduce.dynamics import DeterministicMapModel
 
 BASE = {
     "schema": 1,
@@ -47,6 +49,23 @@ def write_config(tmp_path, **overrides):
 
 def run(path, command, *extra):
     return main([command, "--config", str(path), *extra])
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every metareduce module that
+    binds the same function."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("metareduce")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 class TestConfigErrors:
@@ -218,6 +237,32 @@ class TestSimulate:
         first = json.loads(events.splitlines()[0])
         assert set(first) == {"step", "ball", "kind", "position"}
 
+    @pytest.mark.parametrize("overrides", [
+        {"sigma": 0.4},
+        {"map": {"name": "tanh2d", "params": {"beta": [2.0, 2.0]}}, "dim": 2,
+         "box": [[-2, 2], [-2, 2]], "cov": [[1.0, 0.0], [0.0, 1.0]],
+         "sigma": 0.5, "grid_nodes": 51, "r_hop": 2.5}], ids=["1d", "2d"])
+    def test_events_file_matches_json_dumps(self, tmp_path, overrides):
+        path = write_config(tmp_path, mc={"committor_runs": 0,
+                                          "trace_runs": 0,
+                                          "sim_steps": 3000}, **overrides)
+        assert run(path, "simulate") == 0
+        pipe = Pipeline(load_config(path))
+        sigma = pipe.cfg.sigmas[0]
+        trace = metareduce.simulate_chain(
+            pipe.model(sigma), pipe.structure, pipe.structure.centers[0],
+            3000, pipe.cfg.seed)
+        lines = [json.dumps({"step": int(s), "ball": int(b), "kind": int(k),
+                             "position": list(map(float, p))},
+                            sort_keys=True)
+                 for s, b, k, p in zip(trace.event_steps, trace.event_balls,
+                                       trace.event_kinds,
+                                       trace.event_positions)]
+        assert len(lines) > 10
+        assert len(json.loads(lines[0])["position"]) == pipe.cfg.dim
+        written = (tmp_path / "out" / f"events_{sigma!r}.ndjson").read_bytes()
+        assert written == ("\n".join(lines) + "\n").encode()
+
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path,
                             mc={"committor_runs": 500, "trace_runs": 0,
@@ -291,6 +336,39 @@ class TestValidate:
             names = [c["name"] for c in doc["checks"]]
             assert "grid_refinement_stability" in names
         assert 1 <= len(calls) <= 2
+
+    def test_each_reduction_object_solved_once_per_sigma(self, tmp_path,
+                                                         monkeypatch):
+        # one killed kernel and one QSD per ball, one (K0)^m per sigma
+        counts = {name: count_calls(monkeypatch, module, name)
+                  for module, name in (
+                      (metareduce.spectral, "solve_qsd"),
+                      (metareduce.kernel, "killed_kernel"),
+                      (metareduce.reduction, "stochastic_power"))}
+        sigmas = [0.5, 0.35]
+        path = write_config(tmp_path, sigma=None, sigmas=sigmas,
+                            grid_nodes=401)
+        assert run(path, "validate") == 0
+        doc = json.loads((tmp_path / "out" / "validate_0.5.json").read_text())
+        n = len(next(c["detail"] for c in doc["checks"]
+                     if c["name"] == "uniform_positivity"))   # one per ball
+        assert n == 2
+        assert len(counts["solve_qsd"]) <= n * len(sigmas)
+        assert len(counts["killed_kernel"]) <= n * len(sigmas)
+        assert len(counts["stochastic_power"]) == len(sigmas)
+
+    def test_map_validated_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = DeterministicMapModel.validate
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.sigma)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DeterministicMapModel, "validate", counted)
+        path = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.4, 0.35])
+        assert run(path, "analyze") == 0
+        assert calls == [0.5]
 
     def test_reruns_byte_identical(self, tmp_path):
         path = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.35])

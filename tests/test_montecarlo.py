@@ -79,8 +79,7 @@ class TestSimulateChain:
     def test_both_balls_visited_at_reference_sigma(self, structure):
         model = make_ref_model(0.35)
         trace = mr.simulate_chain(model, structure, structure.centers[0],
-                                  1_000_000, MASTER_SEED,
-                                  record_events=False)
+                                  1_000_000, MASTER_SEED)
         assert set(trace.balls_visited.tolist()) == {0, 1}
 
     def test_reproducible_summaries(self, structure):
@@ -104,7 +103,7 @@ class TestSimulateChain:
     def test_exit_flagging(self, structure):
         model = make_ref_model(0.8)
         trace = mr.simulate_chain(model, structure, structure.centers[0],
-                                  20_000, MASTER_SEED, record_events=False)
+                                  20_000, MASTER_SEED)
         assert trace.exits_from_box > 0
 
 

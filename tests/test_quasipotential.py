@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metareduce as mr
+import metareduce.quasipotential
 from metareduce.dynamics import DeterministicMapModel
 from metareduce.errors import (HopRadiusTooSmall, NumericError, RHopSaturated,
                                ThetaTooLarge)
 from metareduce.grid import Grid
 from metareduce.maps import build_map
-from metareduce.quasipotential import (QuasipotentialTable, h_theta,
-                                       ldp_transition_bounds,
+from metareduce.quasipotential import (QuasipotentialTable, _check_triangle,
+                                       h_theta, ldp_transition_bounds,
                                        quasipotential_from, refinement_check)
 
 from conftest import REF_RHOP, make_ref_model
@@ -310,6 +312,76 @@ class TestHTheta:
     def test_theta_too_large(self, table):
         with pytest.raises(ThetaTooLarge):
             h_theta(table, table.h0)
+
+
+# H with two triangle violations, (0, 1, 2) and (2, 1, 0): the first in
+# lexicographic order (i, l, j) is the one reported
+BAD_H = np.array([[0.0, 1.0, 5.0],
+                  [1.0, 0.0, 1.0],
+                  [5.0, 1.0, 0.0]])
+
+
+def first_triangle_violation(h, tol=1e-9):
+    """Oracle: the first (i, l, j) found by a plain triple loop, or None."""
+    n = h.shape[0]
+    for i, l, j in itertools.product(range(n), repeat=3):
+        if h[i, l] + h[l, j] < h[i, j] - tol:
+            return i, l, j
+    return None
+
+
+class TestTriangleCheck:
+    def test_compute_h_matrix_reports_first_violation(self, monkeypatch):
+        # three balls on the reference grid; Dijkstra is replaced by
+        # distances that put BAD_H between the ball centers
+        model = make_ref_model(0.35)
+        grid = Grid.from_box(model.box, 401)
+        structure = mr.MetastableStructure(np.array([[-1.0], [0.0], [1.0]]),
+                                           np.full(3, 0.1), 0.1)
+        centers = grid.nearest_index(structure.centers)
+        sources = []
+
+        def fake_dijkstra(graph, source_set):
+            i = int(np.flatnonzero(centers == source_set[0])[0])
+            sources.append(i)
+            dist = np.zeros(grid.n_nodes)
+            dist[centers] = BAD_H[i]
+            return dist, np.zeros(grid.n_nodes)
+
+        monkeypatch.setattr(metareduce.quasipotential, "quasipotential_from",
+                            fake_dijkstra)
+        with pytest.raises(NumericError,
+                           match=r"^triangle inequality violated at \(0,1,2\)$"):
+            mr.compute_h_matrix(model, grid, structure, REF_RHOP)
+        assert sources == [0, 1, 2]
+
+    def test_h_theta_reports_first_violation(self):
+        longest = 1 - np.eye(3, dtype=int)
+        t = QuasipotentialTable(np.zeros((3, 1)), BAD_H, 1.0, np.inf, {},
+                                longest, 1.0)
+        # H - 0.1 off the diagonal: 0.9 + 0.9 < 4.9 first at (0, 1, 2)
+        assert first_triangle_violation(BAD_H - 0.1 * longest) == (0, 1, 2)
+        with pytest.raises(NumericError, match=r"^adjusted triangle "
+                           r"inequality violated at \(0,1,2\)$"):
+            h_theta(t, 0.1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.integers(0, 6), min_size=n * n, max_size=n * n)))
+def test_triangle_check_matches_triple_loop(values):
+    n = math.isqrt(len(values))
+    h = np.array(values, float).reshape(n, n) / 2.0
+    np.fill_diagonal(h, 0.0)
+    first = first_triangle_violation(h)
+    if first is None:
+        _check_triangle(h, "triangle inequality")
+    else:
+        with pytest.raises(NumericError,
+                           match=re.escape("triangle inequality violated at "
+                                           f"({first[0]},{first[1]},"
+                                           f"{first[2]})")):
+            _check_triangle(h, "triangle inequality")
 
 
 class TestLdpBounds:

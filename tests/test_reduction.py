@@ -219,8 +219,7 @@ class TestReductionTheoremExact:
         model, proj, trace, _ = reduced35
         start = trace.local_indices(np.array(
             [ref["grid"].nearest_index(ref["structure"].centers[0])]))[0]
-        devs = diluted_marginal_deviation(trace, proj, model.p, start,
-                                          model.m, 50)
+        devs = diluted_marginal_deviation(model.km, proj, model.p, start, 50)
         # uniform-in-time envelope with eta = 0.15 H0 and the two-well
         # values H_hat_min = H0 - theta, rho from the trace spectrum
         eta = 0.15 * table.h0
