@@ -127,6 +127,15 @@ class Pipeline:
             return default_theta(self.table.h0, sigma)
         return float(self.cfg.theta)
 
+    def reduction(self, sigma):
+        """Trace on M, reduced chain from its top N + 1 modes, projectors."""
+        balls, _, _ = self.membership
+        trace = self.trace_on_m(sigma)
+        decomp = eigendecompose(trace, n_modes=len(balls) + 1)
+        return (trace, *build_reduced_chain(trace, decomp, balls, sigma,
+                                            self.theta(sigma),
+                                            h0=self.table.h0))
+
 
 # --- commands ----------------------------------------------------------------
 
@@ -240,13 +249,8 @@ def cmd_quasipotential(pipe: Pipeline):
 
 
 def cmd_reduce(pipe: Pipeline):
-    balls, _, _ = pipe.membership
     for sigma in pipe.cfg.sigmas:
-        trace = pipe.trace_on_m(sigma)
-        decomp = eigendecompose(trace)
-        theta = pipe.theta(sigma)
-        model, _ = build_reduced_chain(trace, decomp, balls, sigma, theta,
-                                       h0=pipe.table.h0)
+        _, model, _ = pipe.reduction(sigma)
         doc = model.to_dict()
         doc["sigma"] = sigma
         doc["config_hash"] = pipe.cfg.config_hash
@@ -295,7 +299,6 @@ def cmd_simulate(pipe: Pipeline):
 
 def cmd_validate(pipe: Pipeline):
     cfg = pipe.cfg
-    balls, m_set, _ = pipe.membership
     table = pipe.table
     n = pipe.structure.n_balls
     overall = True
@@ -312,12 +315,8 @@ def cmd_validate(pipe: Pipeline):
             "leading_moduli": gap.leading_moduli.tolist(),
             "next_modulus": gap.next_modulus})
 
-        trace = pipe.trace_on_m(sigma)
-        decomp = eigendecompose(trace)
-        theta = pipe.theta(sigma)
-        model_r, projectors = build_reduced_chain(
-            trace, decomp, balls, sigma, theta, h0=table.h0)
-        lam1 = decomp.eigenvalues[1].real
+        trace, model_r, projectors = pipe.reduction(sigma)
+        lam1 = model_r.eigenvalues[1].real
         log_asym = sigma ** 2 * np.log(1.0 - lam1)
         rel = abs(log_asym + table.h0) / table.h0
         add("eyring_kramers_log_asymptotics", rel <= GAP_REL_TOL,
@@ -353,7 +352,7 @@ def cmd_validate(pipe: Pipeline):
                                           start_local, REDUC_N_MAX)
         add("reduction_exact_matrix", devs.max() <= REDUC_ABS_TOL,
             {"max_deviation": float(devs.max()), "m": model_r.m,
-             "theta": theta})
+             "theta": model_r.theta})
 
         ref = pipe.refinement
         add("grid_refinement_stability", True, {

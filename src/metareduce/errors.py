@@ -50,10 +50,6 @@ class NonRecurrentComplement(NumericError):
     """(Id - K_cc) is singular to working precision; trace kernel undefined."""
 
 
-class NoConvergence(NumericError):
-    """Power iteration did not reach the residual target within the cap."""
-
-
 # --- spectral ---------------------------------------------------------------
 
 class PrincipalNotSimple(NumericError):

@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (DegenerateRow, NoConvergence, NonRecurrentComplement,
-                     NumericError, SingularCovariance)
+from .errors import (DegenerateRow, NonRecurrentComplement, NumericError,
+                     SingularCovariance)
 
 ROW_SUM_TOL = 1e-12
 TRACE_ROW_TOL = 1e-10
 RAW_ROW_FLOOR = 1e-300
-POWER_ITER_CAP = 200_000
-POWER_ITER_TOL = 1e-12
 CACHE_SCHEMA = 2                # bump when the cached kernel's meaning changes
 ROW_CHUNK = 256                 # kernel rows assembled per block
 
@@ -128,18 +126,25 @@ def escape_mass(kernel, subset):
 
 def killed_kernel(kernel, subset):
     """Sub-kernel of the process killed on first exit from the subset."""
+    return killed_with_escape(kernel, subset)[0]
+
+
+def killed_with_escape(kernel, subset):
+    """The killed sub-kernel and its per-row escape masses, computed once;
+    a proper subset of a stochastic kernel's domain must lose mass."""
     subset = np.asarray(subset, dtype=int)
     if subset.size == 0:
         raise NumericError("killed_kernel needs a nonempty subset")
+    rows = escape_mass(kernel, subset)
     if subset.size == kernel.domain.size:
         warnings.warn("subset is the full domain; killed kernel equals the kernel")
         return KernelMatrix(kernel.matrix.copy(), kernel.kind,
-                            kernel.domain.copy())
-    loc = kernel.local_indices(subset)
-    sub = kernel.matrix[np.ix_(loc, loc)]
-    if kernel.kind == "stochastic" and escape_mass(kernel, subset).max() <= 0.0:
+                            kernel.domain.copy()), rows
+    if kernel.kind == "stochastic" and rows.max() <= 0.0:
         raise NumericError("killing a proper subset must lose mass in some row")
-    return KernelMatrix(sub, "substochastic", subset)
+    loc = kernel.local_indices(subset)
+    return KernelMatrix(kernel.matrix[np.ix_(loc, loc)], "substochastic",
+                        subset), rows
 
 
 def trace_kernel(kernel, subset):
@@ -179,22 +184,29 @@ def trace_kernel(kernel, subset):
     return KernelMatrix(traced, "stochastic", subset)
 
 
-def invariant_measure(kernel, tol=POWER_ITER_TOL, max_iter=POWER_ITER_CAP):
-    """Left fixed probability vector of a stochastic kernel (power iteration)."""
+def invariant_measure(kernel):
+    """Left fixed probability vector of a stochastic kernel by GTH state
+    reduction (Grassmann, Taksar and Heyman, Oper. Res. 33, 1985): each
+    pivot sums the eliminated state's row over the states that remain, so
+    nothing cancels as sigma -> 0; a zero pivot means a reducible chain."""
     if kernel.kind != "stochastic":
         raise NumericError("invariant_measure needs a stochastic kernel")
-    K = kernel.matrix
-    pi = np.full(kernel.size, 1.0 / kernel.size)
-    for _ in range(max_iter):
-        nxt = pi @ K
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() <= tol:
-            resid = np.abs(nxt @ K - nxt).sum()
-            if resid > 1e-10:
-                raise NoConvergence(f"residual {resid:.3g} above 1e-10")
-            return nxt
-        pi = nxt
-    raise NoConvergence(f"power iteration did not converge in {max_iter} steps")
+    a = kernel.matrix.copy()
+    for k in range(kernel.size - 1, 0, -1):
+        pivot = a[k, :k].sum()
+        if not pivot > 0.0:
+            raise NumericError(f"state {k} reaches no lower state: the chain "
+                               "is reducible")
+        a[:k, k] /= pivot
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.ones(kernel.size)
+    for k in range(1, kernel.size):
+        pi[k] = pi[:k] @ a[:k, k]
+    pi /= pi.sum()
+    resid = np.abs(pi @ kernel.matrix - pi).sum()
+    if resid > 1e-10:
+        raise NumericError(f"invariant law residual {resid:.3g} above 1e-10")
+    return pi
 
 
 # --- kernel cache -----------------------------------------------------------

@@ -6,11 +6,14 @@ within ``r_hop`` of the deterministic image of u, weighted by the one-step
 rate.  Hops longer than the largest optimal single-step displacement are
 never used because the rate grows quadratically; this is verified a
 posteriori through the saturation check.
+
+Dijkstra reads a graph through two members: ``weights``, the CSR matrix of
+edge weights, and ``hops(pred, child)``, the hop lengths of the edges
+pred -> child of the shortest-path tree.  ``ActionGraph`` is the grid's.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,71 +26,22 @@ from .errors import (HopRadiusTooSmall, InfiniteH, NumericError, RHopSaturated,
 PATH_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
 SATURATION_FRACTION = 0.8
+EDGE_BLOCK = 1 << 16          # candidate edges assembled per block
 
 
 @dataclass(frozen=True)
 class ActionGraph:
-    """Hop-bounded digraph over grid nodes with one-step rate weights."""
+    """Hop-bounded digraph over grid nodes with one-step rate weights; a
+    zero weight is a stored edge (an image on a node reaches it free)."""
 
-    grid: object
+    points: np.ndarray      # (n_nodes, d) grid nodes
     images: np.ndarray      # (n_nodes, d) deterministic images
-    cov_inv: np.ndarray
-    r_hop: float
+    weights: object         # (n_nodes, n_nodes) CSR matrix
 
-    @property
-    def n_nodes(self):
-        return self.grid.n_nodes
-
-    def neighbors(self, u):
-        """Target indices, edge weights and hop lengths out of node u."""
-        image = self.images[u]
-        axes = self.grid.axes
-        shape = self.grid.shape
-        windows = []
-        for a, c in zip(axes, image):
-            h = a[1] - a[0]
-            jlo = max(int(np.ceil((c - self.r_hop - a[0]) / h)), 0)
-            jhi = min(int(np.floor((c + self.r_hop - a[0]) / h)), a.size - 1)
-            if jlo > jhi:
-                return np.empty(0, int), np.empty(0), np.empty(0)
-            windows.append(np.arange(jlo, jhi + 1))
-        if len(axes) == 1:
-            idx = windows[0]
-            pts = axes[0][idx][:, None]
-        else:
-            mesh = np.meshgrid(*windows, indexing="ij")
-            multi = [m.ravel() for m in mesh]
-            idx = np.ravel_multi_index(multi, shape)
-            pts = np.stack([a[m] for a, m in zip(axes, multi)], axis=-1)
-        diff = pts - image
-        hop = np.sqrt((diff ** 2).sum(axis=1))
-        keep = hop <= self.r_hop
-        idx, diff, hop = idx[keep], diff[keep], hop[keep]
-        w = 0.5 * np.einsum("ij,jk,ik->i", diff, self.cov_inv, diff)
-        return idx, w, hop
-
-    @functools.cached_property
-    def edges(self):
-        """CSR weights and hops of all edges, assembled once per graph."""
-        return _edges(self)
-
-    def mean_out_degree(self, sample=64):
-        step = max(1, self.n_nodes // sample)
-        degs = [self.neighbors(u)[0].size for u in range(0, self.n_nodes, step)]
-        return float(np.mean(degs))
-
-
-def _edges(graph):
-    """Weight and hop CSR matrices over all edges; zero weights stay edges
-    (an image that lands on a node costs nothing to reach it)."""
-    from scipy.sparse import csr_matrix
-    out = [graph.neighbors(u) for u in range(graph.n_nodes)]
-    cols, weights, hops = (np.concatenate([o[k] for o in out])
-                           for k in range(3))
-    indptr = np.cumsum([0] + [o[0].size for o in out])
-    shape = (graph.n_nodes, graph.n_nodes)
-    return (csr_matrix((weights, cols, indptr), shape=shape),
-            csr_matrix((hops, cols, indptr), shape=shape))
+    def hops(self, pred, child):
+        """Lengths |points[child] - images[pred]| of the edges pred -> child."""
+        diff = self.points[child] - self.images[pred]
+        return np.sqrt((diff ** 2).sum(axis=-1))
 
 
 def build_action_graph(model, grid, r_hop):
@@ -98,32 +52,69 @@ def build_action_graph(model, grid, r_hop):
             f"r_hop = {r_hop} below 3 * max grid spacing = {3 * h_max}")
     pts = grid.points()
     images = model.pi(pts)
-    cov_inv = np.linalg.inv(model.cov)
     gap = np.linalg.norm(pts[grid.nearest_index(images)] - images, axis=1)
     far = gap > r_hop
     if far.any():
         raise HopRadiusTooSmall(
             f"image of node {far.argmax()} has no grid node within r_hop")
-    return ActionGraph(grid, images, cov_inv, float(r_hop))
+    weights = _weights(grid, images, np.linalg.inv(model.cov), float(r_hop))
+    return ActionGraph(pts, images, weights)
+
+
+def _weights(grid, images, cov_inv, r_hop):
+    """CSR of the rates 0.5 d^T cov^-1 d, d = node - image, over the nodes
+    within r_hop of each image.  A row's candidates are the box of grid
+    indices around its image, one index wider each side so rounding drops
+    no node, padded to one shape with nodes at infinity and listed last
+    axis fastest, so columns ascend; blocks hold ~EDGE_BLOCK candidates."""
+    from scipy.sparse import csr_matrix
+    origin, h = np.array([a[0] for a in grid.axes]), grid.spacings
+    lo = np.maximum(np.ceil((images - r_hop - origin) / h) - 1, 0).astype(int)
+    hi = np.minimum(np.floor((images + r_hop - origin) / h) + 1,
+                    np.array(grid.shape) - 1).astype(int)
+    width = np.maximum(hi - lo + 1, 1).max(axis=0)
+    step = max(1, EDGE_BLOCK // int(width.prod()))
+    counts, cols, data = [], [], []
+    for b in range(0, grid.n_nodes, step):
+        diffs = []          # per axis (rows, width): node - image
+        for k, a in enumerate(grid.axes):
+            idx = lo[b:b + step, k, None] + np.arange(width[k])
+            diffs.append(np.where(idx <= hi[b:b + step, k, None],
+                                  a[np.minimum(idx, a.size - 1)], np.inf)
+                         - images[b:b + step, k, None])
+        sq = sum(np.expand_dims(dk ** 2, tuple(j + 1 for j in range(grid.dim)
+                                               if j != k))
+                 for k, dk in enumerate(diffs))
+        u, *off = np.nonzero(np.sqrt(sq) <= r_hop)
+        diff = np.stack([dk[u, o] for dk, o in zip(diffs, off)], axis=-1)
+        data.append(0.5 * np.einsum("ij,jk,ik->i", diff, cov_inv, diff))
+        cols.append(np.ravel_multi_index(tuple(
+            (lo[b + u] + np.stack(off, axis=-1)).T), grid.shape)
+            .astype(np.int32))
+        counts.append(np.bincount(u, minlength=len(diffs[0])))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                      shape=(grid.n_nodes, grid.n_nodes))
 
 
 def quasipotential_from(graph, source_set):
     """Multi-source Dijkstra distances; also returns per-node max hop length
-    along the discovered shortest path (for the saturation check).  The
-    targets of one node are distinct; an ActionGraph reuses its edges."""
+    along the discovered shortest path (for the saturation check).  Reads
+    ``graph.weights``, a CSR matrix whose stored entries, zeros included,
+    are the edges (distinct targets per row), and ``graph.hops(pred, child)``
+    on the edges of the shortest-path tree."""
     from scipy.sparse.csgraph import dijkstra
     sources = np.atleast_1d(np.asarray(source_set, int))
     if sources.size == 0:
         raise NumericError("source set must be nonempty")
-    w, hop = graph.edges if isinstance(graph, ActionGraph) else _edges(graph)
-    dist, pred, _ = dijkstra(w, indices=sources, min_only=True,
+    dist, pred, _ = dijkstra(graph.weights, indices=sources, min_only=True,
                              return_predecessors=True)
     # max hop to the root of the shortest-path tree by pointer doubling: it
     # follows predecessors, since zero-weight edges tie distances
-    n = graph.n_nodes
+    n = dist.size
     child = np.where(pred >= 0)[0]
     maxhop = np.zeros(n)
-    maxhop[child] = np.asarray(hop[pred[child], child]).ravel()
+    maxhop[child] = graph.hops(pred[child], child)
     up = np.arange(n)
     up[child] = pred[child]
     while (up[up] != up).any():

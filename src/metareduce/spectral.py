@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, PrincipalNotSimple, ZeroColumn
-from .kernel import KernelMatrix, escape_mass, killed_kernel
+from .kernel import KernelMatrix, killed_with_escape
 
 RESIDUAL_TOL = 1e-8
 CLUSTER_COND_CAP = 1e8
@@ -188,7 +188,7 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
     lambda0 = 1 - escape, escape = QSD . (row masses leaving the ball): the
     eigenvalue itself rounds to 1 once escape falls below machine epsilon.
     """
-    killed = killed_kernel(trace_on_m, np.asarray(ball_indices, int))
+    killed, rows = killed_with_escape(trace_on_m, ball_indices)
     lam, vl = scipy.linalg.eig(killed.matrix.T)
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
     lam = lam[order]
@@ -208,7 +208,6 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
         raise NumericError("principal left eigenvector is not nonnegative")
     q = np.clip(q, 0.0, None)
     q /= q.sum()
-    rows = escape_mass(trace_on_m, ball_indices)
     escape = float(q @ rows)
     if not escape > 0.0:
         raise NumericError("no mass escapes the ball under its QSD")

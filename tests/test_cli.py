@@ -339,11 +339,13 @@ class TestValidate:
 
     def test_each_reduction_object_solved_once_per_sigma(self, tmp_path,
                                                          monkeypatch):
-        # one killed kernel and one QSD per ball, one (K0)^m per sigma
+        # one killed kernel, one set of escape masses and one QSD per ball,
+        # one (K0)^m per sigma
         counts = {name: count_calls(monkeypatch, module, name)
                   for module, name in (
                       (metareduce.spectral, "solve_qsd"),
                       (metareduce.kernel, "killed_kernel"),
+                      (metareduce.kernel, "escape_mass"),
                       (metareduce.reduction, "stochastic_power"))}
         sigmas = [0.5, 0.35]
         path = write_config(tmp_path, sigma=None, sigmas=sigmas,
@@ -355,6 +357,7 @@ class TestValidate:
         assert n == 2
         assert len(counts["solve_qsd"]) <= n * len(sigmas)
         assert len(counts["killed_kernel"]) <= n * len(sigmas)
+        assert len(counts["escape_mass"]) == n * len(sigmas)
         assert len(counts["stochastic_power"]) == len(sigmas)
 
     def test_map_validated_once(self, tmp_path, monkeypatch):

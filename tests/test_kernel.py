@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import metareduce as mr
-from metareduce.errors import (DegenerateRow, NoConvergence, NumericError)
+from metareduce.dynamics import DeterministicMapModel
+from metareduce.errors import DegenerateRow, NumericError
 from metareduce.grid import Grid
 from metareduce.kernel import cache_key, load_kernel, save_kernel
+from metareduce.maps import build_map
 
 from conftest import HAND_K3, kernel_from_matrix, make_ref_model
 
@@ -25,7 +27,6 @@ class TestGaussianRate:
         assert mr.gaussian_rate(model, [0.0], [0.5]) == pytest.approx(0.125)
 
     def test_2d_anisotropic_hand_value(self):
-        from metareduce.dynamics import DeterministicMapModel
         model = DeterministicMapModel(
             2, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)),
             [[-3, 3], [-3, 3]], [[1.0, 0.0], [0.0, 4.0]], 0.3, "zero")
@@ -184,14 +185,37 @@ class TestInvariantMeasure:
         restricted = pi[ref["m_set"]] / pi[ref["m_set"]].sum()
         assert np.abs(pi_trace - restricted).sum() <= 1e-8
 
-    def test_no_convergence_on_periodic(self):
-        # bipartite chain with unequal block sizes: the uniform start
-        # oscillates between block masses 1/3 and 2/3 forever
+    def test_periodic_chain_exact_law(self):
+        # bipartite chain: no power of K converges, yet the law solving
+        # pi K = pi is unique: pi_0 = pi_1 + pi_2, pi_1 = 0.3 pi_0
         K = kernel_from_matrix([[0.0, 0.3, 0.7],
                                 [1.0, 0.0, 0.0],
                                 [1.0, 0.0, 0.0]])
-        with pytest.raises(NoConvergence):
-            mr.invariant_measure(K, max_iter=500)
+        np.testing.assert_allclose(mr.invariant_measure(K),
+                                   [0.5, 0.15, 0.35], rtol=1e-14)
+
+    def test_reducible_chain_raises(self):
+        # states {0, 1} and {2} never communicate: a zero GTH pivot
+        K = kernel_from_matrix([[0.5, 0.5, 0.0],
+                                [0.4, 0.6, 0.0],
+                                [0.0, 0.0, 1.0]])
+        with pytest.raises(NumericError, match="reducible"):
+            mr.invariant_measure(K)
+
+    def test_small_sigma_ball_masses(self):
+        # asymmetric double well at sigma = 0.05, where 1 - lambda_1 of the
+        # trace kernel is far below the l1 step a power iteration stops at
+        dim, pi, jac = build_map("cubic", {"a": 1.8, "b": 1.0, "d": 0.04})
+        model = DeterministicMapModel(1, pi, jac, [[-1.6, 1.6]], [[1.0]],
+                                      0.05, "cubic")
+        structure = mr.build_metastable_structure(
+            model, mr.find_fixed_points(model), 0.15)
+        grid = Grid.from_box(model.box, 321)
+        balls, m_set, _ = grid.membership(structure)
+        trace = mr.trace_kernel(mr.discretize_kernel(model, grid), m_set)
+        law = mr.invariant_measure(trace)
+        masses = [law[trace.local_indices(b)].sum() for b in balls]
+        np.testing.assert_allclose(masses, [0.950, 0.050], atol=1e-3)
 
 
 class TestKernelCache:

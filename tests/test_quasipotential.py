@@ -3,11 +3,13 @@
 import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 import metareduce as mr
 import metareduce.quasipotential
@@ -24,22 +26,23 @@ from conftest import REF_RHOP, make_ref_model
 
 
 class FakeGraph:
-    """Abstract weighted digraph satisfying the graph duck type."""
+    """Abstract weighted digraph satisfying the graph duck type: a CSR of
+    edge weights, each row kept in the given order, and zero hop lengths."""
 
     def __init__(self, n, edges, order=None):
-        self.n_nodes = n
-        self._adj = {u: [] for u in range(n)}
+        adj = [[] for _ in range(n)]
         for u, v, w in edges:
-            self._adj[u].append((v, w))
+            adj[u].append((v, w))
         if order is not None:
-            for u in self._adj:
-                self._adj[u] = [self._adj[u][k] for k in order.get(u, range(len(self._adj[u])))]
+            adj = [[row[k] for k in order.get(u, range(len(row)))]
+                   for u, row in enumerate(adj)]
+        self.weights = csr_matrix(
+            (np.array([w for row in adj for _, w in row], float),
+             np.array([v for row in adj for v, _ in row], int),
+             np.cumsum([0] + [len(row) for row in adj])), shape=(n, n))
 
-    def neighbors(self, u):
-        if not self._adj[u]:
-            return np.empty(0, int), np.empty(0), np.empty(0)
-        idx, w = zip(*self._adj[u])
-        return np.array(idx), np.array(w, float), np.zeros(len(idx))
+    def hops(self, pred, child):
+        return np.zeros(len(child))
 
 
 THREE_NODE = [(0, 1, 1.0), (0, 2, 3.0), (1, 2, 1.5)]
@@ -123,9 +126,9 @@ class HopGraph(FakeGraph):
         super().__init__(n, edges)
         self._hops = hops
 
-    def neighbors(self, u):
-        idx, w, _ = super().neighbors(u)
-        return idx, w, np.array([self._hops[(u, int(v))] for v in idx])
+    def hops(self, pred, child):
+        return np.array([self._hops[(int(u), int(v))]
+                         for u, v in zip(pred, child)], float)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -157,6 +160,12 @@ def test_dijkstra_matches_floyd_warshall(graph):
     assert witnessed == set(np.where(np.isfinite(dist))[0].tolist())
 
 
+def out_edges(graph, u):
+    """Targets and weights stored in row u of the graph's weight CSR."""
+    row = slice(graph.weights.indptr[u], graph.weights.indptr[u + 1])
+    return graph.weights.indices[row], graph.weights.data[row]
+
+
 class TestActionGraph:
     def test_linear_map_edge_weights(self):
         # weight of edge x -> y is (y - x/2)^2 / 2 for pi(x) = x/2, cov = 1
@@ -167,10 +176,10 @@ class TestActionGraph:
         graph = mr.build_action_graph(model, grid, 0.5)
         u = 30
         x = grid.points()[u, 0]
-        idx, w, hop = graph.neighbors(u)
+        idx, w = out_edges(graph, u)
         ys = grid.points()[idx, 0]
         np.testing.assert_allclose(w, 0.5 * (ys - 0.5 * x) ** 2, atol=1e-15)
-        assert (hop <= 0.5).all()
+        assert (graph.hops(np.full(idx.size, u), idx) <= 0.5).all()
 
     def test_nearest_image_weight_shrinks_with_refinement(self):
         model = make_ref_model(0.35)
@@ -185,7 +194,7 @@ class TestActionGraph:
             worst = 0.0
             for u in range(0, grid.n_nodes, 37):
                 target = grid.nearest_index(np.atleast_1d(model.pi(pts[u])))
-                idx, w, _ = graph.neighbors(u)
+                idx, w = out_edges(graph, u)
                 worst = max(worst, float(w[idx == target][0]))
             assert worst <= bound
             if prev is not None:
@@ -200,8 +209,10 @@ class TestActionGraph:
                                       "linear")
         graph = mr.build_action_graph(model, Grid.from_box(model.box, 101),
                                       0.5)
-        zero = [(u, int(v)) for u in range(graph.n_nodes)
-                for v, w in zip(*graph.neighbors(u)[:2]) if w == 0 and v != u]
+        w = graph.weights
+        rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+        zero = [(int(u), int(v)) for u, v, x in zip(rows, w.indices, w.data)
+                if x == 0 and v != u]
         assert len(zero) > 10
         for u, v in zero:
             dist, maxhop = quasipotential_from(graph, [u])
@@ -212,12 +223,61 @@ class TestActionGraph:
         graph = mr.build_action_graph(model, ref["grid"], REF_RHOP)
         h = ref["grid"].spacings[0]
         expected = 2 * REF_RHOP / h + 1
-        assert graph.mean_out_degree() == pytest.approx(expected, rel=0.05)
+        assert np.diff(graph.weights.indptr).mean() == pytest.approx(
+            expected, rel=0.05)
 
     def test_hop_radius_precondition(self, ref):
         model = make_ref_model(0.35)
         with pytest.raises(HopRadiusTooSmall):
             mr.build_action_graph(model, ref["grid"], 2.0 * ref["grid"].spacings[0])
+
+
+@st.composite
+def grids_with_images(draw):
+    """A small 1D or 2D grid, r_hop >= 3h, an SPD covariance with
+    off-diagonal terms, and one image per node: on a node, on the box edge,
+    or anywhere within one spacing of the box."""
+    dim = draw(st.integers(1, 2))
+    box = [[lo, lo + draw(st.floats(0.5, 3.0))]
+           for lo in draw(st.lists(st.floats(-2.0, 0.0), min_size=dim,
+                                   max_size=dim))]
+    grid = Grid.from_box(box, draw(st.lists(st.integers(2, 9), min_size=dim,
+                                            max_size=dim)))
+    h = grid.spacings.max()
+    r_hop = draw(st.floats(3.0 * h, 8.0 * h))
+    scale = draw(st.lists(st.floats(0.3, 2.0), min_size=dim, max_size=dim))
+    rho = draw(st.floats(-0.8, 0.8))
+    corr = np.array([[1.0]]) if dim == 1 else np.array([[1.0, rho],
+                                                        [rho, 1.0]])
+    cov = corr * np.outer(scale, scale)
+    images = np.array([[draw(st.one_of(
+        st.sampled_from(a.tolist()), st.sampled_from([a[0], a[-1]]),
+        st.floats(a[0] - h, a[-1] + h))) for a in grid.axes]
+        for _ in range(grid.n_nodes)])
+    return grid, r_hop, cov, images
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grids_with_images())
+def test_action_graph_matches_brute_force_edges(case):
+    # an edge u -> v exists iff |pts[v] - images[u]| <= r_hop, with weight
+    # 0.5 d^T cov^-1 d; zero weights stay stored entries
+    grid, r_hop, cov, images = case
+    model = SimpleNamespace(pi=lambda x: images, cov=cov)
+    graph = mr.build_action_graph(model, grid, r_hop)
+    diff = grid.points()[None, :, :] - images[:, None, :]
+    hop = np.sqrt((diff ** 2).sum(axis=-1))
+    u, v = np.nonzero(hop <= r_hop)
+    w = graph.weights
+    np.testing.assert_array_equal(
+        w.indptr, np.cumsum([0, *np.bincount(u, minlength=grid.n_nodes)]))
+    np.testing.assert_array_equal(w.indices, v)
+    cov_inv = np.linalg.inv(cov)
+    # relative accuracy holds down to the smallest normal float
+    np.testing.assert_allclose(
+        w.data, [0.5 * d @ cov_inv @ d for d in diff[u, v]], rtol=1e-12,
+        atol=np.finfo(float).tiny)
+    np.testing.assert_array_equal(graph.hops(u, v), hop[u, v])
 
 
 class TestHMatrix:
