@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -281,17 +282,13 @@ def cmd_simulate(pipe: Pipeline):
                          float(len(trace.balls_visited)), 0.0,
                          cfg.mc["sim_steps"], cfg.seed))
         if cfg.mc["committor_runs"] > 0 and structure.n_balls > 1:
-            for i in range(structure.n_balls):
-                for j in range(structure.n_balls):
-                    if i == j:
-                        continue
-                    est = estimate_committor(
-                        model, structure, i, j, cfg.mc["committor_runs"],
-                        cfg.seed, workers=cfg.workers,
-                        step_cap=cfg.mc["step_cap"])
-                    rows.append((f"committor_{i}_to_{j}", sigma,
-                                 est.estimate, est.stderr, est.n_samples,
-                                 cfg.seed))
+            pairs = list(itertools.permutations(range(structure.n_balls), 2))
+            ests = estimate_committor(
+                model, structure, pairs, cfg.mc["committor_runs"], cfg.seed,
+                workers=cfg.workers, step_cap=cfg.mc["step_cap"])
+            rows += [(f"committor_{i}_to_{j}", sigma, est.estimate,
+                      est.stderr, est.n_samples, cfg.seed)
+                     for (i, j), est in zip(pairs, ests)]
     write_csv(pipe.out_dir / "results.csv",
               ("quantity", "sigma", "estimate", "stderr", "n", "seed"), rows)
     return 0
@@ -361,10 +358,10 @@ def cmd_validate(pipe: Pipeline):
             "tolerance": ref.tolerance})
 
         if cfg.mc["committor_runs"] > 0 and n > 1:
-            est = estimate_committor(pipe.model(sigma), pipe.structure, 0, 1,
-                                     cfg.mc["committor_runs"], cfg.seed,
-                                     workers=cfg.workers,
-                                     step_cap=cfg.mc["step_cap"])
+            est, = estimate_committor(pipe.model(sigma), pipe.structure,
+                                      [(0, 1)], cfg.mc["committor_runs"],
+                                      cfg.seed, workers=cfg.workers,
+                                      step_cap=cfg.mc["step_cap"])
             dev = abs(est.log_scale + table.h_matrix[0, 1])
             tol = COMMITTOR_ETA_FACTOR * table.h0
             add("committor_ldp", dev <= tol,
@@ -428,7 +425,9 @@ def build_parser():
                     "Markov chain.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="Monte Carlo stream layout: blocks of runs, one "
+                             "stream each, all stepped in one process")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
     return parser

@@ -117,11 +117,16 @@ class MetastableStructure:
         x = np.asarray(x, float)
         out = np.full(x.shape[:-1], -1)
         for k in range(self.n_balls - 1, -1, -1):     # the first ball last
-            d2 = 0.0
-            for a in range(x.shape[-1]):
-                d2 = d2 + (x[..., a] - self.centers[k, a]) ** 2
-            out[d2 <= self.radii[k] ** 2] = k
+            out[self.in_ball(x, k)] = k
         return out[()]
+
+    def in_ball(self, x, k):
+        """Whether each point of x is in ball k (one, or one per point)."""
+        c = self.centers[k]
+        d2 = 0.0
+        for a in range(x.shape[-1]):
+            d2 = d2 + (x[..., a] - c[..., a]) ** 2
+        return d2 <= self.radii[k] ** 2
 
 
 def classify_stability(jacobian):

@@ -2,13 +2,14 @@
 
 All randomness flows through counter-based Philox streams derived from a
 master seed and a worker id, so every estimate is a pure function of
-(config, master seed, worker count).  Workers own contiguous blocks of runs
-and are reduced in worker order.
+(config, master seed, worker count).  Workers own contiguous blocks of runs,
+each on its own stream; all blocks are stepped together in one process, so
+the worker count sets only this stream layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +25,6 @@ def rng_stream(master_seed, worker_id):
         raise NumericError("worker_id must be nonnegative")
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(worker_id),))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def _chol(model):
-    return np.linalg.cholesky(model.cov)
 
 
 @dataclass
@@ -51,14 +48,14 @@ def simulate_chain(model, structure, x0, n_steps, seed):
 
     Positions leaving the box are kept (the drift pulls them back) but
     counted; a position farther than 100 * diam(X) raises Runaway.  Only
-    the positions are computed step by step: box exits, ball residence and
-    events are found per chunk of steps, an exit before an entry at the
-    same step.
+    the positions are computed step by step: the runaway bound, box exits,
+    ball residence and events are checked per chunk of steps, an exit
+    before an entry at the same step.
     """
     x0 = np.atleast_1d(np.asarray(x0, float))
     if not model.in_box(x0):
         raise NumericError("x0 must lie in the invariant box")
-    L = _chol(model)
+    L = np.linalg.cholesky(model.cov)
     rng = rng_stream(seed, 0)
     nballs = structure.n_balls
     runaway2 = (RUNAWAY_FACTOR * model.diam) ** 2
@@ -77,10 +74,13 @@ def simulate_chain(model, structure, x0, n_steps, seed):
         take = min(chunk, n_steps - done)
         noise = model.sigma * (rng.standard_normal((take, model.dim)) @ L.T)
         path = np.empty((take, model.dim))
-        for k in range(take):
-            path[k] = x = model.pi(x) + noise[k]
-            if (x @ x) > runaway2:
-                raise Runaway(f"|X_{done + k + 1}| exceeded 100 diam(X)")
+        # a runaway path may overflow before the chunk ends
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(take):
+                path[k] = x = model.pi(x) + noise[k]
+            far = ~((path * path).sum(axis=1) <= runaway2)    # NaN too
+        if far.any():
+            raise Runaway(f"|X_{done + far.argmax() + 1}| exceeded 100 diam(X)")
         exits_box += int((~model.in_box(path)).sum())
         ball = structure.ball_of(path)
         steps_in_ball += np.bincount(ball[ball >= 0], minlength=nballs)
@@ -116,82 +116,82 @@ class EstimateWithError:
     log_scale: float = field(default=np.nan)   # sigma^2 log(estimate)
 
 
-def _worker_blocks(total, workers):
-    base = total // workers
-    rem = total % workers
-    return [base + (1 if w < rem else 0) for w in range(workers)]
+def _run(model, groups, seed, workers, step_cap, what, retire, *state):
+    """Step groups ``(x0, n_runs, stream0)`` of runs started at x0, laid
+    out one after another, until ``retire`` has stopped them all.
 
-
-def _run(model, x0, n_runs, seed, workers, stream0, step_cap, what, retire,
-         *state):
-    """Step ``n_runs`` runs started at x0 until ``retire`` has stopped them.
-
-    The runs are split into contiguous worker blocks, run one after
-    another; block w draws from stream ``stream0 + w`` of the seed.  Each
-    step maps the active runs of a block and adds one noise row per active
-    run, in run order.  ``retire(step, x, idx, *state)`` gets the new
-    positions of the active runs, their indices among all n_runs runs and
-    their entries of the per-run state arrays (which it may update in
-    place), and returns a mask of the runs that stop; the arrays are
-    compacted only on steps where some do.
+    A group's worker blocks are contiguous, block w on stream
+    ``stream0 + w``.  All blocks are stepped together, so ``workers`` sets
+    only the stream layout: each step draws, block by block in run order,
+    one noise row per active run, then maps all active runs at once.
+    ``retire(step, x, idx, *state)`` gets the new positions of the active
+    runs, their indices among all runs and their per-run state entries
+    (which it may update in place), and returns a mask of the runs that
+    stop; the arrays are compacted only on steps where some do.
     """
-    L = _chol(model)
-    start = 0
-    for w, block in enumerate(_worker_blocks(n_runs, workers)):
-        rng = rng_stream(seed, stream0 + w)
-        x = np.tile(x0, (block, 1))
-        idx = np.arange(start, start + block)
-        block_state = [a[start:start + block] for a in state]
-        start += block
-        step = 0
-        while x.shape[0]:
-            step += 1
-            if step > step_cap:
-                raise SimulationTimeout(
-                    f"{what} run exceeded {step_cap} steps")
-            x = model.pi(x) + model.sigma * (
-                rng.standard_normal(x.shape) @ L.T)
-            stop = retire(step, x, idx, *block_state)
-            if stop.any():
-                keep = ~stop
-                x, idx = x[keep], idx[keep]
-                block_state = [a[keep] for a in block_state]
+    L = np.linalg.cholesky(model.cov)
+    rngs, counts, x = [], [], []
+    for x0, n_runs, stream0 in groups:
+        rngs += [rng_stream(seed, stream0 + w) for w in range(workers)]
+        counts += [n_runs // workers + (w < n_runs % workers)
+                   for w in range(workers)]
+        x.append(np.tile(x0, (n_runs, 1)))
+    x = np.concatenate(x)
+    idx = np.arange(x.shape[0])
+    bounds = np.cumsum([0] + counts)
+    step = 0
+    while x.shape[0]:
+        step += 1
+        if step > step_cap:
+            raise SimulationTimeout(f"{what} run exceeded {step_cap} steps")
+        noise = np.concatenate([rng.standard_normal((n, model.dim))
+                                for rng, n in zip(rngs, counts) if n])
+        x = model.pi(x) + model.sigma * (noise @ L.T)
+        stop = retire(step, x, idx, *state)
+        if stop.any():
+            keep = ~stop
+            x, idx = x[keep], idx[keep]
+            state = [a[keep] for a in state]
+            counts = np.diff(np.searchsorted(idx, bounds))
 
 
-def estimate_committor(model, structure, i, j, n_runs, seed, workers=1,
+def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
                        step_cap=DEFAULT_STEP_CAP):
-    """P[reach ball j before returning to ball i], started at the i-th
-    stable point so the first step is the displacing noise kick.
+    """For each ordered pair (i, j) of ``pairs``, P[reach ball j before
+    returning to ball i], started at the i-th stable point so the first
+    step is the displacing noise kick.  Returns one estimate per pair.
 
     Membership is tested only after a step (first-passage times
     tau+ = min{n >= 1 : X_n in B}), so a run still inside ball i after the
     first kick counts as a return, not a hit: the estimate is
-    P_x[tau+_{B_j} < tau+_{B_i}] at the stable point x.
+    P_x[tau+_{B_j} < tau+_{B_i}] at the stable point x.  The pairs are
+    stepped together, each on streams 0, 1, ... of the seed as if alone.
     """
-    if i == j:
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any():
         raise NumericError("committor needs i != j")
     if n_runs < 100:
         raise NumericError("n_runs must be >= 100")
-    # ball j first, so that a point in both counts as a hit
-    pair = replace(structure, centers=structure.centers[[j, i]],
-                   radii=structure.radii[[j, i]])
-    hit = np.zeros(n_runs, bool)
+    home, target = np.repeat(pairs, n_runs, axis=0).T
+    hit = np.zeros(home.size, bool)
 
     def retire(step, x, idx):
-        ball = pair.ball_of(x)
-        hit[idx[ball == 0]] = True
-        return ball >= 0
+        # a point in both balls counts as a hit
+        reached = structure.in_ball(x, target[idx])
+        hit[idx[reached]] = True
+        return reached | structure.in_ball(x, home[idx])
 
-    _run(model, structure.centers[i], n_runs, seed, workers, 0, step_cap,
-         "committor", retire)
-    hits = int(hit.sum())
-    if hits == 0:
-        raise ZeroHits("no run reached the target ball",
+    _run(model, [(structure.centers[i], n_runs, 0) for i in pairs[:, 0]],
+         seed, workers, step_cap, "committor", retire)
+    hits = hit.reshape(-1, n_runs).sum(axis=1)
+    if not hits.all():
+        i, j = pairs[hits.argmin()]       # the first pair with no hit
+        raise ZeroHits(f"no run from ball {i} reached ball {j}",
                        upper_bound=3.0 / n_runs)
-    p = hits / n_runs
-    se = float(np.sqrt(p * (1.0 - p) / n_runs))
-    return EstimateWithError(p, se, n_runs, model.sigma,
-                             float(model.sigma ** 2 * np.log(p)))
+    return [EstimateWithError(p, float(np.sqrt(p * (1.0 - p) / n_runs)),
+                              n_runs, model.sigma,
+                              float(model.sigma ** 2 * np.log(p)))
+            for p in (hits / n_runs).tolist()]
 
 
 def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
@@ -221,24 +221,20 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
                         p[axis] += s * h[axis]
                         if model.in_box(p):
                             starts.append(p)
-    best_mean, best_se = -np.inf, np.nan
-    total = 0
-    for s_idx, x0 in enumerate(starts):
-        times = np.zeros(n_reps)
+    times = np.zeros(len(starts) * n_reps)
 
-        def retire(step, x, idx):
-            hit = structure.ball_of(x) >= 0
-            times[idx[hit]] = step
-            return hit
+    def retire(step, x, idx):
+        hit = structure.ball_of(x) >= 0
+        times[idx[hit]] = step
+        return hit
 
-        _run(model, x0, n_reps, seed, workers, s_idx * max(workers, 1),
-             step_cap, "hit", retire)
-        total += n_reps
-        mean = float(times.mean())
-        if mean > best_mean:
-            best_mean = mean
-            best_se = float(times.std(ddof=1) / np.sqrt(n_reps))
-    return EstimateWithError(best_mean, best_se, total, model.sigma)
+    _run(model, [(x0, n_reps, s_idx * workers)
+                 for s_idx, x0 in enumerate(starts)],
+         seed, workers, step_cap, "hit", retire)
+    runs = times.reshape(-1, n_reps)
+    t = runs[runs.mean(axis=1).argmax()]    # first start of largest mean
+    se = float(t.std(ddof=1) / np.sqrt(n_reps))
+    return EstimateWithError(float(t.mean()), se, times.size, model.sigma)
 
 
 def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
@@ -263,8 +259,8 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         return recorded > n_blocks
 
     # per run: visits to M so far, and blocks recorded so far
-    _run(model, structure.centers[i], n_runs, seed, workers, 0, step_cap,
-         "trace", retire, np.zeros(n_runs, dtype=np.int64),
+    _run(model, [(structure.centers[i], n_runs, 0)], seed, workers,
+         step_cap, "trace", retire, np.zeros(n_runs, dtype=np.int64),
          np.ones(n_runs, dtype=np.int64))
     freqs = counts / n_runs
     se = np.sqrt(freqs * (1.0 - freqs) / n_runs)

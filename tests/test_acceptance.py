@@ -114,7 +114,8 @@ def test_criterion_3_committor_ldp(cache, ref, table):
     for sigma in COMMITTOR_SIGMAS:
         t0 = time.perf_counter()
         est = mr.estimate_committor(make_ref_model(sigma), ref["structure"],
-                                    0, 1, 10_000, MASTER_SEED, workers=4)
+                                    [(0, 1)], 10_000, MASTER_SEED,
+                                    workers=4)[0]
         elapsed = time.perf_counter() - t0
         z = (est.estimate - exact[sigma]) / est.stderr
         ok &= abs(z) <= 3.0 and elapsed < 300.0

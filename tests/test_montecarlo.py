@@ -1,10 +1,13 @@
 """RNG streams, chain simulation, committor/hitting estimators, diluted trace."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import metareduce as mr
-from metareduce.errors import NumericError, Runaway, ZeroHits
+from metareduce.errors import (NumericError, Runaway, SimulationTimeout,
+                               ZeroHits)
 from metareduce.dynamics import DeterministicMapModel, MetastableStructure
 from metareduce.maps import build_map
 from metareduce.montecarlo import fit_log_scaling
@@ -100,6 +103,23 @@ class TestSimulateChain:
             mr.simulate_chain(model, structure, np.array([1.0]), 200,
                               MASTER_SEED)
 
+    @pytest.mark.parametrize("name,params,step", [
+        ("linear", {"a": 3.0}, 6),
+        # overflows to inf at the reported step
+        ("cubic", {"a": 1.8, "b": -1.0}, 3),
+    ])
+    def test_runaway_step_reported(self, structure, name, params, step):
+        dim, pi, jac = build_map(name, params)
+        model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], 0.1,
+                                     "explode")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Runaway) as err:
+                mr.simulate_chain(model, structure, np.array([1.0]), 200, 7)
+        assert str(err.value) == f"|X_{step}| exceeded 100 diam(X)"
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
     def test_exit_flagging(self, structure):
         model = make_ref_model(0.8)
         trace = mr.simulate_chain(model, structure, structure.centers[0],
@@ -187,15 +207,95 @@ class TestEstimateCommittor:
     @pytest.mark.parametrize("workers,hits", [(1, 58), (3, 56)])
     def test_seeded_1d(self, structure, workers, hits):
         # fixed hit counts for one seed and block layout
-        est = mr.estimate_committor(make_ref_model(0.5), structure, 0, 1, 500,
-                                    7, workers=workers)
+        est = mr.estimate_committor(make_ref_model(0.5), structure, [(0, 1)],
+                                    500, 7, workers=workers)[0]
         assert est.estimate == hits / 500
 
     @pytest.mark.parametrize("j,hits", [(1, 94), (3, 86)])
     def test_seeded_tanh2d(self, structure2d, j, hits):
-        est = mr.estimate_committor(tanh2d_model(0.5), structure2d, 0, j, 300,
-                                    7, workers=2)
+        est = mr.estimate_committor(tanh2d_model(0.5), structure2d, [(0, j)],
+                                    300, 7, workers=2)[0]
         assert est.estimate == hits / 300
+
+    # (estimate, stderr) of each pair for one seed: the pairs are stepped
+    # together, and each must keep its own start and streams 0, 1, ...
+    TANH2D_PAIRS = [(i, j) for i in range(4) for j in range(4) if i != j]
+    TANH2D_PINS = {
+        1: [(0.34, 0.027349588662354686), (0.29, 0.026197964297504744),
+            (0.30666666666666664, 0.02662218512332789),
+            (0.3233333333333333, 0.027005486411029452),
+            (0.27, 0.025632011235952594),
+            (0.32666666666666666, 0.027077392510823216),
+            (0.3233333333333333, 0.027005486411029452),
+            (0.30666666666666664, 0.02662218512332789),
+            (0.33, 0.027147743920996455),
+            (0.31666666666666665, 0.026856959922826266),
+            (0.3433333333333333, 0.027413838084414933),
+            (0.3, 0.026457513110645904)],
+        3: [(0.33666666666666667, 0.02728383051199753),
+            (0.33, 0.027147743920996455),
+            (0.24333333333333335, 0.024773791408275413),
+            (0.2866666666666667, 0.02610803764417444),
+            (0.29333333333333333, 0.026286174369104437),
+            (0.37666666666666665, 0.027975518397871192),
+            (0.3433333333333333, 0.027413838084414933),
+            (0.30666666666666664, 0.02662218512332789),
+            (0.3566666666666667, 0.027655955088404592),
+            (0.3, 0.026457513110645904),
+            (0.3566666666666667, 0.027655955088404592),
+            (0.2966666666666667, 0.026372685083595842)],
+    }
+    REF_PINS = {1: [(0.116, 0.014320893826853127),
+                    (0.136, 0.01532997064576446)],
+                3: [(0.112, 0.014103616557464968),
+                    (0.118, 0.014427473791346842)]}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_seeded_all_pairs(self, structure, structure2d, workers):
+        ests = mr.estimate_committor(tanh2d_model(0.5), structure2d,
+                                     self.TANH2D_PAIRS, 300, 7,
+                                     workers=workers)
+        assert [(e.estimate, e.stderr) for e in ests] \
+            == self.TANH2D_PINS[workers]
+        ests = mr.estimate_committor(make_ref_model(0.5), structure,
+                                     [(0, 1), (1, 0)], 500, 7,
+                                     workers=workers)
+        assert [(e.estimate, e.stderr) for e in ests] \
+            == self.REF_PINS[workers]
+
+    def test_same_ball_rejected_before_any_step(self, structure):
+        def pi(x):
+            raise AssertionError("stepped")
+
+        model = DeterministicMapModel(1, pi, None, [[-2, 2]], [[1.0]], 0.4,
+                                      "never")
+        with pytest.raises(NumericError, match="i != j"):
+            mr.estimate_committor(model, structure, [(0, 1), (1, 1)], 1000,
+                                  MASTER_SEED)
+
+    def test_first_zero_hit_pair_raises(self):
+        # pi(x) = 0: runs from balls 1 and 2 hit ball 0 at once, runs from
+        # ball 0 return at once, so pairs (0, 1) and (0, 2) have no hits
+        dim, pi, jac = build_map("linear", {"a": 0.0})
+        model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], 0.01,
+                                      "zero")
+        st = MetastableStructure(np.array([[0.0], [1.5], [-1.5]]),
+                                 np.array([0.5, 0.1, 0.1]), 0.1)
+        ests = mr.estimate_committor(model, st, [(1, 0), (2, 0)], 100,
+                                     MASTER_SEED)
+        assert [e.estimate for e in ests] == [1.0, 1.0]
+        with pytest.raises(ZeroHits) as err:
+            mr.estimate_committor(model, st, [(1, 0), (0, 2), (0, 1)], 100,
+                                  MASTER_SEED)
+        assert str(err.value) == "no run from ball 0 reached ball 2"
+        assert err.value.upper_bound == 3 / 100
+
+    def test_step_cap_message(self, structure):
+        with pytest.raises(SimulationTimeout) as err:
+            mr.estimate_committor(make_ref_model(0.4), structure,
+                                  [(0, 1), (1, 0)], 1000, MASTER_SEED,
+                                  step_cap=1)
+        assert str(err.value) == "committor run exceeded 1 steps"
 
     def test_overlap_counts_as_hit(self):
         # pi(x) = 0 puts every run inside both balls after one step
@@ -204,48 +304,51 @@ class TestEstimateCommittor:
                                       "zero")
         st = MetastableStructure(np.array([[0.2], [0.0]]),
                                  np.array([0.5, 0.5]), 0.5)
-        est = mr.estimate_committor(model, st, 0, 1, 100, MASTER_SEED)
+        est = mr.estimate_committor(model, st, [(0, 1)], 100, MASTER_SEED)[0]
         assert est.estimate == 1.0
 
     def test_same_ball_rejected(self, structure):
         with pytest.raises(NumericError):
-            mr.estimate_committor(make_ref_model(0.4), structure, 0, 0, 1000,
-                                  MASTER_SEED)
+            mr.estimate_committor(make_ref_model(0.4), structure, [(0, 0)],
+                                  1000, MASTER_SEED)
 
     def test_symmetry_within_three_joint_se(self, structure):
         model = make_ref_model(0.4)
-        a = mr.estimate_committor(model, structure, 0, 1, 10_000, MASTER_SEED)
-        b = mr.estimate_committor(model, structure, 1, 0, 10_000,
-                                  MASTER_SEED + 1)
+        a = mr.estimate_committor(model, structure, [(0, 1)], 10_000,
+                                  MASTER_SEED)[0]
+        b = mr.estimate_committor(model, structure, [(1, 0)], 10_000,
+                                  MASTER_SEED + 1)[0]
         joint = np.hypot(a.stderr, b.stderr)
         assert abs(a.estimate - b.estimate) <= 3 * joint
 
     def test_deterministic_given_seed_and_workers(self, structure):
         model = make_ref_model(0.4)
-        a = mr.estimate_committor(model, structure, 0, 1, 2000, MASTER_SEED,
-                                  workers=4)
-        b = mr.estimate_committor(model, structure, 0, 1, 2000, MASTER_SEED,
-                                  workers=4)
+        a = mr.estimate_committor(model, structure, [(0, 1)], 2000,
+                                  MASTER_SEED, workers=4)[0]
+        b = mr.estimate_committor(model, structure, [(0, 1)], 2000,
+                                  MASTER_SEED, workers=4)[0]
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
     def test_worker_split_changes_stream(self, structure):
         model = make_ref_model(0.4)
-        a = mr.estimate_committor(model, structure, 0, 1, 2000, MASTER_SEED,
-                                  workers=1)
-        b = mr.estimate_committor(model, structure, 0, 1, 2000, MASTER_SEED,
-                                  workers=2)
+        a = mr.estimate_committor(model, structure, [(0, 1)], 2000,
+                                  MASTER_SEED, workers=1)[0]
+        b = mr.estimate_committor(model, structure, [(0, 1)], 2000,
+                                  MASTER_SEED, workers=2)[0]
         # different stream layout is a different (still valid) estimate
         assert abs(a.estimate - b.estimate) <= 5 * np.hypot(a.stderr, b.stderr)
 
     def test_zero_hits_flag(self, structure):
         model = make_ref_model(0.1)
         with pytest.raises(ZeroHits) as err:
-            mr.estimate_committor(model, structure, 0, 1, 200, MASTER_SEED)
+            mr.estimate_committor(model, structure, [(0, 1)], 200,
+                                  MASTER_SEED)
         assert err.value.upper_bound == pytest.approx(3 / 200)
 
     def test_log_scale_recorded(self, structure):
         model = make_ref_model(0.5)
-        est = mr.estimate_committor(model, structure, 0, 1, 1000, MASTER_SEED)
+        est = mr.estimate_committor(model, structure, [(0, 1)], 1000,
+                                    MASTER_SEED)[0]
         assert est.log_scale == pytest.approx(0.25 * np.log(est.estimate))
 
 
@@ -271,6 +374,16 @@ class TestEstimateEx:
                              n_reps=20, workers=2)
         assert (est.estimate, est.stderr, est.n_samples) \
             == (6.4, 1.3810750960945721, 2120)
+
+    @pytest.mark.parametrize("workers,pinned", [
+        (1, (5.75, 1.2415503889979869)), (3, (5.7, 1.1518863248008278))])
+    def test_seeded_1d_other_layouts(self, structure, workers, pinned):
+        # start s draws from streams s * workers, ..., s * workers + w - 1
+        model = make_ref_model(0.5)
+        est = mr.estimate_ex(model, structure, mr.Grid.from_box(model.box, 101),
+                             100, 7, fixed_points=mr.find_fixed_points(model),
+                             n_reps=20, workers=workers)
+        assert (est.estimate, est.stderr, est.n_samples) == (*pinned, 2120)
 
     def test_seeded_tanh2d(self, structure2d):
         model = tanh2d_model(0.5)
