@@ -13,7 +13,7 @@ from .montecarlo import (EstimateWithError, SimulationTrace,
 from .quasipotential import (ActionGraph, QuasipotentialTable,
                              build_action_graph, compute_h_matrix, h_theta,
                              ldp_transition_bounds, quasipotential_from)
-from .reduction import (Projectors, ReducedChainModel, build_p,
+from .reduction import (Projectors, ReducedChainModel, ball_rows, build_p,
                         build_projectors, build_pstar, build_reduced_chain,
                         choose_m, reduced_chain_marginals, stochastic_power)
 from .spectral import (GapReport, QsdSolution, SpectralDecomposition,

@@ -79,22 +79,38 @@ class RunConfig:
             map_id=self.map_name, map_params=self.map_params)
 
 
-def _require(doc, key, kind, where="config"):
+def _require(doc, key, kind=object, where="config"):
     if key not in doc:
         raise ConfigError(f"{where}: missing required field '{key}'")
     val = doc[key]
-    if kind is float and isinstance(val, int):
-        val = float(val)
     if not isinstance(val, kind):
         raise ConfigError(f"{where}: field '{key}' must be {kind.__name__}")
     return val
 
 
 def _finite(name, value):
-    arr = np.asarray(value, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"field '{name}' must be finite")
+    """``value`` if it is a finite real number or a (nested) list of them."""
+    try:
+        ok = np.asarray(value).dtype.kind in "iuf" and np.isfinite(value).all()
+    except ValueError:              # a ragged list
+        ok = False
+    if not ok:
+        raise ConfigError(f"field '{name}' must be finite real numbers")
     return value
+
+
+def _positive(name, value):
+    """``value`` as a float, if it is one finite positive real number."""
+    if np.ndim(_finite(name, value)) != 0 or not value > 0:
+        raise ConfigError(f"field '{name}' must be a positive real number")
+    return float(value)
+
+
+def _integer(name, value):
+    """``value`` as an int, if it is an integer (an integral float too)."""
+    if type(value) not in (int, float) or not float(value).is_integer():
+        raise ConfigError(f"field '{name}' must be an integer, not {value!r}")
+    return int(value)
 
 
 def load_config(path):
@@ -114,7 +130,8 @@ def parse_config(doc):
 
     map_doc = _require(doc, "map", dict)
     name = _require(map_doc, "name", str, "map")
-    params = map_doc.get("params", {})
+    params = (_require(map_doc, "params", dict, "map")
+              if "params" in map_doc else {})
     dim = _require(doc, "dim", int)
     if dim not in (1, 2):
         raise ConfigError("dim must be 1 or 2")
@@ -129,13 +146,14 @@ def parse_config(doc):
     if "sigma" in doc and "sigmas" in doc:
         raise ConfigError("give either 'sigma' or 'sigmas', not both")
     if "sigma" in doc:
-        sigmas = [float(_finite("sigma", doc["sigma"]))]
+        sigmas = [_positive("sigma", doc["sigma"])]
     elif "sigmas" in doc:
-        sigmas = [float(s) for s in _finite("sigmas", doc["sigmas"])]
+        sigmas = [_positive("sigmas", s)
+                  for s in _require(doc, "sigmas", list)]
     else:
         raise ConfigError("missing required field 'sigma' (or 'sigmas')")
-    if not sigmas or any(s <= 0 for s in sigmas):
-        raise ConfigError("sigma values must be positive")
+    if not sigmas:
+        raise ConfigError("field 'sigmas' must not be empty")
 
     nodes = doc.get("grid_nodes")
     if nodes is None:
@@ -148,19 +166,11 @@ def parse_config(doc):
     if any(v < MIN_GRID_NODES for v in nodes):
         raise ConfigError(f"grid_nodes must be >= {MIN_GRID_NODES} per axis")
 
-    delta = float(_finite("delta", _require(doc, "delta", (int, float))))
-    if delta <= 0:
-        raise ConfigError("delta must be positive")
-
+    delta = _positive("delta", _require(doc, "delta"))
     theta = doc.get("theta", "auto")
     if theta != "auto":
-        theta = float(_finite("theta", theta))
-        if theta <= 0:
-            raise ConfigError("theta must be positive or 'auto'")
-
-    r_hop = float(_finite("r_hop", _require(doc, "r_hop", (int, float))))
-    if r_hop <= 0:
-        raise ConfigError("r_hop must be positive")
+        theta = _positive("theta", theta)
+    r_hop = _positive("r_hop", _require(doc, "r_hop"))
 
     mc = dict(_MC_DEFAULTS)
     user_mc = doc.get("mc", {})
@@ -169,16 +179,14 @@ def parse_config(doc):
     unknown = set(user_mc) - set(mc)
     if unknown:
         raise ConfigError(f"unknown mc fields: {sorted(unknown)}")
-    mc.update({k: int(v) for k, v in user_mc.items()})
+    mc.update({k: _integer(f"mc.{k}", v) for k, v in user_mc.items()})
     if any(v < 0 for v in mc.values()):
         raise ConfigError("mc budgets must be nonnegative")
 
-    tol_refine = float(_finite("tol_refine", doc.get("tol_refine", 0.05)))
-    if tol_refine <= 0:
-        raise ConfigError("tol_refine must be positive")
+    tol_refine = _positive("tol_refine", doc.get("tol_refine", 0.05))
 
-    seed = int(doc.get("seed", 0))
-    workers = int(doc.get("workers", 1))
+    seed = _integer("seed", doc.get("seed", 0))
+    workers = _integer("workers", doc.get("workers", 1))
     if workers < 1:
         raise ConfigError("workers must be >= 1")
 

@@ -35,7 +35,6 @@ class DeterministicMapModel:
     cov: np.ndarray
     sigma: float
     map_id: str = "custom"
-    cov_bounds: tuple = field(default=None)
     map_params: dict = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -49,10 +48,8 @@ class DeterministicMapModel:
             raise ConfigError("cov must be d x d")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigError("cov must be symmetric")
-        eig = np.linalg.eigvalsh(cov)
-        if eig[0] <= 0:
+        if np.linalg.eigvalsh(cov)[0] <= 0:
             raise ConfigError("cov must be positive definite")
-        object.__setattr__(self, "cov_bounds", (float(eig[0]), float(eig[-1])))
         # sigma = 0 is allowed for noiseless simulation; kernel ops reject it
         if not (self.sigma >= 0 and np.isfinite(self.sigma)):
             raise ConfigError("sigma must be a nonnegative finite real")
@@ -121,12 +118,18 @@ class MetastableStructure:
         return out[()]
 
     def in_ball(self, x, k):
-        """Whether each point of x is in ball k (one, or one per point)."""
-        c = self.centers[k]
-        d2 = 0.0
-        for a in range(x.shape[-1]):
-            d2 = d2 + (x[..., a] - c[..., a]) ** 2
-        return d2 <= self.radii[k] ** 2
+        """Whether each point of x is in ball k (one, or one per point):
+        |x - c|^2 <= r^2 + 1e-15, summed axis by axis.  Grid membership, the
+        invariance check and every Monte Carlo estimator use this test."""
+        return _in_closed_ball(x, self.centers[k], self.radii[k])
+
+
+def _in_closed_ball(x, center, radius):
+    """``MetastableStructure.in_ball`` for one ball, or one per point."""
+    d2 = 0.0
+    for a in range(x.shape[-1]):
+        d2 = d2 + (x[..., a] - center[..., a]) ** 2
+    return d2 <= radius ** 2 + 1e-15
 
 
 def classify_stability(jacobian):
@@ -183,7 +186,6 @@ def find_fixed_points(model, seeds_per_axis=12):
     stable = [r for r in records if r.is_stable]
     if not stable:
         raise NoStableFixedPoint("no stable fixed point found in the box")
-    stable.sort(key=lambda r: tuple(r.location))
     out = []
     idx = 0
     for r in sorted(records, key=lambda r: tuple(r.location)):
@@ -268,8 +270,7 @@ def _ball_invariant(model, center, radius, n_boundary, seed):
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         offsets = radius * np.repeat(scales, n_boundary)[:, None] * u
     pts = np.vstack([center, center + offsets])
-    r2 = radius ** 2 + 1e-15
-    return bool((((model.pi(pts) - center) ** 2).sum(axis=-1) <= r2).all())
+    return bool(_in_closed_ball(model.pi(pts), center, radius).all())
 
 
 @dataclass(frozen=True)

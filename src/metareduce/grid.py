@@ -71,8 +71,8 @@ class Grid:
     def membership(self, structure):
         """Index sets for each ball, for M, and for the complement of M."""
         pts = self.points()
-        balls = [np.where(((pts - c) ** 2).sum(axis=1) <= r ** 2 + 1e-15)[0]
-                 for c, r in zip(structure.centers, structure.radii)]
+        balls = [np.where(structure.in_ball(pts, k))[0]
+                 for k in range(structure.n_balls)]
         m_set = np.unique(np.concatenate(balls)) if balls else np.array([], int)
         comp = np.setdiff1d(np.arange(self.n_nodes), m_set)
         return balls, m_set, comp

@@ -31,7 +31,11 @@ def build_map(name, params):
     """Instantiate a registered map; returns (dimension, pi, jac)."""
     if name not in _REGISTRY:
         raise ConfigError(f"unknown map '{name}'; known: {builtin_names()}")
-    return _REGISTRY[name](dict(params or {}))
+    try:
+        return _REGISTRY[name](dict(params or {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        msg = f"map '{name}': bad params {params!r}: {exc!r}"
+        raise ConfigError(msg) from exc
 
 
 @register("tanh")

@@ -198,18 +198,23 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
                 n_reps=200, workers=1, step_cap=DEFAULT_STEP_CAP):
     """Worst-case mean hitting time of the metastable union.
 
-    Starts are a coarse sub-lattice of the box of about ``n_starts`` nodes,
-    always augmented with the neighborhoods of the unstable fixed points
-    (the slowest region).  Returns the maximum over starts of the per-start
-    mean, with the batch standard error of the argmax start.  The maximum of
-    noisy means is biased upward, and ``stderr`` is that of the argmax
-    start's mean alone; it does not cover the choice of the argmax.
+    Starts are a sub-lattice spanning the box, every s-th node along each
+    axis with s the largest stride where s^d <= n_nodes // n_starts (about
+    ``n_starts`` nodes or more), always augmented with the neighborhoods of
+    the unstable fixed points (the slowest region).  Returns the maximum
+    over starts of the per-start mean, with the batch standard error of the
+    argmax start.  The maximum of noisy means is biased upward, and
+    ``stderr`` is that of the argmax start's mean alone; it does not cover
+    the choice of the argmax.
     """
     if n_starts < 100:
         raise NumericError("n_starts must be >= 100")
-    pts = grid.points()
-    stride = max(1, grid.n_nodes // n_starts)
-    starts = [pts[k] for k in range(0, grid.n_nodes, stride)]
+    s = 1
+    while (s + 1) ** grid.dim <= grid.n_nodes // n_starts:
+        s += 1
+    lattice = grid.points().reshape(*grid.shape, grid.dim)
+    starts = list(lattice[(slice(None, None, s),) * grid.dim]
+                  .reshape(-1, grid.dim))
     if fixed_points is not None:
         h = grid.spacings
         for r in fixed_points:

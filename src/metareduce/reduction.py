@@ -1,8 +1,10 @@
 """Finite-rank projections of the watched kernel and the reduced N-state chain.
 
 Everything here lives on the index set of the metastable union M.  Measures
-are row vectors, test functions column vectors; the projector on the top-N
-invariant subspaces is assembled from the binormalized eigenpairs, and the
+are row vectors, test functions column vectors.  Each ball B_i is two (N, |M|)
+rows, built once per sigma from its QSD: 1_{B_i} and QSD_i extended by zeros;
+P*, the projectors and P read only these, and no |M| x |M| projector is kept.
+The top-N spectral projector comes from the binormalized eigenpairs, and the
 (mu_i, psi_j) basis makes the reduced matrix an exact N x N compression of
 the truncated kernel.
 """
@@ -42,42 +44,34 @@ def default_theta(h0, sigma):
     return min(h0 / 4.0, sigma ** 2 * math.log(1e6))
 
 
-def ball_local_indices(trace_on_m, ball_grid_indices):
-    """Positions of each ball's grid indices inside the M kernel domain."""
-    return [trace_on_m.local_indices(np.asarray(b, int))
-            for b in ball_grid_indices]
-
-
 def solve_all_qsds(trace_on_m, ball_grid_indices):
     return [solve_qsd(trace_on_m, b, ball_index=i)
             for i, b in enumerate(ball_grid_indices)]
 
 
-def build_pstar(trace_on_m, ball_grid_indices, qsds=None):
+def ball_rows(trace_on_m, qsds):
+    """The (N, |M|) rows 1_{B_i} and QSD_i (zero off B_i), placed by each
+    solution's grid-index domain inside the M kernel domain."""
+    indicators = np.zeros((len(qsds), trace_on_m.size))
+    qsd_rows = np.zeros_like(indicators)
+    for i, q in enumerate(qsds):
+        at = trace_on_m.local_indices(q.domain)
+        indicators[i, at], qsd_rows[i, at] = 1.0, q.qsd
+    return indicators, qsd_rows
+
+
+def build_pstar(trace_on_m, indicators, qsd_rows):
     """Hop matrix P*_ij = P^{QSD_i}[first watched step lands in ball j]."""
-    if qsds is None:
-        qsds = solve_all_qsds(trace_on_m, ball_grid_indices)
-    local = ball_local_indices(trace_on_m, ball_grid_indices)
-    n = len(local)
-    size = trace_on_m.size
-    pstar = np.zeros((n, n))
-    for i in range(n):
-        row = np.zeros(size)
-        row[local[i]] = qsds[i].qsd
-        pushed = row @ trace_on_m.matrix
-        for j in range(n):
-            pstar[i, j] = pushed[local[j]].sum()
+    pstar = qsd_rows @ trace_on_m.matrix @ indicators.T
     if np.abs(pstar.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         raise NumericError("P* rows must sum to 1 (trace kernel is stochastic)")
-    return pstar, qsds
+    return pstar
 
 
 @dataclass(frozen=True)
 class Projectors:
-    """Spectral projector Pi0, QSD projector Pi*, and the (mu, psi) basis."""
+    """The (mu, psi) basis and the (N, |M|) ball rows it was built from."""
 
-    pi0: np.ndarray         # (|M|, |M|)
-    pistar: np.ndarray      # (|M|, |M|)
     mu: np.ndarray          # (N, |M|) rows are signed measures
     psi: np.ndarray         # (N, |M|) rows are test functions psi_j
     eps: np.ndarray         # (N, N)
@@ -85,31 +79,25 @@ class Projectors:
     qsd_rows: np.ndarray    # (N, |M|) rows QSD_i extended by zeros
 
 
-def build_projectors(decomp, n_balls, ball_local, qsds):
-    """Assemble Pi0 (top-N spectral projector), Pi*, mu_i, psi_j and eps_ij.
+def build_projectors(decomp, indicators, qsd_rows):
+    """mu_i, psi_j and eps_ij from the top-N spectral projector Pi0.
 
-    mu_i = QSD_i [Id - Pi0_perp Pi*]^{-1} Pi0, realized by one solve with
-    the N x N matrix Id - eps in the N-dimensional coordinates.
+    ``indicators`` and ``qsd_rows`` are the (N, |M|) rows of ``ball_rows``,
+    1_{B_i} and QSD_i zero off B_i, so Pi* = indicators^T qsd_rows.
+    psi_j = Pi0 1_{B_j}, and mu_i = QSD_i [Id - Pi0_perp Pi*]^{-1} Pi0 is
+    one solve with the N x N matrix Id - eps.
     """
-    n = n_balls
+    n = indicators.shape[0]
     if decomp.n_modes < n:
         raise NumericError("decomposition must retain at least N modes")
     for c in decomp.defective_clusters:
         if any(k < n for k in c):
             raise NumericError("top-N modes contain a defective cluster")
-    size = decomp.right.shape[0]
     R = decomp.right[:, :n]
     L = decomp.left[:n, :]
     if np.abs(L @ R - np.eye(n)).max() > BIORTH_TOL:
         raise NumericError("top-N modes are not binormalized")
     pi0 = (R @ L).real
-
-    indicators = np.zeros((n, size))
-    qsd_rows = np.zeros((n, size))
-    for j, loc in enumerate(ball_local):
-        indicators[j, loc] = 1.0
-        qsd_rows[j, loc] = qsds[j].qsd
-    pistar = indicators.T @ qsd_rows
 
     psi = (pi0 @ indicators.T).T
     eps = np.eye(n) - qsd_rows @ psi.T
@@ -129,12 +117,7 @@ def build_projectors(decomp, n_balls, ball_local, qsds):
     if completeness > COMPLETENESS_TOL:
         raise NumericError(
             f"sum_i psi_i x mu_i differs from Pi0 by {completeness:.3g}")
-    return Projectors(pi0, pistar, mu, psi, eps, indicators, qsd_rows)
-
-
-def build_kstar(trace_on_m, projectors):
-    """Finite-rank kernel K* = Pi* K0 as a dense matrix on M."""
-    return projectors.pistar @ trace_on_m.matrix
+    return Projectors(mu, psi, eps, indicators, qsd_rows)
 
 
 def build_p(km, decomp, projectors, m):
@@ -249,12 +232,13 @@ class ReducedChainModel:
 
 def build_reduced_chain(trace_on_m, decomp, ball_grid_indices, sigma, theta,
                         h0=None):
-    """Full reduction: QSDs, P*, projectors, m, (K0)^m and the reduced
-    matrix P."""
-    pstar, qsds = build_pstar(trace_on_m, ball_grid_indices)
-    local = ball_local_indices(trace_on_m, ball_grid_indices)
-    n = len(local)
-    projectors = build_projectors(decomp, n, local, qsds)
+    """Full reduction: QSDs and their ball rows, P*, projectors, m, (K0)^m
+    and the reduced matrix P."""
+    qsds = solve_all_qsds(trace_on_m, ball_grid_indices)
+    n = len(qsds)
+    indicators, qsd_rows = ball_rows(trace_on_m, qsds)
+    pstar = build_pstar(trace_on_m, indicators, qsd_rows)
+    projectors = build_projectors(decomp, indicators, qsd_rows)
     m = choose_m(sigma, theta, h0=h0)
     km = stochastic_power(trace_on_m.matrix, m)
     p, rel, _ = build_p(km, decomp, projectors, m)
@@ -272,9 +256,12 @@ def diluted_marginal_deviation(km, projectors, p, start_local, n_max):
     Returns per-step deviations max_j |delta_x (K0)^{nm} 1_{B_j} - (P^n)_ij|
     for n = 0..n_max, by vector iteration with ``km`` = (K0)^m.
     """
+    ball = np.flatnonzero(projectors.indicators[:, start_local])
+    if ball.size != 1:
+        raise NumericError("start index must lie in exactly one ball")
     v = np.zeros(km.shape[0])
     v[start_local] = 1.0
-    marginals = reduced_chain_marginals(p, _ball_of_local(projectors, start_local), n_max)
+    marginals = reduced_chain_marginals(p, int(ball[0]), n_max)
     devs = []
     for n in range(n_max + 1):
         lhs = projectors.indicators @ v
@@ -282,10 +269,3 @@ def diluted_marginal_deviation(km, projectors, p, start_local, n_max):
         if n < n_max:
             v = v @ km
     return np.array(devs)
-
-
-def _ball_of_local(projectors, local_index):
-    hits = np.where(projectors.indicators[:, local_index] > 0)[0]
-    if hits.size != 1:
-        raise NumericError("start index must lie in exactly one ball")
-    return int(hits[0])

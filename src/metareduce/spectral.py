@@ -30,7 +30,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    domain: np.ndarray
     n_modes: int
     binormalized: bool
     defective_clusters: tuple = field(default_factory=tuple)
@@ -106,7 +105,6 @@ def eigendecompose(kernel, n_modes=None):
         eigenvalues=lam.copy(),
         right=R.copy(),
         left=L.copy(),
-        domain=kernel.domain.copy(),
         n_modes=n_modes,
         binormalized=not defective,
         defective_clusters=tuple(defective),
@@ -188,6 +186,9 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
     lambda0 = 1 - escape, escape = QSD . (row masses leaving the ball): the
     eigenvalue itself rounds to 1 once escape falls below machine epsilon.
     """
+    if len(ball_indices) == trace_on_m.size:
+        raise NumericError(f"ball {ball_index} is all of M: one metastable "
+                           "state, nothing to reduce")
     killed, rows = killed_with_escape(trace_on_m, ball_indices)
     lam, vl = scipy.linalg.eig(killed.matrix.T)
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))

@@ -91,6 +91,23 @@ class TestConfigErrors:
         err = json.loads(capsys.readouterr().err)
         assert "unknown mc fields" in err["message"] and field in err["message"]
 
+    @pytest.mark.parametrize("overrides,field", [
+        ({"mc": {"committor_runs": "10k"}}, "committor_runs"),
+        ({"mc": {"committor_runs": 1.5}}, "committor_runs"),
+        ({"seed": "abc"}, "seed"),
+        ({"workers": "two"}, "workers"),
+        ({"sigma": None, "sigmas": [0.3, "x"]}, "sigmas"),
+        ({"delta": "wide"}, "delta"),
+        ({"map": {"name": "tanh", "params": {"beta": "steep"}}}, "beta"),
+        ({"map": {"name": "tanh2d", "params": {"beta": 2.0}}, "dim": 2,
+          "box": [[-2, 2], [-2, 2]], "cov": [[1, 0], [0, 1]]}, "beta")])
+    def test_malformed_value_names_field(self, tmp_path, capsys, overrides,
+                                         field):
+        path = write_config(tmp_path, **overrides)
+        assert run(path, "analyze") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and field in err["message"]
+
 
 class TestAnalyze:
     def test_tanh_three_fixed_points(self, tmp_path):
@@ -185,6 +202,27 @@ class TestQuasipotential:
         doc = json.loads((tmp_path / "out" / "h_matrix.json").read_text())
         assert doc["H0"] == "inf"
         assert "single-well" in doc["note"]
+
+
+class TestSingleWell:
+    @pytest.mark.parametrize("command", ["qsd", "reduce", "validate"])
+    def test_one_ball_is_all_of_m(self, tmp_path, command):
+        # a subprocess, so that a leaked warning would reach stderr
+        path = write_config(tmp_path, map={"name": "linear",
+                                           "params": {"a": 0.5}},
+                            box=[[-1, 1]], delta=0.1, r_hop=0.5)
+        src = str(Path(metareduce.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "metareduce.cli", command, "--config",
+             str(path)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 3
+        err, = proc.stderr.splitlines()
+        doc = json.loads(err)
+        assert doc["type"] == "NumericError"
+        assert "all of M" in doc["message"]
+        assert "one metastable state" in doc["message"]
 
 
 class TestQsd:

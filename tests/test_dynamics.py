@@ -154,6 +154,27 @@ class TestMetastableStructure:
         edge = st.centers[0] + np.array([st.radii[0]])
         assert st.ball_of(edge) == 0
 
+    @pytest.mark.parametrize("name,params,nodes,sizes", [
+        ("linear", {"a": 0.5}, 101, [11]),
+        ("linear", {"a": 0.5}, 201, [21]),
+        ("linear", {"a": 0.5}, 401, [41]),
+        ("tanh", {"beta": 2.0}, 401, [40, 40])])
+    def test_in_ball_is_grid_membership(self, name, params, nodes, sizes):
+        # on [-2, 2] the linear ball's rim node is 0.20000000000000018,
+        # whose squared distance exceeds 0.2^2 by less than the slack: the
+        # grid and the Monte Carlo estimators must both count it in
+        dim, pi, jac = build_map(name, params)
+        model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], 0.3,
+                                      name)
+        st = mr.build_metastable_structure(
+            model, mr.find_fixed_points(model), 0.2)
+        grid = mr.Grid.from_box(model.box, nodes)
+        balls, _, _ = grid.membership(st)
+        assert [b.size for b in balls] == sizes
+        for k, ball in enumerate(balls):
+            np.testing.assert_array_equal(
+                np.where(st.in_ball(grid.points(), k))[0], ball)
+
 
 class TestLyapunovDrift:
     def test_tanh_drift_negative(self):
@@ -197,11 +218,11 @@ class TestModelValidation:
         with pytest.raises(mr.errors.NumericError):
             model.validate()
 
-    def test_covariance_bounds_stored(self):
+    def test_covariance_must_be_positive_definite(self):
         dim, pi, jac = build_map("tanh2d", {})
-        model = DeterministicMapModel(
-            2, pi, jac, [[-2, 2], [-2, 2]],
-            [[1.0, 0.2], [0.2, 4.0]], 0.4, "tanh2d")
-        lo, hi = model.cov_bounds
-        w = np.linalg.eigvalsh(np.array([[1.0, 0.2], [0.2, 4.0]]))
-        assert lo == pytest.approx(w[0]) and hi == pytest.approx(w[1])
+        DeterministicMapModel(2, pi, jac, [[-2, 2], [-2, 2]],
+                              [[1.0, 0.2], [0.2, 4.0]], 0.4, "tanh2d")
+        # symmetric with eigenvalues 3 and -1
+        with pytest.raises(mr.errors.ConfigError, match="positive definite"):
+            DeterministicMapModel(2, pi, jac, [[-2, 2], [-2, 2]],
+                                  [[1.0, 2.0], [2.0, 1.0]], 0.4, "tanh2d")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import metareduce as mr
+import metareduce.montecarlo
 from metareduce.errors import (NumericError, Runaway, SimulationTimeout,
                                ZeroHits)
 from metareduce.dynamics import DeterministicMapModel, MetastableStructure
@@ -392,6 +393,24 @@ class TestEstimateEx:
                              n_reps=10)
         assert (est.estimate, est.stderr, est.n_samples) \
             == (30.0, 10.20457413777436, 1660)
+
+    def test_2d_starts_span_the_box(self, structure2d, monkeypatch):
+        # every 10th node along each axis of a 101^2 grid, not every 102nd
+        # node of the flat index, which lie on the diagonal x = y
+        model = tanh2d_model(0.5)
+        grid = mr.Grid.from_box(model.box, 101)
+        starts = []
+        run = metareduce.montecarlo._run
+
+        def recording(model, groups, *args):
+            starts.extend(tuple(x0) for x0, _, _ in groups)
+            return run(model, groups, *args)
+
+        monkeypatch.setattr(metareduce.montecarlo, "_run", recording)
+        mr.estimate_ex(model, structure2d, grid, 100, 7, n_reps=2)
+        lattice = [(x, y) for x in grid.axes[0][::10]
+                   for y in grid.axes[1][::10]]
+        assert starts == lattice
 
     def test_worst_case_is_order_one_at_large_sigma(self, structure):
         model = make_ref_model(0.8)

@@ -5,8 +5,7 @@ import pytest
 
 import metareduce as mr
 from metareduce.errors import Overflow, ThetaTooLarge
-from metareduce.reduction import (ball_local_indices, build_kstar,
-                                  build_reduced_chain, choose_m,
+from metareduce.reduction import (ball_rows, build_reduced_chain, choose_m,
                                   default_theta, diluted_marginal_deviation,
                                   solve_all_qsds, stochastic_power)
 
@@ -16,6 +15,21 @@ from conftest import kernel_from_matrix
 def kernel_norm(m):
     """Sup over rows of the absolute row mass (the kernel sup-norm)."""
     return np.abs(m).sum(axis=1).max()
+
+
+def pstar_and_qsds(kernel, balls):
+    qsds = solve_all_qsds(kernel, balls)
+    return mr.build_pstar(kernel, *ball_rows(kernel, qsds)), qsds
+
+
+def pi0_of(decomp):
+    """The top-2 spectral projector (R L).real on M."""
+    return (decomp.right[:, :2] @ decomp.left[:2, :]).real
+
+
+def pistar_of(proj):
+    """The QSD projector Pi* = sum_i 1_{B_i} x QSD_i on M."""
+    return proj.indicators.T @ proj.qsd_rows
 
 
 @pytest.fixture(scope="module")
@@ -71,20 +85,33 @@ class TestBuildPstar:
     def test_rank_one_rows(self, ):
         kernel, p, q = rank_one_block_kernel()
         balls = [np.array([0, 1]), np.array([2, 3])]
-        pstar, qsds = mr.build_pstar(kernel, balls)
+        pstar, qsds = pstar_and_qsds(kernel, balls)
         np.testing.assert_allclose(pstar, p, atol=1e-12)
         np.testing.assert_allclose(qsds[0].qsd, q[0], atol=1e-12)
         np.testing.assert_allclose(qsds[1].qsd, q[1], atol=1e-12)
 
     def test_symmetric_double_well(self, cache, ref):
-        pstar, _ = mr.build_pstar(cache.trace(0.35), ref["balls"])
+        pstar, _ = pstar_and_qsds(cache.trace(0.35), ref["balls"])
         assert abs(pstar[0, 1] - pstar[1, 0]) <= 1e-8
         np.testing.assert_allclose(pstar.sum(axis=1), [1.0, 1.0], atol=1e-10)
+
+    def test_product_matches_row_loop(self, cache, ref):
+        # reference: push each QSD through K and sum the image over each
+        # ball; the one matrix product sums in another order
+        trace = cache.trace(0.35)
+        pstar, qsds = pstar_and_qsds(trace, ref["balls"])
+        for i, q in enumerate(qsds):
+            row = np.zeros(trace.size)
+            row[trace.local_indices(q.domain)] = q.qsd
+            pushed = row @ trace.matrix
+            for j, ball in enumerate(ref["balls"]):
+                assert abs(pstar[i, j]
+                           - pushed[trace.local_indices(ball)].sum()) <= 1e-15
 
     def test_paper_upper_bound_on_offdiagonal(self, cache, ref, table):
         # P*_12 <= exp(-(H0 - eta)/sigma^2) with eta = 0.15 H0
         sigma = 0.35
-        pstar, _ = mr.build_pstar(cache.trace(sigma), ref["balls"])
+        pstar, _ = pstar_and_qsds(cache.trace(sigma), ref["balls"])
         eta = 0.15 * table.h0
         assert pstar[0, 1] <= np.exp(-(table.h0 - eta) / sigma ** 2)
 
@@ -97,8 +124,7 @@ class TestProjectors:
         balls = [np.array([0, 1]), np.array([2, 3])]
         decomp = mr.eigendecompose(kernel)
         qsds = solve_all_qsds(kernel, balls)
-        local = ball_local_indices(kernel, balls)
-        proj = mr.build_projectors(decomp, 2, local, qsds)
+        proj = mr.build_projectors(decomp, *ball_rows(kernel, qsds))
         assert np.abs(proj.eps).max() <= 1e-12
         np.testing.assert_allclose(proj.psi, proj.indicators, atol=1e-10)
         np.testing.assert_allclose(proj.mu, proj.qsd_rows, atol=1e-10)
@@ -122,35 +148,39 @@ class TestProjectors:
         assert np.abs(proj.eps).max() <= 1e-3
 
     def test_projectors_idempotent(self, reduced35):
-        _, proj, _, _ = reduced35
-        assert kernel_norm(proj.pi0 @ proj.pi0 - proj.pi0) <= 1e-8
-        assert kernel_norm(proj.pistar @ proj.pistar - proj.pistar) <= 1e-8
+        _, proj, _, decomp = reduced35
+        pi0, pistar = pi0_of(decomp), pistar_of(proj)
+        assert kernel_norm(pi0 @ pi0 - pi0) <= 1e-8
+        assert kernel_norm(pistar @ pistar - pistar) <= 1e-8
 
     def test_completeness_kernel_norm(self, reduced35):
-        _, proj, _, _ = reduced35
-        assert kernel_norm(proj.psi.T @ proj.mu - proj.pi0) <= 1e-6
+        _, proj, _, decomp = reduced35
+        assert kernel_norm(proj.psi.T @ proj.mu - pi0_of(decomp)) <= 1e-6
 
 
 class TestKstarIdentities:
+    # the finite-rank kernel K* = Pi* K0, built here from the ball rows
     def test_pistar_kstar_invariance(self, reduced35):
         _, proj, trace, _ = reduced35
-        kstar = build_kstar(trace, proj)
-        assert kernel_norm(proj.pistar @ kstar - kstar) <= 1e-8
+        pistar = pistar_of(proj)
+        kstar = pistar @ trace.matrix
+        assert kernel_norm(pistar @ kstar - kstar) <= 1e-8
 
     def test_hatted_powers(self, reduced35):
         _, proj, trace, _ = reduced35
-        kstar = build_kstar(trace, proj)
-        khat = kstar @ proj.pistar
+        pistar = pistar_of(proj)
+        kstar = pistar @ trace.matrix
+        khat = kstar @ pistar
         for n in (2, 3):
             lhs = np.linalg.matrix_power(khat, n)
-            rhs = np.linalg.matrix_power(kstar, n) @ proj.pistar
+            rhs = np.linalg.matrix_power(kstar, n) @ pistar
             assert kernel_norm(lhs - rhs) <= 1e-8
 
     def test_matrix_elements_coincide(self, reduced35):
         # <QSD_i, Khat* 1_Bj> = <QSD_i, K0 1_Bj>
         _, proj, trace, _ = reduced35
-        kstar = build_kstar(trace, proj)
-        khat = kstar @ proj.pistar
+        pistar = pistar_of(proj)
+        khat = pistar @ trace.matrix @ pistar
         lhs = proj.qsd_rows @ khat @ proj.indicators.T
         rhs = proj.qsd_rows @ trace.matrix @ proj.indicators.T
         assert np.abs(lhs - rhs).max() <= 1e-10
