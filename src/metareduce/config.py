@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -12,6 +13,7 @@ import numpy as np
 from . import maps
 from .dynamics import DeterministicMapModel
 from .errors import ConfigError
+from .montecarlo import MIN_COMMITTOR_RUNS, MIN_TRACE_RUNS
 
 SCHEMA_VERSION = 1
 MIN_GRID_NODES = 51
@@ -23,6 +25,9 @@ _MC_DEFAULTS = {
     "sim_steps": 100_000,
     "step_cap": 100_000_000,
 }
+_FIELDS = {"schema", "map", "dim", "box", "cov", "sigma", "sigmas",
+           "grid_nodes", "delta", "theta", "r_hop", "mc", "tol_refine",
+           "seed", "workers", "out_dir", "cache_dir"}
 
 
 @dataclass(frozen=True)
@@ -45,22 +50,12 @@ class RunConfig:
     cache_dir: str
 
     def canonical(self):
-        return {
-            "schema": SCHEMA_VERSION,
-            "map": {"name": self.map_name, "params": self.map_params},
-            "dim": self.dim,
-            "box": self.box,
-            "cov": self.cov,
-            "sigmas": self.sigmas,
-            "grid_nodes": self.grid_nodes,
-            "delta": self.delta,
-            "theta": self.theta,
-            "r_hop": self.r_hop,
-            "mc": self.mc,
-            "tol_refine": self.tol_refine,
-            "seed": self.seed,
-            "workers": self.workers,
-        }
+        """Every field but the output and cache paths, the map nested as in
+        the config file."""
+        doc = {k: v for k, v in dataclasses.asdict(self).items()
+               if k not in ("map_name", "map_params", "out_dir", "cache_dir")}
+        return {**doc, "schema": SCHEMA_VERSION,
+                "map": {"name": self.map_name, "params": self.map_params}}
 
     @property
     def config_hash(self):
@@ -124,6 +119,9 @@ def load_config(path):
 def parse_config(doc):
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = set(doc) - _FIELDS
+    if unknown:
+        raise ConfigError(f"unknown fields: {sorted(unknown)}")
     schema = doc.get("schema", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {schema}")
@@ -132,7 +130,7 @@ def parse_config(doc):
     name = _require(map_doc, "name", str, "map")
     params = (_require(map_doc, "params", dict, "map")
               if "params" in map_doc else {})
-    dim = _require(doc, "dim", int)
+    dim = _integer("dim", _require(doc, "dim"))
     if dim not in (1, 2):
         raise ConfigError("dim must be 1 or 2")
 
@@ -155,14 +153,11 @@ def parse_config(doc):
     if not sigmas:
         raise ConfigError("field 'sigmas' must not be empty")
 
-    nodes = doc.get("grid_nodes")
-    if nodes is None:
-        raise ConfigError("missing required field 'grid_nodes'")
-    if isinstance(nodes, int):
-        nodes = [nodes] * dim
-    if (not isinstance(nodes, list) or len(nodes) != dim
-            or any(not isinstance(v, int) for v in nodes)):
+    nodes = _require(doc, "grid_nodes")
+    nodes = nodes if isinstance(nodes, list) else [nodes] * dim
+    if len(nodes) != dim:
         raise ConfigError("grid_nodes must be an int or per-axis list of ints")
+    nodes = [_integer("grid_nodes", v) for v in nodes]
     if any(v < MIN_GRID_NODES for v in nodes):
         raise ConfigError(f"grid_nodes must be >= {MIN_GRID_NODES} per axis")
 
@@ -182,6 +177,10 @@ def parse_config(doc):
     mc.update({k: _integer(f"mc.{k}", v) for k, v in user_mc.items()})
     if any(v < 0 for v in mc.values()):
         raise ConfigError("mc budgets must be nonnegative")
+    for key, least in (("committor_runs", MIN_COMMITTOR_RUNS),
+                       ("trace_runs", MIN_TRACE_RUNS)):
+        if 0 < mc[key] < least:
+            raise ConfigError(f"mc.{key} must be 0 (off) or >= {least}")
 
     tol_refine = _positive("tol_refine", doc.get("tol_refine", 0.05))
 
@@ -193,8 +192,7 @@ def parse_config(doc):
     return RunConfig(
         map_name=name, map_params=dict(params), dim=dim,
         box=box_arr.tolist(), cov=np.atleast_2d(np.asarray(cov, float)).tolist(),
-        sigmas=sigmas, grid_nodes=list(nodes), delta=delta, theta=theta,
-        r_hop=r_hop, mc=mc, tol_refine=tol_refine, seed=seed,
-        workers=workers,
+        sigmas=sigmas, grid_nodes=nodes, delta=delta, theta=theta,
+        r_hop=r_hop, mc=mc, tol_refine=tol_refine, seed=seed, workers=workers,
         out_dir=str(doc.get("out_dir", "out")),
         cache_dir=str(doc.get("cache_dir", ".metareduce-cache")))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ NEWTON_RESIDUAL_FACTOR = 1e-10  # * diam(X)
 DEDUP_FACTOR = 1e-6             # * diam(X)
 JAC_CHECK_RTOL = 1e-5
 RADIUS_FLOOR_FACTOR = 1e-3      # * diam(X)
+NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -23,9 +25,14 @@ class DeterministicMapModel:
 
     ``pi`` and ``jac`` act on arrays of points of shape (..., d) and return
     shapes (..., d) and (..., d, d).  ``box`` has shape (d, 2)
-    with rows (lo, hi).  ``cov`` is the noise covariance (symmetric positive
-    definite) and ``sigma`` the scalar noise level.  ``map_id`` and
+    with rows (lo, hi).  ``cov`` is the noise covariance C (symmetric
+    positive definite) and ``sigma`` the scalar noise level.  ``map_id`` and
     ``map_params`` name the map; the kernel cache keys on both.
+
+    The one-step law is X_{n+1} = pi(X_n) + sigma L xi_n, C = L L^T.  The
+    kernel (density exp(-rate / sigma^2)), the action graph and Monte Carlo
+    read it only through ``rate(d)`` = d^T C^{-1} d / 2 and ``noise(z)`` =
+    sigma z L^T; C^{-1} and L are computed once, on first use.
     """
 
     dim: int
@@ -53,6 +60,18 @@ class DeterministicMapModel:
         # sigma = 0 is allowed for noiseless simulation; kernel ops reject it
         if not (self.sigma >= 0 and np.isfinite(self.sigma)):
             raise ConfigError("sigma must be a nonnegative finite real")
+
+    @functools.cached_property
+    def _factors(self):
+        return np.linalg.inv(self.cov), np.linalg.cholesky(self.cov)
+
+    def rate(self, d):
+        """d^T C^{-1} d / 2 for each row of d, shape (..., d) -> (...)."""
+        return 0.5 * np.einsum("...k,kl,...l->...", d, self._factors[0], d)
+
+    def noise(self, z):
+        """sigma z L^T for standard normal rows z, shape (..., d)."""
+        return self.sigma * (z @ self._factors[1].T)
 
     @property
     def diam(self):
@@ -150,6 +169,9 @@ def classify_stability(jacobian):
 def find_fixed_points(model, seeds_per_axis=12):
     """Newton search for fixed points of the map from a seed lattice.
 
+    The seed lattice is iterated as one batch, one ``pi`` and ``jac`` call
+    per step; a seed fails on a singular J - I, a non-finite step or one
+    longer than diam(X), or after NEWTON_MAX_ITER steps.
     Stable points are indexed 1..N by lexicographic order of their
     coordinates, which makes the indexing independent of the seed lattice.
     Raises NoStableFixedPoint when no stable point is found and
@@ -158,59 +180,45 @@ def find_fixed_points(model, seeds_per_axis=12):
     if seeds_per_axis < 8:
         raise ConfigError("seeds_per_axis must be >= 8")
     diam = model.diam
-    tol = NEWTON_RESIDUAL_FACTOR * diam
-    seeds = Grid.from_box(model.box, seeds_per_axis).points()
-
-    found = []
-    for s in seeds:
-        x = _newton(model, s, tol)
-        if x is None or not model.in_box(x):
-            continue
-        found.append(x)
-    # deterministic merge: sort lexicographically, then dedup
-    found.sort(key=lambda p: tuple(p))
+    x = Grid.from_box(model.box, seeds_per_axis).points()
+    roots = np.full(x.shape, np.nan)    # per seed; NaN where Newton failed
+    live = np.arange(len(x))            # the seeds still iterating
+    for _ in range(NEWTON_MAX_ITER):
+        F = model.pi(x) - x
+        done = np.linalg.norm(F, axis=-1) <= NEWTON_RESIDUAL_FACTOR * diam
+        roots[live[done]] = x[done]
+        x, F, live = x[~done], F[~done], live[~done]
+        if not live.size:
+            break
+        J = model.jac(x) - np.eye(model.dim)
+        # numpy's batched solve raises for the whole stack on one singular J
+        ok = np.linalg.det(J) != 0
+        step = np.full_like(x, np.inf)
+        step[ok] = np.linalg.solve(J[ok], F[ok, :, None])[..., 0]
+        with np.errstate(over="ignore"):    # inf, NaN and huge steps fail
+            ok = np.linalg.norm(step, axis=-1) <= diam
+        x, live = x[ok] - step[ok], live[ok]
+    found = roots[model.in_box(roots)]          # NaN rows are not in it
+    # sort lexicographically, ties in seed order, then dedup
+    found = found[np.lexsort(found.T[::-1])]
     dedup = []
     for x in found:
         if not any(np.linalg.norm(x - y) <= DEDUP_FACTOR * diam for y in dedup):
             dedup.append(x)
 
-    records = []
-    for x in dedup:
-        rho, tag = classify_stability(model.jac(x))
+    records, idx = [], 0
+    for x, jac in zip(dedup, model.jac(np.reshape(dedup, (-1, model.dim)))):
+        rho, tag = classify_stability(jac)
         if tag == "marginal":
             raise MarginalFixedPoint(
                 f"fixed point {x} has spectral radius {rho} within "
                 f"{STABILITY_MARGIN} of 1")
-        records.append(FixedPointRecord(x, rho, tag))
-
-    stable = [r for r in records if r.is_stable]
-    if not stable:
+        idx += tag == "stable"
+        records.append(FixedPointRecord(x, rho, tag,
+                                        idx if tag == "stable" else -1))
+    if not idx:
         raise NoStableFixedPoint("no stable fixed point found in the box")
-    out = []
-    idx = 0
-    for r in sorted(records, key=lambda r: tuple(r.location)):
-        if r.is_stable:
-            idx += 1
-            r = FixedPointRecord(r.location, r.spectral_radius, r.stability, idx)
-        out.append(r)
-    return out
-
-
-def _newton(model, x0, tol, max_iter=100):
-    x = np.array(x0, dtype=float)
-    for _ in range(max_iter):
-        F = model.pi(x) - x
-        if np.linalg.norm(F) <= tol:
-            return x
-        J = model.jac(x) - np.eye(model.dim)
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(step).all() or np.linalg.norm(step) > model.diam:
-            return None
-        x = x - step
-    return None
+    return records
 
 
 def build_metastable_structure(model, fixed_points, delta, n_boundary=64, seed=1):

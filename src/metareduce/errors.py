@@ -38,10 +38,6 @@ class DriftViolated(NumericError):
 
 # --- kernel -----------------------------------------------------------------
 
-class SingularCovariance(NumericError):
-    """Noise covariance solve failed."""
-
-
 class DegenerateRow(NumericError):
     """A raw quadrature row sum underflowed (sigma too small for the grid)."""
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BallConstructionFailed, ConfigError
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,16 @@ class Grid:
         return np.ravel_multi_index(multi, self.shape)
 
     def membership(self, structure):
-        """Index sets for each ball, for M, and for the complement of M."""
+        """Index sets for each ball, for M, and for the complement of M;
+        raises BallConstructionFailed for a ball that holds no node."""
         pts = self.points()
         balls = [np.where(structure.in_ball(pts, k))[0]
                  for k in range(structure.n_balls)]
+        for k, b in enumerate(balls):
+            if not b.size:
+                raise BallConstructionFailed(
+                    f"ball {k} (centre {structure.centers[k]}, radius "
+                    f"{structure.radii[k]}) holds no grid node")
         m_set = np.unique(np.concatenate(balls)) if balls else np.array([], int)
         comp = np.setdiff1d(np.arange(self.n_nodes), m_set)
         return balls, m_set, comp

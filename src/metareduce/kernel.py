@@ -1,7 +1,8 @@
 """Gaussian transition densities discretized to finite kernel matrices.
 
 The continuous kernel has density N^{-1} exp(-I(x,y)/sigma^2) with
-I(x,y) = <y - pi(x), cov^{-1} (y - pi(x))> / 2.  On a grid the matrix entry
+I(x,y) = <y - pi(x), cov^{-1} (y - pi(x))> / 2, the one-step rate
+``model.rate(y - pi(x))`` of the model's noise law.  On a grid the matrix entry
 is density * cell volume, then rows are normalized: that is the finite-volume
 surrogate for conditioning the chain on staying in the box.
 """
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (DegenerateRow, NonRecurrentComplement, NumericError,
-                     SingularCovariance)
+from .errors import DegenerateRow, NonRecurrentComplement, NumericError
 
 ROW_SUM_TOL = 1e-12
 TRACE_ROW_TOL = 1e-10
@@ -74,14 +74,8 @@ class KernelMatrix:
 
 def gaussian_rate(model, x, y):
     """One-step large-deviation rate <y - pi(x), cov^{-1}(y - pi(x))> / 2."""
-    x = np.atleast_1d(np.asarray(x, float))
-    y = np.atleast_1d(np.asarray(y, float))
-    r = y - model.pi(x)
-    try:
-        z = np.linalg.solve(model.cov, r)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
-    return float(0.5 * r @ z)
+    x, y = (np.atleast_1d(np.asarray(v, float)) for v in (x, y))
+    return float(model.rate(y - model.pi(x)))
 
 
 def discretize_kernel(model, grid):
@@ -95,25 +89,19 @@ def discretize_kernel(model, grid):
     pts = grid.points()
     n = grid.n_nodes
     images = model.pi(pts)
-    try:
-        cov_inv = np.linalg.inv(model.cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(str(exc)) from exc
     norm = (2 * np.pi * model.sigma ** 2) ** (model.dim / 2) \
         * np.sqrt(np.linalg.det(model.cov))
     raw = np.empty((n, n))
     for start in range(0, n, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, n)
         diffs = pts[None, :, :] - images[start:stop, None, :]
-        quad = np.einsum("ijk,kl,ijl->ij", diffs, cov_inv, diffs)
-        raw[start:stop] = np.exp(-0.5 * quad / model.sigma ** 2)
+        raw[start:stop] = np.exp(-model.rate(diffs) / model.sigma ** 2)
     raw *= grid.weight / norm
     sums = raw.sum(axis=1)
     if sums.min() < RAW_ROW_FLOOR:
         raise DegenerateRow(
             f"raw row sum {sums.min():.3g} underflowed; refine sigma or grid")
-    return KernelMatrix(raw / sums[:, None], "stochastic",
-                        np.arange(grid.n_nodes))
+    return KernelMatrix(raw / sums[:, None], "stochastic", np.arange(n))
 
 
 def escape_mass(kernel, subset):

@@ -102,9 +102,8 @@ def _poly(params):
 
 @register("tanh2d")
 def _tanh2d(params):
-    beta = params.pop("beta", (2.0, 2.0))
+    b = _beta_pair(params)
     _no_extra(params, "tanh2d")
-    b = np.array([float(beta[0]), float(beta[1])])
 
     def pi(x):
         return np.tanh(b * x)
@@ -117,10 +116,9 @@ def _tanh2d(params):
 
 @register("coupled2d")
 def _coupled2d(params):
-    beta = params.pop("beta", (2.0, 2.0))
+    b1, b2 = _beta_pair(params).tolist()
     gamma = float(params.pop("gamma", 0.3))
     _no_extra(params, "coupled2d")
-    b1, b2 = float(beta[0]), float(beta[1])
 
     def pi(x):
         return np.stack([np.tanh(b1 * x[..., 0] + gamma * x[..., 1]),
@@ -133,6 +131,14 @@ def _coupled2d(params):
                          np.stack([gamma * s2, b2 * s2], axis=-1)], axis=-2)
 
     return 2, pi, jac
+
+
+def _beta_pair(params):
+    """``params["beta"]`` (popped; default (2, 2)) as exactly two floats."""
+    beta = np.array(params.pop("beta", (2.0, 2.0)), dtype=float)
+    if beta.shape != (2,):
+        raise ValueError("'beta' must hold exactly two numbers")
+    return beta
 
 
 def _no_extra(params, name):

@@ -17,6 +17,8 @@ from .errors import NumericError, Runaway, SimulationTimeout, ZeroHits
 
 RUNAWAY_FACTOR = 100.0
 DEFAULT_STEP_CAP = 100_000_000
+MIN_COMMITTOR_RUNS = 100
+MIN_TRACE_RUNS = 1000
 
 
 def rng_stream(master_seed, worker_id):
@@ -55,7 +57,6 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     x0 = np.atleast_1d(np.asarray(x0, float))
     if not model.in_box(x0):
         raise NumericError("x0 must lie in the invariant box")
-    L = np.linalg.cholesky(model.cov)
     rng = rng_stream(seed, 0)
     nballs = structure.n_balls
     runaway2 = (RUNAWAY_FACTOR * model.diam) ** 2
@@ -72,7 +73,7 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     done = 0
     while done < n_steps:
         take = min(chunk, n_steps - done)
-        noise = model.sigma * (rng.standard_normal((take, model.dim)) @ L.T)
+        noise = model.noise(rng.standard_normal((take, model.dim)))
         path = np.empty((take, model.dim))
         # a runaway path may overflow before the chunk ends
         with np.errstate(over="ignore", invalid="ignore"):
@@ -129,7 +130,6 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     (which it may update in place), and returns a mask of the runs that
     stop; the arrays are compacted only on steps where some do.
     """
-    L = np.linalg.cholesky(model.cov)
     rngs, counts, x = [], [], []
     for x0, n_runs, stream0 in groups:
         rngs += [rng_stream(seed, stream0 + w) for w in range(workers)]
@@ -146,7 +146,7 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
             raise SimulationTimeout(f"{what} run exceeded {step_cap} steps")
         noise = np.concatenate([rng.standard_normal((n, model.dim))
                                 for rng, n in zip(rngs, counts) if n])
-        x = model.pi(x) + model.sigma * (noise @ L.T)
+        x = model.pi(x) + model.noise(noise)
         stop = retire(step, x, idx, *state)
         if stop.any():
             keep = ~stop
@@ -170,8 +170,8 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if (pairs[:, 0] == pairs[:, 1]).any():
         raise NumericError("committor needs i != j")
-    if n_runs < 100:
-        raise NumericError("n_runs must be >= 100")
+    if n_runs < MIN_COMMITTOR_RUNS:
+        raise NumericError(f"n_runs must be >= {MIN_COMMITTOR_RUNS}")
     home, target = np.repeat(pairs, n_runs, axis=0).T
     hit = np.zeros(home.size, bool)
 
@@ -247,8 +247,8 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
     """Frequencies of the ball occupied at the (n m)-th visit to the
     metastable union, n = 0..n_blocks, over runs started at the i-th stable
     point.  Returns (freqs, stderrs) of shape (n_balls, n_blocks + 1)."""
-    if n_runs < 1000:
-        raise NumericError("n_runs must be >= 1000")
+    if n_runs < MIN_TRACE_RUNS:
+        raise NumericError(f"n_runs must be >= {MIN_TRACE_RUNS}")
     if m < 1:
         raise NumericError("m must be >= 1")
     counts = np.zeros((structure.n_balls, n_blocks + 1), dtype=np.int64)

@@ -57,12 +57,12 @@ def build_action_graph(model, grid, r_hop):
     if far.any():
         raise HopRadiusTooSmall(
             f"image of node {far.argmax()} has no grid node within r_hop")
-    weights = _weights(grid, images, np.linalg.inv(model.cov), float(r_hop))
+    weights = _weights(grid, images, model.rate, float(r_hop))
     return ActionGraph(pts, images, weights)
 
 
-def _weights(grid, images, cov_inv, r_hop):
-    """CSR of the rates 0.5 d^T cov^-1 d, d = node - image, over the nodes
+def _weights(grid, images, rate, r_hop):
+    """CSR of the one-step rates ``rate(d)``, d = node - image, over the nodes
     within r_hop of each image.  A row's candidates are the box of grid
     indices around its image, one index wider each side so rounding drops
     no node, padded to one shape with nodes at infinity and listed last
@@ -87,7 +87,7 @@ def _weights(grid, images, cov_inv, r_hop):
                  for k, dk in enumerate(diffs))
         u, *off = np.nonzero(np.sqrt(sq) <= r_hop)
         diff = np.stack([dk[u, o] for dk, o in zip(diffs, off)], axis=-1)
-        data.append(0.5 * np.einsum("ij,jk,ik->i", diff, cov_inv, diff))
+        data.append(rate(diff))
         cols.append(np.ravel_multi_index(tuple(
             (lo[b + u] + np.stack(off, axis=-1)).T), grid.shape)
             .astype(np.int32))
@@ -252,8 +252,6 @@ def ldp_transition_bounds(table, i, j, n, sigma, eta):
 
 @dataclass(frozen=True)
 class RefinementReport:
-    coarse_values: np.ndarray
-    fine_values: np.ndarray
     max_relative_change: float
     tolerance: float
 
@@ -279,4 +277,4 @@ def refinement_check(model, grid, structure, r_hop, tol=0.05, coarse=None):
     f = fine_t.h_matrix[mask]
     rel = float(np.max(np.abs(c - f) / np.maximum(np.abs(f), 1e-300))) \
         if c.size else 0.0
-    return RefinementReport(c, f, rel, tol)
+    return RefinementReport(rel, tol)

@@ -159,7 +159,6 @@ def verify_spectral_gap(decomp, n_expected, rho_threshold):
 
 @dataclass(frozen=True)
 class QsdSolution:
-    ball_index: int
     domain: np.ndarray
     lambda0: float
     qsd: np.ndarray
@@ -215,7 +214,7 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
     resid = np.abs(q @ killed.matrix - (1.0 - escape) * q).sum()
     if resid > 1e-8:
         raise NumericError(f"QSD residual {resid:.3g} above 1e-8")
-    return QsdSolution(ball_index, killed.domain.copy(), 1.0 - escape, q,
+    return QsdSolution(killed.domain.copy(), 1.0 - escape, q,
                        next_mod, escape, killed, rows)
 
 

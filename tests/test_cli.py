@@ -100,7 +100,18 @@ class TestConfigErrors:
         ({"delta": "wide"}, "delta"),
         ({"map": {"name": "tanh", "params": {"beta": "steep"}}}, "beta"),
         ({"map": {"name": "tanh2d", "params": {"beta": 2.0}}, "dim": 2,
-          "box": [[-2, 2], [-2, 2]], "cov": [[1, 0], [0, 1]]}, "beta")])
+          "box": [[-2, 2], [-2, 2]], "cov": [[1, 0], [0, 1]]}, "beta"),
+        ({"map": {"name": "tanh2d", "params": {"beta": [2.0, 2.0, 9.0]}},
+          "dim": 2, "box": [[-2, 2], [-2, 2]], "cov": [[1, 0], [0, 1]]},
+         "beta"),
+        ({"map": {"name": "coupled2d", "params": {"beta": [2.0]}}, "dim": 2,
+          "box": [[-2, 2], [-2, 2]], "cov": [[1, 0], [0, 1]]}, "beta"),
+        ({"dim": True}, "dim"),
+        ({"grid_nodes": True}, "'grid_nodes' must be an integer"),
+        ({"thetaa": 0.05}, "thetaa"),
+        ({"tol_refin": 0.01}, "tol_refin"),
+        ({"mc": {"committor_runs": 99}}, "committor_runs"),
+        ({"mc": {"trace_runs": 1}}, "trace_runs")])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides,
                                          field):
         path = write_config(tmp_path, **overrides)
@@ -204,25 +215,45 @@ class TestQuasipotential:
         assert "single-well" in doc["note"]
 
 
+def run_subprocess(path, command):
+    """Exit code and stderr lines of a CLI run in a subprocess, so that a
+    leaked warning or a traceback would reach stderr."""
+    src = str(Path(metareduce.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "metareduce.cli", command, "--config",
+         str(path)], env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr.splitlines()
+
+
 class TestSingleWell:
     @pytest.mark.parametrize("command", ["qsd", "reduce", "validate"])
     def test_one_ball_is_all_of_m(self, tmp_path, command):
-        # a subprocess, so that a leaked warning would reach stderr
         path = write_config(tmp_path, map={"name": "linear",
                                            "params": {"a": 0.5}},
                             box=[[-1, 1]], delta=0.1, r_hop=0.5)
-        src = str(Path(metareduce.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "metareduce.cli", command, "--config",
-             str(path)], env=env, capture_output=True, text=True,
-            timeout=120)
-        assert proc.returncode == 3
-        err, = proc.stderr.splitlines()
+        code, lines = run_subprocess(path, command)
+        assert code == 3
+        err, = lines
         doc = json.loads(err)
         assert doc["type"] == "NumericError"
         assert "all of M" in doc["message"]
         assert "one metastable state" in doc["message"]
+
+
+class TestEmptyBall:
+    @pytest.mark.parametrize("command", ["qsd", "reduce", "validate"])
+    def test_ball_without_nodes_named(self, tmp_path, command):
+        # spacing 0.01 on 401 nodes: a radius 0.002 ball misses every node
+        path = write_config(tmp_path, grid_nodes=401, delta=0.002)
+        code, lines = run_subprocess(path, command)
+        assert code == 3
+        err, = lines
+        doc = json.loads(err)
+        assert doc["type"] == "BallConstructionFailed"
+        assert "ball 0" in doc["message"] and "holds no grid node" \
+            in doc["message"]
+        assert "centre" in doc["message"] and "radius 0.002" in doc["message"]
 
 
 class TestQsd:

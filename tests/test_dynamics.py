@@ -87,6 +87,57 @@ class TestFindFixedPoints:
                                  - r.location)
             assert res <= 1e-10 * model.diam
 
+    @pytest.mark.parametrize("name,params", [
+        ("tanh", {"beta": 2.0}), ("tanh2d", {"beta": [2.0, 2.0]})])
+    def test_seed_lattice_is_one_batch(self, name, params):
+        # seed-by-seed Newton maps one point per call: 58 and 748 calls
+        dim, pi, jac = build_map(name, params)
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return pi(x)
+
+        model = DeterministicMapModel(dim, counted, jac, [[-2, 2]] * dim,
+                                      np.eye(dim), 0.35, name)
+        assert len(mr.find_fixed_points(model)) == 3 ** dim
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("name,params,box", [
+        ("tanh", {"beta": 2.0}, [[-2, 2]]),
+        ("poly", {"coeffs": [0.02, 0.76, 0.0, 0.3, 0.0, -0.06]},
+         [[-2.5, 2.5]]),
+        ("coupled2d", {"beta": [1.5, 2.5], "gamma": 0.5}, [[-2, 2], [-2, 2]])])
+    def test_batch_matches_newton_seed_by_seed(self, name, params, box):
+        dim, pi, jac = build_map(name, params)
+        model = DeterministicMapModel(dim, pi, jac, box, np.eye(dim), 0.35,
+                                      name)
+        diam, eye = model.diam, np.eye(dim)
+        found = []
+        for x in mr.Grid.from_box(model.box, 12).points():
+            for _ in range(100):
+                F = pi(x) - x
+                if np.linalg.norm(F) <= 1e-10 * diam:
+                    if model.in_box(x):
+                        found.append(x)
+                    break
+                try:
+                    step = np.linalg.solve(jac(x) - eye, F)
+                except np.linalg.LinAlgError:
+                    break
+                if (not np.isfinite(step).all()
+                        or np.linalg.norm(step) > diam):
+                    break
+                x = x - step
+        found.sort(key=tuple)
+        roots = []
+        for x in found:
+            if all(np.linalg.norm(x - y) > 1e-6 * diam for y in roots):
+                roots.append(x)
+        records = mr.find_fixed_points(model, 12)
+        assert [r.location.tobytes() for r in records] \
+            == [x.tobytes() for x in roots]
+
 
 class TestClassifyStability:
     def test_scalar_contraction(self):

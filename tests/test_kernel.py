@@ -34,6 +34,15 @@ class TestGaussianRate:
         assert mr.gaussian_rate(model, [0.0, 0.0], [2.0, 2.0]) \
             == pytest.approx(2.5)
 
+    def test_rate_of_noise_is_half_squared_norm(self):
+        # noise(z) / sigma = L z and (L z)^T (L L^T)^{-1} (L z) = |z|^2
+        dim, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+        model = DeterministicMapModel(2, pi, jac, [[-2, 2], [-2, 2]],
+                                      [[1.0, 0.3], [0.3, 0.5]], 0.4, "tanh2d")
+        z = np.random.default_rng(0).standard_normal((50, 2))
+        np.testing.assert_allclose(model.rate(model.noise(z) / 0.4),
+                                   0.5 * (z ** 2).sum(axis=1), rtol=1e-12)
+
 
 class TestDiscretizeKernel:
     def test_rows_sum_to_one(self, cache):

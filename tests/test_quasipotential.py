@@ -3,7 +3,6 @@
 import itertools
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -263,7 +262,9 @@ def test_action_graph_matches_brute_force_edges(case):
     # an edge u -> v exists iff |pts[v] - images[u]| <= r_hop, with weight
     # 0.5 d^T cov^-1 d; zero weights stay stored entries
     grid, r_hop, cov, images = case
-    model = SimpleNamespace(pi=lambda x: images, cov=cov)
+    box = [[a[0], a[-1]] for a in grid.axes]
+    model = DeterministicMapModel(grid.dim, lambda x: images, None, box, cov,
+                                  1.0)
     graph = mr.build_action_graph(model, grid, r_hop)
     diff = grid.points()[None, :, :] - images[:, None, :]
     hop = np.sqrt((diff ** 2).sum(axis=-1))
