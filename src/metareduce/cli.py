@@ -9,7 +9,6 @@ inputs produce byte-identical outputs.  Exit codes: 0 pass, 1 check failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -436,13 +435,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.workers is not None:
-            cfg = dataclasses.replace(cfg, workers=args.workers)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, out_dir=args.out)
+        cfg = load_config(args.config, workers=args.workers, seed=args.seed,
+                          out_dir=args.out)
         return COMMANDS[args.command](Pipeline(cfg))
     except ConfigError as exc:
         _emit_error("config", exc)

@@ -108,11 +108,14 @@ def _integer(name, value):
     return int(value)
 
 
-def load_config(path):
+def load_config(path, **overrides):
+    """Parse the JSON config at ``path`` with the non-None ``overrides``."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if isinstance(doc, dict):
+        doc.update({k: v for k, v in overrides.items() if v is not None})
     return parse_config(doc)
 
 
@@ -185,6 +188,8 @@ def parse_config(doc):
     tol_refine = _positive("tol_refine", doc.get("tol_refine", 0.05))
 
     seed = _integer("seed", doc.get("seed", 0))
+    if seed < 0:
+        raise ConfigError("field 'seed' must be >= 0")
     workers = _integer("workers", doc.get("workers", 1))
     if workers < 1:
         raise ConfigError("workers must be >= 1")

@@ -5,6 +5,7 @@ I(x,y) = <y - pi(x), cov^{-1} (y - pi(x))> / 2, the one-step rate
 ``model.rate(y - pi(x))`` of the model's noise law.  On a grid the matrix entry
 is density * cell volume, then rows are normalized: that is the finite-volume
 surrogate for conditioning the chain on staying in the box.
+``trace_kernel`` imports scipy.linalg itself, so kernel set-up never loads it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateRow, NonRecurrentComplement, NumericError
 
@@ -154,14 +154,14 @@ def trace_kernel(kernel, subset):
     Kac = K[np.ix_(loc, comp)]
     Kca = K[np.ix_(comp, loc)]
     Kcc = K[np.ix_(comp, comp)]
-    eye = np.eye(comp.size)
+    from scipy.linalg import LinAlgError, lu_factor, lu_solve
     try:
-        lu, piv = scipy.linalg.lu_factor(eye - Kcc)
-    except scipy.linalg.LinAlgError as exc:
+        lu, piv = lu_factor(np.eye(comp.size) - Kcc)
+    except LinAlgError as exc:
         raise NonRecurrentComplement(str(exc)) from exc
     if np.abs(np.diag(lu)).min() < 1e-14:
         raise NonRecurrentComplement("(Id - K_cc) is singular to working precision")
-    traced = Kaa + Kac @ scipy.linalg.lu_solve((lu, piv), Kca)
+    traced = Kaa + Kac @ lu_solve((lu, piv), Kca)
     sums = traced.sum(axis=1)
     if np.abs(sums - 1.0).max() > TRACE_ROW_TOL:
         raise NumericError(

@@ -1,11 +1,12 @@
-"""Nonsymmetric eigenanalysis, spectral-gap reports and QSD solvers."""
+"""Nonsymmetric eigenanalysis, spectral-gap reports and QSD solvers.
+
+scipy is imported inside the solves that use it, so set-up never loads it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericError, PrincipalNotSimple, ZeroColumn
 from .kernel import KernelMatrix, killed_with_escape
@@ -64,7 +65,8 @@ def eigendecompose(kernel, n_modes=None):
         vl = vl[:, [free.pop(int(np.argmin(np.abs(lam_l[free] - z))))
                     for z in lam]]
     else:
-        lam, vl, vr = scipy.linalg.eig(K, left=True, right=True)
+        from scipy.linalg import eig
+        lam, vl, vr = eig(K, left=True, right=True)
         vl = vl.conj()
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
     lam = lam[order]
@@ -189,10 +191,10 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
         raise NumericError(f"ball {ball_index} is all of M: one metastable "
                            "state, nothing to reduce")
     killed, rows = killed_with_escape(trace_on_m, ball_indices)
-    lam, vl = scipy.linalg.eig(killed.matrix.T)
+    from scipy.linalg import eig
+    lam, vl = eig(killed.matrix.T)
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
-    lam = lam[order]
-    vl = vl[:, order]
+    lam, vl = lam[order], vl[:, order]
     lam0 = lam[0]
     if abs(lam0.imag) > 1e-12 or not lam0.real > 0.0:
         raise NumericError(f"principal eigenvalue {lam0} is not positive")

@@ -111,12 +111,26 @@ class TestConfigErrors:
         ({"thetaa": 0.05}, "thetaa"),
         ({"tol_refin": 0.01}, "tol_refin"),
         ({"mc": {"committor_runs": 99}}, "committor_runs"),
-        ({"mc": {"trace_runs": 1}}, "trace_runs")])
+        ({"mc": {"trace_runs": 1}}, "trace_runs"),
+        ({"seed": -3}, "seed")])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides,
                                          field):
         path = write_config(tmp_path, **overrides)
         assert run(path, "analyze") == 2
         err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and field in err["message"]
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--workers", "0", "workers"), ("--workers", "-2", "workers"),
+        ("--seed", "-1", "seed")])
+    def test_bad_override_names_field(self, tmp_path, capsys, flag, value,
+                                      field):
+        # the flags replace config fields before validation, not after
+        path = write_config(tmp_path, mc={"committor_runs": 500,
+                                          "trace_runs": 0, "sim_steps": 2000})
+        assert run(path, "simulate", flag, value) == 2
+        line, = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
         assert err["error"] == "config" and field in err["message"]
 
 
@@ -489,3 +503,49 @@ def test_import_leaves_sparse_solvers_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def scipy_loaded_after(code):
+    """Sorted names of the scipy modules in ``sys.modules`` once ``code`` has
+    run in a fresh interpreter."""
+    src = str(Path(metareduce.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code += ("\nimport sys; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    return out.splitlines()[-1]
+
+
+class TestColdStartWithoutScipy:
+    """scipy.linalg is imported inside the three dense solves and the sparse
+    solvers inside their callers, so set-up and the numpy-only commands
+    never load scipy."""
+
+    def test_import(self):
+        assert scipy_loaded_after("import metareduce, metareduce.cli") == "[]"
+
+    def test_kernel_cache_fill(self, tmp_path):
+        path = write_config(tmp_path, grid_nodes=51)
+        assert scipy_loaded_after(f"""
+from pathlib import Path
+import numpy as np
+from metareduce.config import load_config
+from metareduce.grid import Grid
+from metareduce.kernel import discretize_kernel, save_kernel
+cfg = load_config({str(path)!r})
+grid = Grid.from_box(np.asarray(cfg.box, float), cfg.grid_nodes)
+model = cfg.build_model(cfg.sigmas[0])
+kernel = discretize_kernel(model, grid)
+save_kernel(Path(cfg.cache_dir), model, grid, kernel)
+""") == "[]"
+        assert any((tmp_path / "cache").iterdir())
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_command(self, tmp_path, command):
+        path = write_config(tmp_path, mc={"committor_runs": 500,
+                                          "trace_runs": 0, "sim_steps": 2000})
+        assert scipy_loaded_after(
+            "from metareduce.cli import main\n"
+            f"assert main([{command!r}, '--config', {str(path)!r}]) == 0"
+        ) == "[]"
