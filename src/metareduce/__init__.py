@@ -17,7 +17,7 @@ from .reduction import (Projectors, ReducedChainModel, ball_rows, build_p,
                         build_projectors, build_pstar, build_reduced_chain,
                         choose_m, reduced_chain_marginals, stochastic_power)
 from .spectral import (GapReport, QsdSolution, SpectralDecomposition,
-                       check_uniform_positivity, eigendecompose, solve_qsd,
-                       verify_spectral_gap)
+                       check_uniform_positivity, eigendecompose, eigenvalues,
+                       solve_qsd, verify_spectral_gap)
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .quasipotential import compute_h_matrix, refinement_check
 from .reduction import (build_reduced_chain, default_theta,
                         diluted_marginal_deviation, reduced_chain_marginals,
                         solve_all_qsds)
-from .spectral import (check_uniform_positivity, eigendecompose,
+from .spectral import (check_uniform_positivity, eigendecompose, eigenvalues,
                        positivity_cap, verify_spectral_gap)
 
 RHO_THRESHOLD = 0.9
@@ -128,10 +128,12 @@ class Pipeline:
         return float(self.cfg.theta)
 
     def reduction(self, sigma):
-        """Trace on M, reduced chain from its top N + 1 modes, projectors."""
+        """Trace on M, reduced chain from its top N eigenpairs (one dense
+        solve of the |M| x |M| trace, binormalized as one block), and the
+        projectors."""
         balls, _, _ = self.membership
         trace = self.trace_on_m(sigma)
-        decomp = eigendecompose(trace, n_modes=len(balls) + 1)
+        decomp = eigendecompose(trace, n_modes=len(balls))
         return (trace, *build_reduced_chain(trace, decomp, balls, sigma,
                                             self.theta(sigma),
                                             h0=self.table.h0))
@@ -181,12 +183,12 @@ def cmd_spectrum(pipe: Pipeline):
     all_pass = True
     n = pipe.structure.n_balls
     for sigma in pipe.cfg.sigmas:
-        decomp = eigendecompose(pipe.kernel(sigma))
+        lams = eigenvalues(pipe.kernel(sigma))
         rows = [(k, lam.real, lam.imag, abs(lam), abs(lam - 1.0))
-                for k, lam in enumerate(decomp.eigenvalues)]
+                for k, lam in enumerate(lams)]
         write_csv(pipe.out_dir / f"spectrum_{_sig_tag(sigma)}.csv",
                   ("mode", "re", "im", "modulus", "dist_to_one"), rows)
-        rep = verify_spectral_gap(decomp, n, RHO_THRESHOLD)
+        rep = verify_spectral_gap(lams, n, RHO_THRESHOLD)
         write_json(pipe.out_dir / f"gap_{_sig_tag(sigma)}.json", {
             "sigma": sigma,
             "n_expected": n,
@@ -305,7 +307,7 @@ def cmd_validate(pipe: Pipeline):
             checks.append({"name": name, "passed": bool(passed),
                            "skipped": bool(skipped), "detail": detail})
 
-        top = eigendecompose(pipe.kernel(sigma), n_modes=n + 1)
+        top = eigenvalues(pipe.kernel(sigma), k=n + 1)
         gap = verify_spectral_gap(top, n, RHO_THRESHOLD)
         add("spectral_gap", gap.passed, {
             "leading_moduli": gap.leading_moduli.tolist(),

@@ -290,10 +290,11 @@ class DriftReport:
 
 
 def check_lyapunov_drift(model, n_samples=64, seed=2, shell=(1.05, 2.0)):
-    """Drift of U(x) = |x|^2 under one noisy step, sampled outside the box.
+    """Drift of U(x) = |x - c|^2, c the box centre, under one noisy step,
+    sampled outside the box.
 
     For Gaussian noise the expectation is exact:
-    E|pi(x) + sigma xi|^2 = |pi(x)|^2 + sigma^2 tr(cov).  Raises
+    E|pi(x) + sigma xi - c|^2 = |pi(x) - c|^2 + sigma^2 tr(cov).  Raises
     DriftViolated at the first sample with nonnegative drift.
     """
     rng = np.random.default_rng(seed)
@@ -301,7 +302,7 @@ def check_lyapunov_drift(model, n_samples=64, seed=2, shell=(1.05, 2.0)):
     center = (lo + hi) / 2
     half = (hi - lo) / 2
     trace_cov = float(np.trace(model.cov))
-    r0 = float(np.linalg.norm(half + np.abs(center)))
+    r0 = float(np.linalg.norm(half))
 
     worst = -np.inf
     contraction_ok = True
@@ -310,12 +311,12 @@ def check_lyapunov_drift(model, n_samples=64, seed=2, shell=(1.05, 2.0)):
         u /= np.linalg.norm(u)
         scale = shell[0] + (shell[1] - shell[0]) * rng.random()
         x = center + u * scale * np.linalg.norm(half)
-        px = model.pi(x)
-        drift = float(px @ px + model.sigma ** 2 * trace_cov - x @ x)
+        dx, dpx = x - center, model.pi(x) - center
+        drift = float(dpx @ dpx + model.sigma ** 2 * trace_cov - dx @ dx)
         worst = max(worst, drift)
         if drift >= 0:
             raise DriftViolated(
                 f"nonnegative drift {drift:.3g} at {x}", sample=x, drift=drift)
-        if np.linalg.norm(x) >= r0 and px @ px > x @ x:
+        if np.linalg.norm(dx) >= r0 and dpx @ dpx > dx @ dx:
             contraction_ok = False
     return DriftReport(worst, -worst, n_samples, contraction_ok)

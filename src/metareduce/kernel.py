@@ -15,6 +15,7 @@ import json
 import os
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -220,6 +221,7 @@ def cache_key(meta):
 def save_kernel(cache_dir, model, grid, kernel):
     """Write the <hash>.kern data, then its <hash>.meta.json, each through a
     temporary file and a rename, so a reader never sees a partial pair."""
+    cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     meta = kernel_metadata(model, grid)
     key = cache_key(meta)
@@ -236,6 +238,7 @@ def save_kernel(cache_dir, model, grid, kernel):
 
 def load_kernel(cache_dir, model, grid):
     """Return the cached kernel on an exact metadata match, else None."""
+    cache_dir = Path(cache_dir)
     meta = kernel_metadata(model, grid)
     key = cache_key(meta)
     meta_path = cache_dir / f"{key}.meta.json"

@@ -90,9 +90,6 @@ def build_projectors(decomp, indicators, qsd_rows):
     n = indicators.shape[0]
     if decomp.n_modes < n:
         raise NumericError("decomposition must retain at least N modes")
-    for c in decomp.defective_clusters:
-        if any(k < n for k in c):
-            raise NumericError("top-N modes contain a defective cluster")
     R = decomp.right[:, :n]
     L = decomp.left[:n, :]
     if np.abs(L @ R - np.eye(n)).max() > BIORTH_TOL:
@@ -243,7 +240,7 @@ def build_reduced_chain(trace_on_m, decomp, ball_grid_indices, sigma, theta,
     km = stochastic_power(trace_on_m.matrix, m)
     p, rel, _ = build_p(km, decomp, projectors, m)
     mods = np.abs(decomp.eigenvalues)
-    rho = float(mods[n]) if decomp.n_modes > n else 0.0
+    rho = float(mods[n]) if mods.size > n else 0.0
     model = ReducedChainModel(n, m, float(theta), p, pstar,
                               projectors.eps, decomp.eigenvalues[:n + 1],
                               rho, rel, tuple(qsds), km)

@@ -1,10 +1,14 @@
 """Nonsymmetric eigenanalysis, spectral-gap reports and QSD solvers.
 
-scipy is imported inside the solves that use it, so set-up never loads it."""
+Each consumer gets one route.  ``eigenvalues`` computes no eigenvectors: a
+dense solve of the full spectrum, or ARPACK for the top k of a large kernel.
+``eigendecompose`` is one dense solve of a small kernel (the trace on M) that
+keeps the top pairs, binormalized as one block.  scipy is imported inside
+the solves that use it, so set-up and ``spectrum`` never load it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,36 +17,62 @@ from .kernel import KernelMatrix, killed_with_escape
 
 RESIDUAL_TOL = 1e-8
 CLUSTER_COND_CAP = 1e8
-CLUSTER_GAP = 1e-9
+
+
+def _descending(lam):
+    """Order by decreasing modulus (ties: descending real part, then
+    descending imaginary part, which keeps conjugate pairs adjacent)."""
+    return np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
+
+
+def eigenvalues(kernel, k=None):
+    """Eigenvalues of a kernel matrix, sorted as by ``_descending``; no
+    eigenvectors are computed.
+
+    With ``k`` None a dense solve returns all n values.  Otherwise ARPACK on
+    K alone returns the top ``k``; it is asked for one more, so that a
+    cluster at the cutoff converges whole.
+    """
+    K = kernel.matrix
+    n = K.shape[0]
+    if k is not None and not (1 <= k <= n):
+        raise NumericError("k must lie in [1, dimension]")
+    if k is None or k + 1 >= n - 1:
+        lam = np.linalg.eigvals(K)
+    else:
+        # implicitly restarted Arnoldi from a fixed start, so reruns agree
+        from scipy.sparse.linalg import ArpackNoConvergence, eigs
+        try:
+            lam = eigs(K, k=k + 1, v0=np.ones(n), return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            raise NumericError(f"Arnoldi did not converge: {exc}") from exc
+    lam = lam.astype(complex)[_descending(lam)]
+    return lam if k is None else lam[:k]
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalues with binormalized left/right eigenvectors.
+    """The top ``n_modes`` binormalized eigenpairs of a dense solve.
 
-    ``right`` has eigenvectors as columns, ``left`` as rows, ordered by
-    decreasing eigenvalue modulus (ties: descending real part, then
-    descending imaginary part, which keeps conjugate pairs adjacent).
-    Binormalization enforces left[i] . right[:, j] = delta_ij per cluster;
-    clusters whose overlap matrix has condition number above 1e8 are flagged
-    defective and kept as unnormalized blocks.
+    ``right`` has eigenvectors as columns, ``left`` as rows, ordered as by
+    ``_descending``, with left[i] . right[:, j] = delta_ij.  ``eigenvalues``
+    holds one value more than the pairs when there is one, so a consumer
+    can read the modulus of the first dropped mode.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
     n_modes: int
-    binormalized: bool
-    defective_clusters: tuple = field(default_factory=tuple)
     max_residual: float = 0.0
 
 
 def eigendecompose(kernel, n_modes=None):
-    """Eigendecomposition of a kernel matrix, in full or of its top modes.
+    """Top ``n_modes`` eigenpairs (all n by default) of one dense solve.
 
-    With ``n_modes + 1 < n - 1`` only the top ``n_modes + 1`` modes are
-    computed (ARPACK on K and K^T), the extra one so that a cluster at the
-    cutoff stays whole; otherwise a dense solve computes all n modes.
+    Meant for small kernels such as the trace on M.  The left vectors of the
+    top block are binormalized together, L <- (L R)^{-1} L; a Gram matrix
+    with a singular value below 1e-8 of the largest raises NumericError.
     The sign/phase convention makes the largest-modulus entry of each right
     eigenvector real and equal to 1; left vectors absorb the inverse factor
     so products are preserved.
@@ -53,79 +83,38 @@ def eigendecompose(kernel, n_modes=None):
         n_modes = n
     if not (1 <= n_modes <= n):
         raise NumericError("n_modes must lie in [1, dimension]")
-    if n_modes + 1 < n - 1:
-        # implicitly restarted Arnoldi from a fixed start, so reruns agree
-        from scipy.sparse.linalg import ArpackNoConvergence, eigs
-        try:
-            (lam, vr), (lam_l, vl) = [eigs(M, k=n_modes + 1, v0=np.ones(n))
-                                      for M in (K, K.T)]
-        except ArpackNoConvergence as exc:
-            raise NumericError(f"Arnoldi did not converge: {exc}") from exc
-        free = list(range(lam.size))   # pair with the nearest left value
-        vl = vl[:, [free.pop(int(np.argmin(np.abs(lam_l[free] - z))))
-                    for z in lam]]
-    else:
-        from scipy.linalg import eig
-        lam, vl, vr = eig(K, left=True, right=True)
-        vl = vl.conj()
-    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
-    lam = lam[order]
-    R = vr[:, order].astype(complex)
-    L = vl[:, order].T.astype(complex)
+    from scipy.linalg import eig
+    lam, vl, vr = eig(K, left=True, right=True)
+    order = _descending(lam)
+    lam = lam[order].astype(complex)
+    R = vr[:, order[:n_modes]].astype(complex)
+    L = vl[:, order[:n_modes]].conj().T.astype(complex)
 
-    clusters = _cluster(lam)
-    defective = []
-    for c in clusters:
-        idx = list(c)
-        G = L[idx, :] @ R[:, idx]
-        # solver vectors are unit norm, so a healthy cluster has a Gram
-        # matrix with smallest singular value of order 1; near-parallel
-        # left/right spaces drive it to zero even when cond(G) stays small
-        sv = np.linalg.svd(G, compute_uv=False)
-        if sv[-1] < max(1.0, sv[0]) / CLUSTER_COND_CAP:
-            defective.append(tuple(idx))
-            continue
-        L[idx, :] = np.linalg.solve(G, L[idx, :])
-    lam, R, L = lam[:n_modes], R[:, :n_modes], L[:n_modes, :]
+    G = L @ R
+    # solver vectors are unit norm, so a healthy block has a Gram matrix
+    # with smallest singular value of order 1; near-parallel left/right
+    # spaces (a defective eigenvalue) drive it to zero
+    sv = np.linalg.svd(G, compute_uv=False)
+    if sv[-1] < max(1.0, sv[0]) / CLUSTER_COND_CAP:
+        raise NumericError("top eigenpairs are defective: their left and "
+                           "right spaces are near-parallel")
+    L = np.linalg.solve(G, L)
 
-    # phase fixing: top entry of each right vector becomes 1 (real positive)
-    for k in range(n_modes):
-        j = int(np.argmax(np.abs(R[:, k])))
-        c = R[j, k]
-        if c != 0:
-            R[:, k] = R[:, k] / c
-            L[k, :] = L[k, :] * c
+    # phase fixing: top entry of each right vector becomes 1 (real positive);
+    # the vectors are unit norm, so that entry is nonzero
+    c = R[np.argmax(np.abs(R), axis=0), np.arange(n_modes)]
+    R, L = R / c[None, :], L * c[:, None]
 
+    top = lam[:n_modes]
     norm = np.abs(K).sum(axis=1).max()
-    res_r = np.abs(K @ R - R * lam[None, :]).max()
-    res_l = np.abs(L @ K - lam[:, None] * L).max()
+    res_r = np.abs(K @ R - R * top[None, :]).max()
+    res_l = np.abs(L @ K - top[:, None] * L).max()
     max_res = float(max(res_r, res_l))
     if max_res > RESIDUAL_TOL * max(norm, 1.0):
         raise NumericError(f"eigen residual {max_res:.3g} exceeds tolerance")
 
-    return SpectralDecomposition(
-        eigenvalues=lam.copy(),
-        right=R.copy(),
-        left=L.copy(),
-        n_modes=n_modes,
-        binormalized=not defective,
-        defective_clusters=tuple(defective),
-        max_residual=max_res,
-    )
-
-
-def _cluster(lam):
-    """Group adjacent (sorted) eigenvalues closer than the cluster gap."""
-    scale = max(1.0, float(np.abs(lam).max()) if lam.size else 1.0)
-    clusters, current = [], [0]
-    for k in range(1, lam.size):
-        if abs(lam[k] - lam[current[-1]]) <= CLUSTER_GAP * scale:
-            current.append(k)
-        else:
-            clusters.append(current)
-            current = [k]
-    clusters.append(current)
-    return clusters
+    return SpectralDecomposition(lam[:n_modes + 1].copy(), R, L, n_modes,
+                                 max_res)
 
 
 @dataclass(frozen=True)
@@ -139,14 +128,15 @@ class GapReport:
     passed: bool
 
 
-def verify_spectral_gap(decomp, n_expected, rho_threshold):
-    """Report whether exactly ``n_expected`` modes sit above the threshold."""
+def verify_spectral_gap(eigvals, n_expected, rho_threshold):
+    """Report whether exactly ``n_expected`` of the sorted eigenvalues
+    ``eigvals`` sit above the threshold."""
     if not (0.0 < rho_threshold < 1.0):
         raise NumericError("rho_threshold must lie in (0, 1)")
-    mods = np.abs(decomp.eigenvalues)
+    mods = np.abs(eigvals)
     leading = mods[:n_expected]
-    dists = np.abs(decomp.eigenvalues[:n_expected] - 1.0)
-    nxt = float(mods[n_expected]) if decomp.n_modes > n_expected else 0.0
+    dists = np.abs(eigvals[:n_expected] - 1.0)
+    nxt = float(mods[n_expected]) if mods.size > n_expected else 0.0
     count = int((mods > rho_threshold).sum())
     return GapReport(
         leading_moduli=leading.copy(),
@@ -193,7 +183,7 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
     killed, rows = killed_with_escape(trace_on_m, ball_indices)
     from scipy.linalg import eig
     lam, vl = eig(killed.matrix.T)
-    order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
+    order = _descending(lam)
     lam, vl = lam[order], vl[:, order]
     lam0 = lam[0]
     if abs(lam0.imag) > 1e-12 or not lam0.real > 0.0:

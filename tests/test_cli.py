@@ -171,6 +171,14 @@ class TestSpectrum:
         assert run(path, "spectrum") == 0
         assert csv_path.read_bytes() == first
 
+    def test_small_sigma_reference_runs(self, tmp_path):
+        # sigma = 0.12 on the 401-node reference: only eigenvalues are
+        # computed, so no eigenvector residual can fail the command
+        path = write_config(tmp_path, sigma=0.12, grid_nodes=401)
+        assert run(path, "spectrum") == 0
+        doc = json.loads((tmp_path / "out" / "gap_0.12.json").read_text())
+        assert doc["passed"]
+
     def test_large_sigma_gap_fails(self, tmp_path):
         path = write_config(tmp_path, sigma=0.8)
         assert run(path, "spectrum") == 1
@@ -482,6 +490,22 @@ class TestValidate:
                                          "reduction_monte_carlo"):
                     assert not check["skipped"]
 
+    def test_reference_reduces_at_sigma_015_and_012(self, tmp_path):
+        # 1 - lambda_1 = 4.4e-7 at sigma = 0.15 and 1.7e-10 at 0.12: the top
+        # N trace modes are binormalized as one block, so P's rows sum to 1
+        # within 1e-10 and P matches the watched chain to 1e-6
+        path = write_config(tmp_path, sigma=None, sigmas=[0.15, 0.12],
+                            grid_nodes=401)
+        assert run(path, "reduce") == 0
+        assert run(path, "validate") == 0
+        for tag in ("0.15", "0.12"):
+            doc = json.loads(
+                (tmp_path / "out" / f"reduced_{tag}.json").read_text())
+            assert np.abs(doc["multiplicative_error"]).max() <= 1e-6
+            doc = json.loads(
+                (tmp_path / "out" / f"validate_{tag}.json").read_text())
+            assert doc["passed"]
+
     def test_coarse_grid_refinement_warning(self, tmp_path):
         path = write_config(tmp_path, grid_nodes=51, tol_refine=0.01)
         run(path, "validate")
@@ -541,7 +565,7 @@ save_kernel(Path(cfg.cache_dir), model, grid, kernel)
 """) == "[]"
         assert any((tmp_path / "cache").iterdir())
 
-    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "spectrum"])
     def test_command(self, tmp_path, command):
         path = write_config(tmp_path, mc={"committor_runs": 500,
                                           "trace_runs": 0, "sim_steps": 2000})

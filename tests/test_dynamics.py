@@ -245,6 +245,18 @@ class TestLyapunovDrift:
         rep = mr.check_lyapunov_drift(model)
         assert rep.max_drift < 0
 
+    def test_drift_measured_from_box_centre(self):
+        # the reference map translated by 3 onto the box [1, 5]: the same
+        # samples relative to the centre see the same drift
+        dim, pi, jac = build_map("tanh", {"beta": 2.0})
+        shifted = DeterministicMapModel(
+            1, lambda x: pi(x - 3.0) + 3.0, lambda x: jac(x - 3.0),
+            [[1.0, 5.0]], [[1.0]], 0.3, "tanh-shifted")
+        rep = mr.check_lyapunov_drift(shifted)
+        ref = mr.check_lyapunov_drift(make_ref_model(0.3))
+        assert rep.max_drift == pytest.approx(ref.max_drift, abs=1e-12)
+        assert rep.contraction_ok == ref.contraction_ok
+
     def test_expanding_map_violates(self):
         model = linear_model(2.0)
         with pytest.raises(DriftViolated) as err:

@@ -238,6 +238,16 @@ class TestKernelCache:
         # a different sigma misses the cache
         assert load_kernel(tmp_path, make_ref_model(0.45), g) is None
 
+    def test_str_cache_dir(self, tmp_path):
+        # RunConfig.cache_dir is a str; both ends take it as given
+        model = make_ref_model(0.5)
+        g = Grid.from_box(model.box, 51)
+        K = mr.discretize_kernel(model, g)
+        cache_dir = str(tmp_path / "cache")
+        save_kernel(cache_dir, model, g, K)
+        loaded = load_kernel(cache_dir, model, g)
+        np.testing.assert_array_equal(loaded.matrix, K.matrix)
+
     def test_cache_key_sensitivity(self):
         base = {"map_id": "tanh", "dim": 1, "box": [[-2, 2]], "nodes": [101],
                 "sigma": 0.5, "cov": [[1.0]]}
