@@ -180,6 +180,8 @@ def parse_config(doc):
     mc.update({k: _integer(f"mc.{k}", v) for k, v in user_mc.items()})
     if any(v < 0 for v in mc.values()):
         raise ConfigError("mc budgets must be nonnegative")
+    if mc["step_cap"] < 1:
+        raise ConfigError("field 'mc.step_cap' must be >= 1")
     for key, least in (("committor_runs", MIN_COMMITTOR_RUNS),
                        ("trace_runs", MIN_TRACE_RUNS)):
         if 0 < mc[key] < least:

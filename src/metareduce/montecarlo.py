@@ -5,6 +5,10 @@ master seed and a worker id, so every estimate is a pure function of
 (config, master seed, worker count).  Workers own contiguous blocks of runs,
 each on its own stream; all blocks are stepped together in one process, so
 the worker count sets only this stream layout.
+
+The single chain of ``simulate_chain`` is stepped parallel in time, and is
+bit for bit the chain stepped one step at a time: chains driven by the same
+noise coalesce near a stable point, in floating point too (``_recur``).
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ RUNAWAY_FACTOR = 100.0
 DEFAULT_STEP_CAP = 100_000_000
 MIN_COMMITTOR_RUNS = 100
 MIN_TRACE_RUNS = 1000
+SEGMENT = 1024              # steps per segment of the parallel-in-time sweep
+GUESS_BYTES = 1 << 20       # cap on the guess paths one sweep holds
+CHECK_EVERY = 16            # plain steps between two coalescence checks
 
 
 def rng_stream(master_seed, worker_id):
@@ -49,10 +56,11 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     """Iterate X_{n+1} = pi(X_n) + sigma * L xi_n, logging ball entries/exits.
 
     Positions leaving the box are kept (the drift pulls them back) but
-    counted; a position farther than 100 * diam(X) raises Runaway.  Only
-    the positions are computed step by step: the runaway bound, box exits,
-    ball residence and events are checked per chunk of steps, an exit
-    before an entry at the same step.
+    counted; a position farther than 100 * diam(X) raises Runaway.  The
+    positions, bit for bit those of the one-step recursion, are mostly
+    copied from batched sweeps started at the ball centres (``_recur``).
+    The runaway bound, box exits, ball residence and events are checked
+    per chunk of steps, an exit before an entry at the same step.
     """
     x0 = np.atleast_1d(np.asarray(x0, float))
     if not model.in_box(x0):
@@ -68,6 +76,7 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     steps_in_ball = np.zeros(nballs, dtype=np.int64)
     exits_box = 0
     x = x0.copy()
+    sweep = True
     current = structure.ball_of(x)
     chunk = 65536
     done = 0
@@ -77,8 +86,7 @@ def simulate_chain(model, structure, x0, n_steps, seed):
         path = np.empty((take, model.dim))
         # a runaway path may overflow before the chunk ends
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(take):
-                path[k] = x = model.pi(x) + noise[k]
+            x, sweep = _recur(model, structure.centers, x, noise, path, sweep)
             far = ~((path * path).sum(axis=1) <= runaway2)    # NaN too
         if far.any():
             raise Runaway(f"|X_{done + far.argmax() + 1}| exceeded 100 diam(X)")
@@ -106,6 +114,68 @@ def simulate_chain(model, structure, x0, n_steps, seed):
         event_positions=ev_pos,
         entry_counts=entry_counts, steps_in_ball=steps_in_ball,
         exits_from_box=exits_box, final_position=x.copy())
+
+
+def _recur(model, centers, x, noise, path, sweep):
+    """Fill path[k] = x = pi(x) + noise[k], k < len(noise), bit for bit as
+    that loop would, and return the last x and whether to keep sweeping.
+
+    A group of segments of SEGMENT steps is swept together from x and
+    from every ball centre, one ``pi`` call on an (n, d) batch per step
+    (a batch gives its rows bit for bit).  Segment 0 starts at x, so its
+    guess is exact.  In each later segment the exact state steps alone
+    until it equals a guess at the same step, compared bit for bit every
+    CHECK_EVERY steps; from there both apply ``pi`` to the same bits and
+    add the same noise, so that guess's rest is the path.  Where
+    |pi'| < 1, as near a stable point, chains driven by the same noise
+    meet in the last bit within a few dozen steps.  A segment that never
+    meets a guess is stepped to its end; after a group where none did,
+    ``sweep`` is False and the rest of the run is stepped plainly.
+    """
+    take, d = noise.shape
+    n_max = max(1, GUESS_BYTES // (SEGMENT * (centers.size + d) * 8))
+    k = 0
+    while sweep and k < take:
+        starts = np.concatenate([x[None], centers])
+        span = min(n_max * SEGMENT, take - k)
+        seg = min(SEGMENT, span)
+        n = -(-span // seg)
+        z = np.zeros((n * seg, d))          # the last segment padded
+        z[:span] = noise[k:k + span]
+        z = z.reshape(n, 1, seg, d).transpose(2, 0, 1, 3)
+        guess = np.empty((seg, n, len(starts), d))
+        guess[...] = z                      # each segment's noise per start
+        rows = guess.reshape(seg, -1, d)
+        y = np.tile(starts, (n, 1))
+        for t in range(seg):
+            y = np.add(model.pi(y), rows[t], out=rows[t])
+        path[k:k + seg] = guess[:, 0, 0]
+        x, met = guess[-1, 0, 0].copy(), n == 1
+        for s in range(1, n):
+            lo = k + s * seg
+            x, hit = _coalesce(model, x, noise, path, lo,
+                               min(lo + seg, take), guess[:, s])
+            met |= hit
+        sweep, k = met, k + span
+    for k in range(k, take):
+        path[k] = x = model.pi(x) + noise[k]
+    return x, sweep
+
+
+def _coalesce(model, x, noise, path, lo, hi, guess):
+    """Step x through path[lo:hi] until it equals, bit for bit, one of the
+    guesses (guess[t] holds the states after step lo + t), then copy that
+    guess's rest.  Returns the last state and whether a guess was met."""
+    bits = guess.view(np.int64)
+    for at in range(lo, hi, CHECK_EVERY):
+        end = min(at + CHECK_EVERY, hi)
+        for k in range(at, end):
+            path[k] = x = model.pi(x) + noise[k]
+        same = (bits[end - 1 - lo] == x.view(np.int64)).all(axis=1)
+        if same.any():
+            path[end:hi] = guess[end - lo:hi - lo, same.argmax()]
+            return path[hi - 1].copy(), True
+    return x, False
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end CLI contracts: exit codes, file outputs, caching, idempotence."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -112,7 +113,8 @@ class TestConfigErrors:
         ({"tol_refin": 0.01}, "tol_refin"),
         ({"mc": {"committor_runs": 99}}, "committor_runs"),
         ({"mc": {"trace_runs": 1}}, "trace_runs"),
-        ({"seed": -3}, "seed")])
+        ({"seed": -3}, "seed"),
+        ({"mc": {"step_cap": 0}}, "step_cap")])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides,
                                          field):
         path = write_config(tmp_path, **overrides)
@@ -353,6 +355,24 @@ class TestSimulate:
         assert len(json.loads(lines[0])["position"]) == pipe.cfg.dim
         written = (tmp_path / "out" / f"events_{sigma!r}.ndjson").read_bytes()
         assert written == ("\n".join(lines) + "\n").encode()
+
+    def test_reruns_byte_identical(self, tmp_path):
+        # digests of the outputs of the chain stepped one step at a time,
+        # which the parallel-in-time path must reproduce byte for byte
+        path = write_config(
+            tmp_path, map={"name": "tanh2d", "params": {"beta": [2.0, 2.0]}},
+            dim=2, box=[[-2, 2], [-2, 2]], cov=[[1.0, 0.0], [0.0, 1.0]],
+            sigma=0.4, grid_nodes=51, r_hop=2.5,
+            mc={"committor_runs": 200, "trace_runs": 0, "sim_steps": 20_000})
+        names = ("events_0.4.ndjson", "results.csv")
+        runs = []
+        for _ in range(2):
+            assert run(path, "simulate") == 0
+            runs.append([(tmp_path / "out" / f).read_bytes() for f in names])
+        assert runs[0] == runs[1]
+        assert [hashlib.sha256(b).hexdigest() for b in runs[0]] == [
+            "bdbcafebc5c5aa23c8953256814c5bbc08dc5945f7cdf9af04cbce72d2efb241",
+            "ad78619395972390c1e5ef05c0e8e125ceec7e1b3165e3e8e6cbec976fbf50e4"]
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_config(tmp_path,

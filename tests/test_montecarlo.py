@@ -1,5 +1,6 @@
 """RNG streams, chain simulation, committor/hitting estimators, diluted trace."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,9 +11,10 @@ import metareduce.montecarlo
 from metareduce.errors import (NumericError, Runaway, SimulationTimeout,
                                ZeroHits)
 from metareduce.dynamics import DeterministicMapModel, MetastableStructure
-from metareduce.maps import build_map
+from metareduce.maps import build_map, builtin_names
 from metareduce.montecarlo import fit_log_scaling
 
+from test_maps import PARAMS as MAP_PARAMS
 from conftest import (HAND_K3, MASTER_SEED, exact_committor,
                       exact_hitting_times, kernel_from_matrix, make_ref_model)
 
@@ -202,6 +204,112 @@ class TestSeededSimulation:
         assert t.event_kinds.tolist() == [-1, 1] * 3
         assert t.entry_counts.tolist() == [2, 1]
         assert t.steps_in_ball.tolist() == [2, 1]
+
+
+def plain_path(model, x0, n_steps, seed):
+    """The chain one step at a time, noise drawn in simulate_chain's
+    65,536-step chunks: the path simulate_chain must give bit for bit."""
+    rng = mr.rng_stream(seed, 0)
+    x, rows = np.atleast_1d(np.asarray(x0, float)), []
+    for done in range(0, n_steps, 65_536):
+        take = min(65_536, n_steps - done)
+        for z in model.noise(rng.standard_normal((take, model.dim))):
+            x = model.pi(x) + z
+            rows.append(x)
+    return np.reshape(rows, (n_steps, model.dim))
+
+
+def assert_trace_is_path(trace, model, structure, path):
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+    np.testing.assert_array_equal(bits(trace.event_positions),
+                                  bits(path[trace.event_steps - 1]))
+    np.testing.assert_array_equal(bits(trace.final_position), bits(path[-1]))
+    ball = structure.ball_of(path)
+    assert trace.steps_in_ball.tolist() == np.bincount(
+        ball[ball >= 0], minlength=structure.n_balls).tolist()
+    assert trace.exits_from_box == int((~model.in_box(path)).sum())
+
+
+def flip_model(sigma):
+    """pi(x) = -x: |pi'| = 1, so chains driven by the same noise never
+    meet, and two balls at -1 and 1."""
+    dim, pi, jac = build_map("linear", {"a": -1.0})
+    model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], sigma,
+                                  "flip")
+    return model, MetastableStructure(np.array([[-1.0], [1.0]]),
+                                      np.array([0.5, 0.5]), 0.5)
+
+
+def counting(model):
+    """``model`` with ``pi`` wrapped in a counter of single-point and
+    batched calls."""
+    calls = {"point": 0, "batch": 0}
+
+    def pi(x):
+        calls["point" if x.ndim == 1 else "batch"] += 1
+        return model.pi(x)
+    return dataclasses.replace(model, pi=pi), calls
+
+
+class TestParallelInTime:
+    """simulate_chain steps segments from the ball centres at once and
+    keeps the path of the plain recursion bit for bit."""
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_every_builtin_map(self, name):
+        dim, pi, jac = build_map(name, MAP_PARAMS.get(name, {}))
+        model = DeterministicMapModel(dim, pi, jac, [[-2.0, 2.0]] * dim,
+                                      np.eye(dim), 0.1, name)
+        st = mr.build_metastable_structure(model, mr.find_fixed_points(model),
+                                           0.2)
+        trace = mr.simulate_chain(model, st, st.centers[0], 5000, 7)
+        assert_trace_is_path(trace, model, st,
+                             plain_path(model, st.centers[0], 5000, 7))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_across_chunks_and_groups(self, structure, structure2d, dim):
+        model, st = ((make_ref_model(0.5), structure) if dim == 1
+                     else (tanh2d_model(0.4), structure2d))
+        trace = mr.simulate_chain(model, st, st.centers[0], 70_000, 11)
+        assert_trace_is_path(trace, model, st,
+                             plain_path(model, st.centers[0], 70_000, 11))
+
+    @pytest.mark.parametrize("n_steps", [1, 3000])
+    def test_noiseless_from_off_centre(self, structure, n_steps):
+        model = make_ref_model(0.0)
+        trace = mr.simulate_chain(model, structure, np.array([0.3]), n_steps,
+                                  7)
+        assert_trace_is_path(trace, model, structure,
+                             plain_path(model, [0.3], n_steps, 7))
+
+    def test_shorter_than_one_segment(self, structure2d):
+        model = tanh2d_model(0.4)
+        x0 = np.array([0.2, -0.1])
+        trace = mr.simulate_chain(model, structure2d, x0, 500, 7)
+        assert_trace_is_path(trace, model, structure2d,
+                             plain_path(model, x0, 500, 7))
+
+    def test_never_coalescing_map(self):
+        model, st = flip_model(1e-3)
+        trace = mr.simulate_chain(model, st, np.array([0.9]), 5000, 7)
+        assert_trace_is_path(trace, model, st,
+                             plain_path(model, [0.9], 5000, 7))
+
+    def test_few_plain_steps_where_chains_meet(self, structure2d):
+        model, calls = counting(tanh2d_model(0.4))
+        mr.simulate_chain(model, structure2d, structure2d.centers[0],
+                          100_000, MASTER_SEED)
+        assert calls["point"] <= 10_000
+
+    def test_sweep_stops_where_chains_never_meet(self):
+        model, st = flip_model(1e-3)
+        model, calls = counting(model)
+        mr.simulate_chain(model, st, np.array([0.9]), 100_000, 7)
+        # one group is swept, then the rest is stepped plainly
+        segment = metareduce.montecarlo.SEGMENT
+        assert calls["batch"] <= segment
+        assert calls["point"] + calls["batch"] <= 100_000 + segment
 
 
 class TestEstimateCommittor:
