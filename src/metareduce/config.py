@@ -195,6 +195,11 @@ def parse_config(doc):
     workers = _integer("workers", doc.get("workers", 1))
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    # every worker block holds at least one run
+    runs = [mc[k] for k in ("committor_runs", "trace_runs") if mc[k] > 0]
+    if runs and workers > min(runs):
+        raise ConfigError(f"field 'workers' must be <= {min(runs)}, the "
+                          "smallest positive Monte Carlo run count")
 
     return RunConfig(
         map_name=name, map_params=dict(params), dim=dim,

@@ -71,7 +71,8 @@ class DeterministicMapModel:
 
     def noise(self, z):
         """sigma z L^T for standard normal rows z, shape (..., d)."""
-        return self.sigma * (z @ self._factors[1].T)
+        # np.dot gives the bits of z @ L^T, without matmul's overhead
+        return self.sigma * np.dot(z, self._factors[1].T)
 
     @property
     def diam(self):
@@ -127,27 +128,36 @@ class MetastableStructure:
     def n_balls(self):
         return len(self.radii)
 
+    def membership(self, x):
+        """The (N, ...) closed-ball rows of x, shape (..., d): row k tells
+        which points lie in ball k (``in_ball``)."""
+        x = np.asarray(x, float)
+        return np.array([self.in_ball(x, k) for k in range(self.n_balls)])
+
     def ball_of(self, x):
         """Index of the closed ball containing each point of x, shape
         (..., d), or -1; where balls overlap the first one wins."""
-        x = np.asarray(x, float)
-        out = np.full(x.shape[:-1], -1)
+        rows = self.membership(x)
+        out = np.full(rows.shape[1:], -1)
         for k in range(self.n_balls - 1, -1, -1):     # the first ball last
-            out[self.in_ball(x, k)] = k
+            out = np.where(rows[k], k, out)
         return out[()]
 
     def in_ball(self, x, k):
-        """Whether each point of x is in ball k (one, or one per point):
-        |x - c|^2 <= r^2 + 1e-15, summed axis by axis.  Grid membership, the
-        invariance check and every Monte Carlo estimator use this test."""
+        """Whether each point of x is in ball k: |x - c|^2 <= r^2 + 1e-15,
+        summed axis by axis.  Grid membership, the invariance check and
+        every Monte Carlo estimator use this test."""
         return _in_closed_ball(x, self.centers[k], self.radii[k])
 
 
 def _in_closed_ball(x, center, radius):
-    """``MetastableStructure.in_ball`` for one ball, or one per point."""
-    d2 = 0.0
-    for a in range(x.shape[-1]):
-        d2 = d2 + (x[..., a] - center[..., a]) ** 2
+    """``MetastableStructure.in_ball`` for one ball."""
+    d2 = x[..., 0] - center[0]
+    d2 *= d2
+    for a in range(1, x.shape[-1]):
+        t = x[..., a] - center[a]
+        t *= t
+        d2 += t
     return d2 <= radius ** 2 + 1e-15
 
 

@@ -72,8 +72,7 @@ class Grid:
         """Index sets for each ball, for M, and for the complement of M;
         raises BallConstructionFailed for a ball that holds no node."""
         pts = self.points()
-        balls = [np.where(structure.in_ball(pts, k))[0]
-                 for k in range(structure.n_balls)]
+        balls = [np.flatnonzero(row) for row in structure.membership(pts)]
         for k, b in enumerate(balls):
             if not b.size:
                 raise BallConstructionFailed(

@@ -192,9 +192,11 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     out one after another, until ``retire`` has stopped them all.
 
     A group's worker blocks are contiguous, block w on stream
-    ``stream0 + w``.  All blocks are stepped together, so ``workers`` sets
-    only the stream layout: each step draws, block by block in run order,
-    one noise row per active run, then maps all active runs at once.
+    ``stream0 + w``; a group needs at least ``workers`` runs.  All blocks
+    are stepped together, so ``workers`` sets only the stream layout: each
+    step draws, block by block in run order, one row of normals per active
+    run into one buffer (a Philox stream gives the same normals however
+    its draws are split), then maps all active runs at once.
     ``retire(step, x, idx, *state)`` gets the new positions of the active
     runs, their indices among all runs and their per-run state entries
     (which it may update in place), and returns a mask of the runs that
@@ -202,27 +204,32 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     """
     rngs, counts, x = [], [], []
     for x0, n_runs, stream0 in groups:
+        if n_runs < workers:
+            raise NumericError(f"{what}: {n_runs} runs cannot fill "
+                               f"{workers} worker blocks")
         rngs += [rng_stream(seed, stream0 + w) for w in range(workers)]
         counts += [n_runs // workers + (w < n_runs % workers)
                    for w in range(workers)]
         x.append(np.tile(x0, (n_runs, 1)))
     x = np.concatenate(x)
+    z = np.empty_like(x)        # the normals of a step, block by block
     idx = np.arange(x.shape[0])
-    bounds = np.cumsum([0] + counts)
+    # block edges among all runs (bounds) and among the active runs (edges)
+    bounds = edges = np.cumsum([0] + counts)
     step = 0
     while x.shape[0]:
         step += 1
         if step > step_cap:
             raise SimulationTimeout(f"{what} run exceeded {step_cap} steps")
-        noise = np.concatenate([rng.standard_normal((n, model.dim))
-                                for rng, n in zip(rngs, counts) if n])
-        x = model.pi(x) + model.noise(noise)
+        for rng, lo, hi in zip(rngs, edges[:-1], edges[1:]):
+            rng.standard_normal(out=z[lo:hi])
+        x = model.pi(x) + model.noise(z[:len(x)])
         stop = retire(step, x, idx, *state)
         if stop.any():
-            keep = ~stop
-            x, idx = x[keep], idx[keep]
+            keep = np.flatnonzero(~stop)    # take is cheaper than a mask
+            x, idx = x.take(keep, axis=0), idx[keep]
             state = [a[keep] for a in state]
-            counts = np.diff(np.searchsorted(idx, bounds))
+            edges = np.searchsorted(idx, bounds)
 
 
 def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
@@ -235,7 +242,11 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
     tau+ = min{n >= 1 : X_n in B}), so a run still inside ball i after the
     first kick counts as a return, not a hit: the estimate is
     P_x[tau+_{B_j} < tau+_{B_i}] at the stable point x.  The pairs are
-    stepped together, each on streams 0, 1, ... of the seed as if alone.
+    stepped together, each on streams 0, 1, ... of the seed.  Where a row
+    of noise does not depend on the batch (d = 1, or a diagonal
+    covariance) each estimate is bit for bit that of its pair alone; for
+    a correlated covariance the batched product may differ in the last
+    bit, so it is equal in law.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if (pairs[:, 0] == pairs[:, 1]).any():
@@ -246,10 +257,11 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
     hit = np.zeros(home.size, bool)
 
     def retire(step, x, idx):
-        # a point in both balls counts as a hit
-        reached = structure.in_ball(x, target[idx])
-        hit[idx[reached]] = True
-        return reached | structure.in_ball(x, home[idx])
+        # entry k * n + a of the flat (N, n) membership: run a in ball k
+        rows, at = structure.membership(x).ravel(), np.arange(idx.size)
+        reached = rows[target[idx] * idx.size + at]
+        hit[idx[reached]] = True    # a point in both balls counts as a hit
+        return reached | rows[home[idx] * idx.size + at]
 
     _run(model, [(structure.centers[i], n_runs, 0) for i in pairs[:, 0]],
          seed, workers, step_cap, "committor", retire)
@@ -299,7 +311,7 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
     times = np.zeros(len(starts) * n_reps)
 
     def retire(step, x, idx):
-        hit = structure.ball_of(x) >= 0
+        hit = structure.membership(x).any(axis=0)
         times[idx[hit]] = step
         return hit
 
@@ -321,23 +333,25 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         raise NumericError(f"n_runs must be >= {MIN_TRACE_RUNS}")
     if m < 1:
         raise NumericError("m must be >= 1")
-    counts = np.zeros((structure.n_balls, n_blocks + 1), dtype=np.int64)
-    counts[i, 0] = n_runs    # visit 0 is the start, inside ball i
+    counts = np.zeros(structure.n_balls * (n_blocks + 1), dtype=np.int64)
+    counts[i * (n_blocks + 1)] = n_runs    # visit 0 is the start, in ball i
 
-    def retire(step, x, idx, visits, recorded):
-        ball = structure.ball_of(x)
-        in_m = ball >= 0
+    def retire(step, x, idx, visits):
+        # block n is recorded at visit n m, so visits // m blocks are done
+        in_m = structure.membership(x).any(axis=0)
         visits += in_m
-        due = in_m & (visits == recorded * m)
-        np.add.at(counts, (ball[due], recorded[due]), 1)
-        recorded += due
-        return recorded > n_blocks
+        # in M at a multiple of m (// by a scalar is cheaper than %)
+        due = np.flatnonzero(in_m & (visits // m * m == visits))
+        nonlocal counts
+        counts += np.bincount(
+            structure.ball_of(x.take(due, axis=0)) * (n_blocks + 1)
+            + visits[due] // m, minlength=counts.size)
+        return visits >= n_blocks * m
 
-    # per run: visits to M so far, and blocks recorded so far
+    # per run: visits to M so far
     _run(model, [(structure.centers[i], n_runs, 0)], seed, workers,
-         step_cap, "trace", retire, np.zeros(n_runs, dtype=np.int64),
-         np.ones(n_runs, dtype=np.int64))
-    freqs = counts / n_runs
+         step_cap, "trace", retire, np.zeros(n_runs, dtype=np.int64))
+    freqs = counts.reshape(structure.n_balls, -1) / n_runs
     se = np.sqrt(freqs * (1.0 - freqs) / n_runs)
     return freqs, se
 

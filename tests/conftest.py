@@ -125,3 +125,96 @@ def exact_hitting_times(kernel, target):
     c = _rest(kernel, target)
     t_c = np.linalg.solve(np.eye(c.size) - K[np.ix_(c, c)], np.ones(c.size))
     return 1.0 + K[:, c] @ t_c
+
+
+# --- a plain reference for the Monte Carlo stepping engine --------------------
+# The estimators step all their runs at once in ``montecarlo._run``; this
+# steps the same law one worker block at a time, with none of its tricks.
+
+def plain_engine(model, structure, groups, seed, workers, stop):
+    """Step groups ``(x0, n_runs, stream0)`` of runs, laid out one after
+    another in contiguous worker blocks, block w on stream stream0 + w.
+
+    Each step, block by block in run order, draws standard_normal((n, d))
+    for the block's n active runs and moves them to pi(x) + noise(z).  Then
+    ``stop(step, runs, x, inside)`` gets the active runs' indices, their new
+    positions and inside[k] = in_ball(x, k) for every ball, and returns
+    which of them stop.
+    """
+    x, blocks, first = [], [], 0
+    for x0, n_runs, stream0 in groups:
+        sizes = [n_runs // workers + (w < n_runs % workers)
+                 for w in range(workers)]
+        edges = first + np.cumsum([0] + sizes)
+        blocks += [(mr.rng_stream(seed, stream0 + w),
+                    np.arange(edges[w], edges[w + 1])) for w in range(workers)]
+        x.append(np.tile(x0, (n_runs, 1)))
+        first += n_runs
+    x = np.concatenate(x)
+    active = np.ones(first, bool)
+    step = 0
+    while active.any():
+        step += 1
+        for rng, runs in blocks:
+            runs = runs[active[runs]]
+            if runs.size:
+                z = rng.standard_normal((runs.size, model.dim))
+                x[runs] = model.pi(x[runs]) + model.noise(z)
+        runs = np.flatnonzero(active)
+        inside = np.array([structure.in_ball(x[runs], k)
+                           for k in range(structure.n_balls)])
+        active[runs[stop(step, runs, x[runs], inside)]] = False
+
+
+def plain_committor(model, structure, pairs, n_runs, seed, workers):
+    """Hit counts per pair, as ``estimate_committor`` counts them."""
+    home, target = np.repeat(np.asarray(pairs), n_runs, axis=0).T
+    hit = np.zeros(home.size, bool)
+
+    def stop(step, runs, x, inside):
+        at = np.arange(runs.size)
+        reached = inside[target[runs], at]
+        hit[runs[reached]] = True
+        return reached | inside[home[runs], at]
+
+    groups = [(structure.centers[i], n_runs, 0) for i, _ in pairs]
+    plain_engine(model, structure, groups, seed, workers, stop)
+    return hit.reshape(-1, n_runs).sum(axis=1)
+
+
+def plain_hitting_steps(model, structure, groups, seed, workers):
+    """Step at which each run first lands in a ball (``estimate_ex``)."""
+    times = np.zeros(sum(n for _, n, _ in groups))
+
+    def stop(step, runs, x, inside):
+        hit = inside.any(axis=0)
+        times[runs[hit]] = step
+        return hit
+
+    plain_engine(model, structure, groups, seed, workers, stop)
+    return times
+
+
+def plain_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
+                        workers):
+    """Counts of the ball at every (n m)-th visit to M, as
+    ``empirical_diluted_trace`` tallies them."""
+    counts = np.zeros((structure.n_balls, n_blocks + 1), dtype=np.int64)
+    counts[i, 0] = n_runs
+    visits = np.zeros(n_runs, dtype=np.int64)
+    recorded = np.ones(n_runs, dtype=np.int64)
+
+    def stop(step, runs, x, inside):
+        ball = np.full(runs.size, -1)
+        for k in range(structure.n_balls - 1, -1, -1):
+            ball[inside[k]] = k
+        in_m = ball >= 0
+        visits[runs] += in_m
+        due = in_m & (visits[runs] == recorded[runs] * m)
+        np.add.at(counts, (ball[due], recorded[runs][due]), 1)
+        recorded[runs[due]] += 1
+        return recorded[runs] > n_blocks
+
+    plain_engine(model, structure, [(structure.centers[i], n_runs, 0)], seed,
+                 workers, stop)
+    return counts

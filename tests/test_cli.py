@@ -16,6 +16,7 @@ import metareduce.quasipotential
 from metareduce.cli import Pipeline, main
 from metareduce.config import load_config
 from metareduce.dynamics import DeterministicMapModel
+from metareduce.errors import ConfigError
 
 BASE = {
     "schema": 1,
@@ -134,6 +135,30 @@ class TestConfigErrors:
         line, = capsys.readouterr().err.splitlines()
         err = json.loads(line)
         assert err["error"] == "config" and field in err["message"]
+
+
+    @pytest.mark.parametrize("mc,workers,bound", [
+        ({"committor_runs": 500, "trace_runs": 0}, 500, None),
+        ({"committor_runs": 500, "trace_runs": 0}, 501, 500),
+        ({"committor_runs": 5000, "trace_runs": 1000}, 1001, 1000),
+        ({"committor_runs": 0, "trace_runs": 0}, 10_000_000, None)])
+    def test_workers_bounded_by_run_counts(self, tmp_path, mc, workers,
+                                           bound):
+        # every worker block holds a run; MC off leaves workers unused
+        path = write_config(tmp_path, mc=mc, workers=workers)
+        if bound is None:
+            assert load_config(path).workers == workers
+        else:
+            with pytest.raises(ConfigError, match=f"'workers' must be <= "
+                                                  f"{bound}"):
+                load_config(path)
+
+    def test_huge_workers_flag_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, mc={"committor_runs": 500,
+                                          "trace_runs": 0, "sim_steps": 2000})
+        assert run(path, "simulate", "--workers", "10000000") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "workers" in err["message"]
 
 
 class TestAnalyze:

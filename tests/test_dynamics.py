@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import metareduce as mr
-from metareduce.dynamics import DeterministicMapModel, FixedPointRecord
+from metareduce.dynamics import (DeterministicMapModel, FixedPointRecord,
+                                 MetastableStructure)
 from metareduce.errors import (BallConstructionFailed, DriftViolated,
                                MarginalFixedPoint, NoStableFixedPoint)
 from metareduce.maps import build_map
@@ -289,3 +290,86 @@ class TestModelValidation:
         with pytest.raises(mr.errors.ConfigError, match="positive definite"):
             DeterministicMapModel(2, pi, jac, [[-2, 2], [-2, 2]],
                                   [[1.0, 2.0], [2.0, 1.0]], 0.4, "tanh2d")
+
+
+def bits(a):
+    return np.ascontiguousarray(a, float).view(np.int64)
+
+
+class TestNoiseLaw:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 7, 4097])
+    def test_noise_is_the_matmul_bit_for_bit(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        for _ in range(5):
+            a = rng.standard_normal((d, d))
+            cov = a @ a.T + 0.1 * np.eye(d)
+            cov = (cov + cov.T) / 2
+            model = DeterministicMapModel(d, None, None, [[-1.0, 1.0]] * d,
+                                          cov, 0.37)
+            z = rng.standard_normal((n, d))
+            want = 0.37 * (z @ np.linalg.cholesky(cov).T)
+            np.testing.assert_array_equal(bits(model.noise(z)), bits(want))
+
+
+def exact_rim(radius):
+    """(r, x): a radius near ``radius`` and x > 0 with x^2 = r^2 + 1e-15
+    exactly in floating point."""
+    r = radius
+    while True:
+        b = r * r + 1e-15
+        x = np.sqrt(b)
+        for cand in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)):
+            if cand * cand == b:
+                return r, cand
+        r = np.nextafter(r, 1.0)
+
+
+class TestMembership:
+    """``membership`` and ``ball_of`` against the closed-ball test written
+    out: |x - c|^2 summed axis by axis, then <= r^2 + 1e-15."""
+
+    @staticmethod
+    def per_ball(st, x):
+        rows = []
+        for c, r in zip(st.centers, st.radii):
+            d2 = 0.0
+            for a in range(x.shape[-1]):
+                d2 = d2 + (x[..., a] - c[a]) ** 2
+            rows.append(d2 <= r ** 2 + 1e-15)
+        first = np.full(x.shape[:-1], -1)
+        for k in range(len(rows) - 1, -1, -1):
+            first[rows[k]] = k
+        return np.array(rows), first
+
+    def structure(self, dim):
+        # balls 0 and 1 overlap; ball 2 is on its own
+        r, rim = exact_rim(0.5)
+        centers = np.zeros((3, dim))
+        centers[:, 0] = [0.0, 0.6, -1.5]
+        return MetastableStructure(centers, np.array([r, 0.5, 0.3]), 0.3), rim
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_rim_overlap_and_nan(self, dim):
+        st, rim = self.structure(dim)
+        x = np.zeros((7, dim))
+        x[:, 0] = [rim, np.nextafter(rim, 1.0), -rim, 0.3, -1.5, 5.0, np.nan]
+        rows, first = self.per_ball(st, x)
+        # on the rim, just past it, the far rim, in both 0 and 1, in
+        # ball 2, in none, NaN
+        assert first.tolist() == [0, 1, 0, 0, 2, -1, -1]
+        assert rows[:, 1].tolist() == [False, True, False]
+        np.testing.assert_array_equal(st.membership(x), rows)
+        np.testing.assert_array_equal(st.ball_of(x), first)
+        for p, row, k in zip(x, rows.T, first):
+            np.testing.assert_array_equal(st.membership(p), row)
+            assert st.ball_of(p) == k
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_random_points(self, dim):
+        st, _ = self.structure(dim)
+        x = np.random.default_rng(dim).uniform(-2.0, 2.0, (5000, dim))
+        rows, first = self.per_ball(st, x)
+        assert len(set(first.tolist())) == 4
+        np.testing.assert_array_equal(st.membership(x), rows)
+        np.testing.assert_array_equal(st.ball_of(x), first)

@@ -1,6 +1,7 @@
 """RNG streams, chain simulation, committor/hitting estimators, diluted trace."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -16,7 +17,9 @@ from metareduce.montecarlo import fit_log_scaling
 
 from test_maps import PARAMS as MAP_PARAMS
 from conftest import (HAND_K3, MASTER_SEED, exact_committor,
-                      exact_hitting_times, kernel_from_matrix, make_ref_model)
+                      exact_hitting_times, kernel_from_matrix, make_ref_model,
+                      plain_committor, plain_diluted_trace,
+                      plain_hitting_steps)
 
 
 @pytest.fixture(scope="module")
@@ -590,6 +593,91 @@ class TestDilutedTrace:
         b, _ = mr.empirical_diluted_trace(model, structure, 0, 2, 5, 1000,
                                           MASTER_SEED, workers=3)
         np.testing.assert_array_equal(a, b)
+
+
+class TestPlainEngine:
+    """Every estimator, bit for bit, against conftest's plain stepper,
+    which draws and maps one worker block at a time and tests the balls
+    one by one."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_committor(self, structure, structure2d, workers):
+        for model, st, pairs, n_runs in (
+                (make_ref_model(0.5), structure, [(0, 1), (1, 0)], 300),
+                (tanh2d_model(0.5), structure2d, [(0, 1), (2, 3), (3, 0)],
+                 100)):
+            ests = mr.estimate_committor(model, st, pairs, n_runs, 7,
+                                         workers=workers)
+            hits = plain_committor(model, st, pairs, n_runs, 7, workers)
+            assert [e.estimate for e in ests] == (hits / n_runs).tolist()
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.5])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_committor_overlapping_balls(self, sigma, workers):
+        # pi(x) = 0, so every run lands near 0: at sigma 0.01 in both balls
+        # (a hit), at 0.5 in one, both or none
+        dim, pi, jac = build_map("linear", {"a": 0.0})
+        model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], sigma,
+                                      "zero")
+        st = MetastableStructure(np.array([[0.2], [0.0]]),
+                                 np.array([0.5, 0.5]), 0.5)
+        pairs = [(0, 1), (1, 0)]
+        ests = mr.estimate_committor(model, st, pairs, 200, MASTER_SEED,
+                                     workers=workers)
+        hits = plain_committor(model, st, pairs, 200, MASTER_SEED, workers)
+        assert [e.estimate for e in ests] == (hits / 200).tolist()
+        if sigma == 0.01:
+            assert hits.tolist() == [200, 200]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_hitting_time(self, structure, structure2d, monkeypatch,
+                          workers):
+        run, groups = metareduce.montecarlo._run, []
+
+        def recording(model, g, *args):
+            groups[:] = g
+            return run(model, g, *args)
+
+        monkeypatch.setattr(metareduce.montecarlo, "_run", recording)
+        for model, st, nodes in ((make_ref_model(0.5), structure, 101),
+                                 (tanh2d_model(0.5), structure2d, 11)):
+            grid = mr.Grid.from_box(model.box, nodes)
+            est = mr.estimate_ex(model, st, grid, 100, 7,
+                                 fixed_points=mr.find_fixed_points(model),
+                                 n_reps=10, workers=workers)
+            runs = plain_hitting_steps(model, st, groups, 7,
+                                       workers).reshape(-1, 10)
+            t = runs[runs.mean(axis=1).argmax()]
+            assert (est.estimate, est.stderr) \
+                == (t.mean(), t.std(ddof=1) / np.sqrt(10))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_diluted_trace(self, structure, structure2d, workers):
+        for model, st, i, m in ((make_ref_model(0.5), structure, 0, 3),
+                                (tanh2d_model(0.5), structure2d, 2, 1)):
+            freqs, _ = mr.empirical_diluted_trace(model, st, i, m, 4, 1000, 7,
+                                                  workers=workers)
+            counts = plain_diluted_trace(model, st, i, m, 4, 1000, 7, workers)
+            np.testing.assert_array_equal(freqs, counts / 1000)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pairs_together_equal_pairs_alone(self, structure, structure2d,
+                                              dim):
+        # d = 1 and a diagonal covariance: a noise row does not depend on
+        # the batch, so a pair's estimate is bit for bit that of it alone
+        model, st = ((make_ref_model(0.5), structure) if dim == 1
+                     else (tanh2d_model(0.5), structure2d))
+        pairs = list(itertools.permutations(range(st.n_balls), 2))
+        together = mr.estimate_committor(model, st, pairs, 200, 7, workers=2)
+        alone = [mr.estimate_committor(model, st, [p], 200, 7, workers=2)[0]
+                 for p in pairs]
+        assert together == alone
+
+    def test_fewer_runs_than_workers_rejected(self, structure):
+        # raised before any stream is made or any step taken
+        with pytest.raises(NumericError, match="100 runs cannot fill 101"):
+            mr.estimate_committor(make_ref_model(0.5), structure, [(0, 1)],
+                                  100, 7, workers=101)
 
 
 class TestFitLogScaling:
