@@ -73,7 +73,7 @@ class Pipeline:
         self.out_dir = Path(cfg.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._models = {}
-        self._kernels = {}
+        self._kernel = (None, None)   # the last sigma's; commands walk sigma
 
     def model(self, sigma):
         if sigma not in self._models:
@@ -97,14 +97,15 @@ class Pipeline:
         return self.grid.membership(self.structure)
 
     def kernel(self, sigma):
-        if sigma not in self._kernels:
+        if self._kernel[0] != sigma:
+            self._kernel = (None, None)     # free the old one first
             model = self.model(sigma)
-            cached = load_kernel(self.cache_dir, model, self.grid)
-            if cached is None:
-                cached = discretize_kernel(model, self.grid)
-                save_kernel(self.cache_dir, model, self.grid, cached)
-            self._kernels[sigma] = cached
-        return self._kernels[sigma]
+            k = load_kernel(self.cache_dir, model, self.grid)
+            if k is None:
+                k = discretize_kernel(model, self.grid)
+                save_kernel(self.cache_dir, model, self.grid, k)
+            self._kernel = (sigma, k)
+        return self._kernel[1]
 
     def trace_on_m(self, sigma):
         _, m_set, _ = self.membership

@@ -13,7 +13,7 @@ import numpy as np
 from . import maps
 from .dynamics import DeterministicMapModel
 from .errors import ConfigError
-from .montecarlo import MIN_COMMITTOR_RUNS, MIN_TRACE_RUNS
+from .montecarlo import DEFAULT_STEP_CAP, MIN_COMMITTOR_RUNS, MIN_TRACE_RUNS
 
 SCHEMA_VERSION = 1
 MIN_GRID_NODES = 51
@@ -23,7 +23,7 @@ _MC_DEFAULTS = {
     "trace_runs": 10_000,
     "trace_blocks": 20,
     "sim_steps": 100_000,
-    "step_cap": 100_000_000,
+    "step_cap": DEFAULT_STEP_CAP,
 }
 _FIELDS = {"schema", "map", "dim", "box", "cov", "sigma", "sigmas",
            "grid_nodes", "delta", "theta", "r_hop", "mc", "tol_refine",

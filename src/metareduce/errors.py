@@ -39,7 +39,7 @@ class DriftViolated(NumericError):
 # --- kernel -----------------------------------------------------------------
 
 class DegenerateRow(NumericError):
-    """A raw quadrature row sum underflowed (sigma too small for the grid)."""
+    """A row sum of exp(-rate/sigma^2) underflowed (sigma too small for grid)."""
 
 
 class NonRecurrentComplement(NumericError):

@@ -3,8 +3,9 @@
 The continuous kernel has density N^{-1} exp(-I(x,y)/sigma^2) with
 I(x,y) = <y - pi(x), cov^{-1} (y - pi(x))> / 2, the one-step rate
 ``model.rate(y - pi(x))`` of the model's noise law.  On a grid the matrix entry
-is density * cell volume, then rows are normalized: that is the finite-volume
-surrogate for conditioning the chain on staying in the box.
+is exp(-I(x,y)/sigma^2): the constant N and the cell volume cancel in the row
+normalization, the finite-volume surrogate for conditioning the chain on
+staying in the box.
 ``trace_kernel`` imports scipy.linalg itself, so kernel set-up never loads it.
 """
 
@@ -23,8 +24,8 @@ from .errors import DegenerateRow, NonRecurrentComplement, NumericError
 
 ROW_SUM_TOL = 1e-12
 TRACE_ROW_TOL = 1e-10
-RAW_ROW_FLOOR = 1e-300
-CACHE_SCHEMA = 2                # bump when the cached kernel's meaning changes
+RAW_ROW_FLOOR = 1e-300          # least sum of a row's exp(-rate/sigma^2)
+CACHE_SCHEMA = 3                # bump when the cached kernel's bits change
 ROW_CHUNK = 256                 # kernel rows assembled per block
 
 
@@ -80,7 +81,7 @@ def gaussian_rate(model, x, y):
 
 
 def discretize_kernel(model, grid):
-    """Row-normalized Gaussian quadrature kernel on all grid nodes.
+    """Row-normalized exp(-rate/sigma^2) on all grid nodes, in one buffer.
 
     Rows are assembled ``ROW_CHUNK`` at a time so the (n, n, d) difference
     tensor is never materialized in full.
@@ -90,19 +91,17 @@ def discretize_kernel(model, grid):
     pts = grid.points()
     n = grid.n_nodes
     images = model.pi(pts)
-    norm = (2 * np.pi * model.sigma ** 2) ** (model.dim / 2) \
-        * np.sqrt(np.linalg.det(model.cov))
-    raw = np.empty((n, n))
+    k = np.empty((n, n))
     for start in range(0, n, ROW_CHUNK):
         stop = min(start + ROW_CHUNK, n)
         diffs = pts[None, :, :] - images[start:stop, None, :]
-        raw[start:stop] = np.exp(-model.rate(diffs) / model.sigma ** 2)
-    raw *= grid.weight / norm
-    sums = raw.sum(axis=1)
+        k[start:stop] = np.exp(-model.rate(diffs) / model.sigma ** 2)
+    sums = k.sum(axis=1)
     if sums.min() < RAW_ROW_FLOOR:
         raise DegenerateRow(
             f"raw row sum {sums.min():.3g} underflowed; refine sigma or grid")
-    return KernelMatrix(raw / sums[:, None], "stochastic", np.arange(n))
+    k /= sums[:, None]
+    return KernelMatrix(k, "stochastic", np.arange(n))
 
 
 def escape_mass(kernel, subset):
@@ -151,24 +150,24 @@ def trace_kernel(kernel, subset):
     loc = kernel.local_indices(subset)
     comp = np.setdiff1d(np.arange(kernel.size), loc)
     K = kernel.matrix
-    Kaa = K[np.ix_(loc, loc)]
-    Kac = K[np.ix_(loc, comp)]
-    Kca = K[np.ix_(comp, loc)]
-    Kcc = K[np.ix_(comp, comp)]
-    from scipy.linalg import LinAlgError, lu_factor, lu_solve
-    try:
-        lu, piv = lu_factor(np.eye(comp.size) - Kcc)
-    except LinAlgError as exc:
-        raise NonRecurrentComplement(str(exc)) from exc
-    if np.abs(np.diag(lu)).min() < 1e-14:
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+    a = K.T[np.ix_(comp, comp)].T   # Fortran order: LAPACK works in place
+    np.negative(a, out=a)
+    a[np.diag_indices(comp.size)] += 1.0    # a = Id - K_CC
+    with warnings.catch_warnings():     # a singular matrix only warns
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(a, overwrite_a=True)
+    if np.abs(np.diag(lu[0])).min() < 1e-14:
         raise NonRecurrentComplement("(Id - K_cc) is singular to working precision")
-    traced = Kaa + Kac @ lu_solve((lu, piv), Kca)
+    traced = K[np.ix_(loc, loc)]
+    traced += K[np.ix_(loc, comp)] @ lu_solve(lu, K.T[np.ix_(loc, comp)].T,
+                                              overwrite_b=True)
     sums = traced.sum(axis=1)
     if np.abs(sums - 1.0).max() > TRACE_ROW_TOL:
         raise NumericError(
             f"trace kernel lost probability: max row defect "
             f"{np.abs(sums - 1.0).max():.3g}")
-    traced = np.clip(traced, 0.0, None)
+    np.clip(traced, 0.0, None, out=traced)
     traced /= traced.sum(axis=1)[:, None]
     return KernelMatrix(traced, "stochastic", subset)
 
@@ -247,10 +246,8 @@ def load_kernel(cache_dir, model, grid):
         return None
     stored = json.loads(meta_path.read_text())
     stored.pop("hash", None)
-    if stored != meta:
-        return None
     n = grid.n_nodes
-    raw = np.frombuffer(data_path.read_bytes(), dtype="<f8")
-    if raw.size != n * n:
+    if stored != meta or data_path.stat().st_size != 8 * n * n:
         return None
-    return KernelMatrix(raw.reshape(n, n).copy(), "stochastic", np.arange(n))
+    k = np.fromfile(data_path, dtype="<f8").reshape(n, n)
+    return KernelMatrix(k, "stochastic", np.arange(n))

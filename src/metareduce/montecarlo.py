@@ -338,13 +338,14 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
 
     def retire(step, x, idx, visits):
         # block n is recorded at visit n m, so visits // m blocks are done
-        in_m = structure.membership(x).any(axis=0)
+        rows = structure.membership(x)
+        in_m = rows.any(axis=0)
         visits += in_m
         # in M at a multiple of m (// by a scalar is cheaper than %)
         due = np.flatnonzero(in_m & (visits // m * m == visits))
         nonlocal counts
-        counts += np.bincount(
-            structure.ball_of(x.take(due, axis=0)) * (n_blocks + 1)
+        counts += np.bincount(    # argmax: the first ball, as in ball_of
+            rows[:, due].argmax(axis=0) * (n_blocks + 1)
             + visits[due] // m, minlength=counts.size)
         return visits >= n_blocks * m
 

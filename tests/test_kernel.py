@@ -7,7 +7,8 @@ import pytest
 
 import metareduce as mr
 from metareduce.dynamics import DeterministicMapModel
-from metareduce.errors import DegenerateRow, NumericError
+from metareduce.errors import (DegenerateRow, NonRecurrentComplement,
+                               NumericError)
 from metareduce.grid import Grid
 from metareduce.kernel import cache_key, load_kernel, save_kernel
 from metareduce.maps import build_map
@@ -164,6 +165,16 @@ class TestTraceKernel:
         loc = traced.local_indices(ref["balls"][1])
         assert loc.size == ref["balls"][1].size
 
+    def test_closed_complement_raises(self):
+        # {2, 3} is a closed class: the chain started there never returns
+        # to {0, 1}, and Id - K_CC = [[.5, -.5], [-.5, .5]] is singular
+        K = kernel_from_matrix([[0.5, 0.2, 0.3, 0.0],
+                                [0.1, 0.6, 0.0, 0.3],
+                                [0.0, 0.0, 0.5, 0.5],
+                                [0.0, 0.0, 0.5, 0.5]])
+        with pytest.raises(NonRecurrentComplement):
+            mr.trace_kernel(K, [0, 1])
+
 
 class TestInvariantMeasure:
     def test_two_state_balance(self):
@@ -247,6 +258,18 @@ class TestKernelCache:
         save_kernel(cache_dir, model, g, K)
         loaded = load_kernel(cache_dir, model, g)
         np.testing.assert_array_equal(loaded.matrix, K.matrix)
+
+    @pytest.mark.parametrize("change", [-3, -8, 3])
+    def test_wrong_size_file_misses(self, tmp_path, change):
+        # a cut or grown .kern file is a miss, whether or not its size is a
+        # whole number of float64 entries
+        model = make_ref_model(0.5)
+        g = Grid.from_box(model.box, 51)
+        key = save_kernel(tmp_path, model, g, mr.discretize_kernel(model, g))
+        path = tmp_path / f"{key}.kern"
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + b"\0" * change)
+        assert load_kernel(tmp_path, model, g) is None
 
     def test_cache_key_sensitivity(self):
         base = {"map_id": "tanh", "dim": 1, "box": [[-2, 2]], "nodes": [101],
