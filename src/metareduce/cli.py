@@ -24,8 +24,8 @@ from .dynamics import (DriftViolated, build_metastable_structure,
 from .errors import ConfigError, MetareduceError, NumericError
 from .grid import Grid
 from .kernel import discretize_kernel, load_kernel, save_kernel, trace_kernel
-from .montecarlo import (empirical_diluted_trace, estimate_committor,
-                         simulate_chain)
+from .montecarlo import (Normals, empirical_diluted_trace,
+                         estimate_committor, simulate_chain)
 from .quasipotential import compute_h_matrix, refinement_check
 from .reduction import (build_reduced_chain, default_theta,
                         diluted_marginal_deviation, reduced_chain_marginals,
@@ -40,6 +40,7 @@ COMMITTOR_ETA_FACTOR = 0.15
 QSD_LAW_RTOL = 1e-8
 REDUC_ABS_TOL = 1e-2
 REDUC_N_MAX = 50
+EVENT_BLOCK = 1024      # simulate events formatted per block
 
 
 def _fmt(v):
@@ -74,6 +75,7 @@ class Pipeline:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._models = {}
         self._kernel = (None, None)   # the last sigma's; commands walk sigma
+        self.normals = Normals(cfg.seed)    # shared by every estimator
 
     def model(self, sigma):
         if sigma not in self._models:
@@ -270,14 +272,16 @@ def cmd_simulate(pipe: Pipeline):
         if cfg.mc["sim_steps"] > 0:
             trace = simulate_chain(model, structure, structure.centers[0],
                                    cfg.mc["sim_steps"], cfg.seed)
-            # the lines json.dumps(..., sort_keys=True) writes; positions
-            # are finite, since a runaway position raises
-            lines = [f'{{"ball": {b}, "kind": {k}, "position": '
-                     f'[{", ".join(map(repr, p.tolist()))}], "step": {s}}}'
-                     for s, b, k, p in zip(trace.event_steps,
-                                           trace.event_balls,
-                                           trace.event_kinds,
-                                           trace.event_positions)]
+            # the lines json.dumps(..., sort_keys=True) writes (positions are
+            # finite: a runaway raises), from Python lists a block at a time
+            cols = (trace.event_steps, trace.event_balls, trace.event_kinds,
+                    trace.event_positions)
+            lines = []
+            for at in range(0, len(cols[0]), EVENT_BLOCK):
+                lines += [f'{{"ball": {b}, "kind": {k}, "position": '
+                          f'[{", ".join(map(repr, p))}], "step": {s}}}'
+                          for s, b, k, p in zip(*(
+                              c[at:at + EVENT_BLOCK].tolist() for c in cols))]
             (pipe.out_dir / f"events_{_sig_tag(sigma)}.ndjson").write_text(
                 "\n".join(lines) + ("\n" if lines else ""))
             rows.append(("balls_visited", sigma,
@@ -286,8 +290,8 @@ def cmd_simulate(pipe: Pipeline):
         if cfg.mc["committor_runs"] > 0 and structure.n_balls > 1:
             pairs = list(itertools.permutations(range(structure.n_balls), 2))
             ests = estimate_committor(
-                model, structure, pairs, cfg.mc["committor_runs"], cfg.seed,
-                workers=cfg.workers, step_cap=cfg.mc["step_cap"])
+                model, structure, pairs, cfg.mc["committor_runs"],
+                pipe.normals, workers=cfg.workers, step_cap=cfg.mc["step_cap"])
             rows += [(f"committor_{i}_to_{j}", sigma, est.estimate,
                       est.stderr, est.n_samples, cfg.seed)
                      for (i, j), est in zip(pairs, ests)]
@@ -362,7 +366,7 @@ def cmd_validate(pipe: Pipeline):
         if cfg.mc["committor_runs"] > 0 and n > 1:
             est, = estimate_committor(pipe.model(sigma), pipe.structure,
                                       [(0, 1)], cfg.mc["committor_runs"],
-                                      cfg.seed, workers=cfg.workers,
+                                      pipe.normals, workers=cfg.workers,
                                       step_cap=cfg.mc["step_cap"])
             dev = abs(est.log_scale + table.h_matrix[0, 1])
             tol = COMMITTOR_ETA_FACTOR * table.h0
@@ -377,7 +381,7 @@ def cmd_validate(pipe: Pipeline):
         if cfg.mc["trace_runs"] > 0 and n > 1:
             freqs, ses = empirical_diluted_trace(
                 pipe.model(sigma), pipe.structure, 0, model_r.m,
-                cfg.mc["trace_blocks"], cfg.mc["trace_runs"], cfg.seed,
+                cfg.mc["trace_blocks"], cfg.mc["trace_runs"], pipe.normals,
                 workers=cfg.workers, step_cap=cfg.mc["step_cap"])
             marg = reduced_chain_marginals(model_r.p, 0,
                                            cfg.mc["trace_blocks"]).T

@@ -27,6 +27,7 @@ TRACE_ROW_TOL = 1e-10
 RAW_ROW_FLOOR = 1e-300          # least sum of a row's exp(-rate/sigma^2)
 CACHE_SCHEMA = 3                # bump when the cached kernel's bits change
 ROW_CHUNK = 256                 # kernel rows assembled per block
+GATHER_COLS = 64                # columns of Id - K_CC gathered per block
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,9 @@ def trace_kernel(kernel, subset):
     comp = np.setdiff1d(np.arange(kernel.size), loc)
     K = kernel.matrix
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-    a = K.T[np.ix_(comp, comp)].T   # Fortran order: LAPACK works in place
+    a = np.empty((comp.size, comp.size), order="F")    # LAPACK works in place
+    for j in range(0, comp.size, GATHER_COLS):
+        a[:, j:j + GATHER_COLS] = K[np.ix_(comp, comp[j:j + GATHER_COLS])]
     np.negative(a, out=a)
     a[np.diag_indices(comp.size)] += 1.0    # a = Id - K_CC
     with warnings.catch_warnings():     # a singular matrix only warns

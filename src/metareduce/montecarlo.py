@@ -4,7 +4,8 @@ All randomness flows through counter-based Philox streams derived from a
 master seed and a worker id, so every estimate is a pure function of
 (config, master seed, worker count).  Workers own contiguous blocks of runs,
 each on its own stream; all blocks are stepped together in one process, so
-the worker count sets only this stream layout.
+the worker count sets only this stream layout.  A command's estimators
+share one ``Normals`` tape, which draws each stream once and replays it.
 
 The single chain of ``simulate_chain`` is stepped parallel in time, and is
 bit for bit the chain stepped one step at a time: chains driven by the same
@@ -26,6 +27,8 @@ MIN_TRACE_RUNS = 1000
 SEGMENT = 1024              # steps per segment of the parallel-in-time sweep
 GUESS_BYTES = 1 << 20       # cap on the guess paths one sweep holds
 CHECK_EVERY = 16            # plain steps between two coalescence checks
+TAPE_BYTES = 16 << 20       # cap on the normals one tape records
+TAPE_CHUNK = 1 << 16        # most normals a tape draws at a time
 
 
 def rng_stream(master_seed, worker_id):
@@ -34,6 +37,45 @@ def rng_stream(master_seed, worker_id):
         raise NumericError("worker_id must be nonnegative")
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(worker_id),))
     return np.random.Generator(np.random.Philox(seq))
+
+
+class Normals:
+    """Each stream (seed, w), drawn once in chunks (chunk c: what a reader
+    asks or 2^c normals, at most TAPE_CHUNK) and replayed to every reader,
+    as Philox gives the same normals however draws split.  Past TAPE_BYTES
+    a stream records no more; a reader past its end goes on alone."""
+
+    def __init__(self, seed):
+        self.seed, self.nbytes = seed, 0
+        self.streams = {}       # w -> (chunks, generator at their end)
+
+    def reader(self, w):
+        """A function filling C-contiguous arrays with stream w's normals."""
+        if w not in self.streams:
+            self.streams[w] = ([], rng_stream(self.seed, w))
+        chunks, rng = self.streams[w]
+        c, at, own = 0, 0, None     # the next normal is chunks[c][at]
+
+        def fill(out):
+            nonlocal c, at, own
+            flat, done = out.reshape(-1), 0
+            while done < flat.size and own is None:
+                if c == len(chunks):
+                    size = min(TAPE_CHUNK, max(flat.size - done, 1 << c))
+                    if self.nbytes + 8 * size > TAPE_BYTES:
+                        own = rng_stream(self.seed, w)
+                        own.bit_generator.state = rng.bit_generator.state
+                        break
+                    chunks.append(rng.standard_normal(size))
+                    self.nbytes += 8 * size
+                k = min(flat.size - done, chunks[c].size - at)
+                flat[done:done + k] = chunks[c][at:at + k]
+                done, at = done + k, at + k
+                if at == chunks[c].size:
+                    c, at = c + 1, 0
+            if done < flat.size:
+                own.standard_normal(out=flat[done:])
+        return fill
 
 
 @dataclass
@@ -194,20 +236,21 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     A group's worker blocks are contiguous, block w on stream
     ``stream0 + w``; a group needs at least ``workers`` runs.  All blocks
     are stepped together, so ``workers`` sets only the stream layout: each
-    step draws, block by block in run order, one row of normals per active
-    run into one buffer (a Philox stream gives the same normals however
-    its draws are split), then maps all active runs at once.
+    step reads, block by block in run order, one row of normals per active
+    run into one buffer, then maps all active runs at once.  ``seed`` is an
+    int or a ``Normals`` tape, which replays each stream to every call.
     ``retire(step, x, idx, *state)`` gets the new positions of the active
     runs, their indices among all runs and their per-run state entries
     (which it may update in place), and returns a mask of the runs that
     stop; the arrays are compacted only on steps where some do.
     """
-    rngs, counts, x = [], [], []
+    tape = seed if isinstance(seed, Normals) else Normals(seed)
+    reads, counts, x = [], [], []
     for x0, n_runs, stream0 in groups:
         if n_runs < workers:
             raise NumericError(f"{what}: {n_runs} runs cannot fill "
                                f"{workers} worker blocks")
-        rngs += [rng_stream(seed, stream0 + w) for w in range(workers)]
+        reads += [tape.reader(stream0 + w) for w in range(workers)]
         counts += [n_runs // workers + (w < n_runs % workers)
                    for w in range(workers)]
         x.append(np.tile(x0, (n_runs, 1)))
@@ -221,8 +264,8 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
         step += 1
         if step > step_cap:
             raise SimulationTimeout(f"{what} run exceeded {step_cap} steps")
-        for rng, lo, hi in zip(rngs, edges[:-1], edges[1:]):
-            rng.standard_normal(out=z[lo:hi])
+        for read, lo, hi in zip(reads, edges[:-1], edges[1:]):
+            read(z[lo:hi])
         x = model.pi(x) + model.noise(z[:len(x)])
         stop = retire(step, x, idx, *state)
         if stop.any():

@@ -12,11 +12,13 @@ import pytest
 
 import metareduce
 import metareduce.cli
+import metareduce.montecarlo
 import metareduce.quasipotential
 from metareduce.cli import Pipeline, main
 from metareduce.config import load_config
 from metareduce.dynamics import DeterministicMapModel
 from metareduce.errors import ConfigError
+from metareduce.montecarlo import Normals
 
 BASE = {
     "schema": 1,
@@ -408,6 +410,67 @@ class TestSimulate:
         run(path, "simulate", "--seed", "99")
         second = (tmp_path / "out" / "results.csv").read_text()
         assert first != second
+
+
+def count_normals(monkeypatch):
+    """Normals drawn from each Philox stream (seed, w), in every tape; and
+    per reader of every tape, its stream and how many normals it read."""
+    drawn, readers = {}, []
+    make, reader = metareduce.montecarlo.rng_stream, Normals.reader
+
+    class Counted:
+        def __init__(self, seed, w):
+            self.rng, self.key = make(seed, w), (seed, w)
+            self.bit_generator = self.rng.bit_generator
+
+        def standard_normal(self, size=None, out=None):
+            z = self.rng.standard_normal(size, out=out)
+            drawn[self.key] = drawn.get(self.key, 0) + z.size
+            return z
+
+    def recorded(self, w):
+        fill, read = reader(self, w), [w, 0]
+        readers.append(read)
+
+        def counted(out):
+            read[1] += out.size
+            return fill(out)
+        return counted
+
+    monkeypatch.setattr(metareduce.montecarlo, "rng_stream", Counted)
+    monkeypatch.setattr(Normals, "reader", recorded)
+    return drawn, readers
+
+
+class TestNormalsTape:
+    MC = {"committor_runs": 1000, "trace_runs": 1000, "trace_blocks": 4}
+
+    def test_validate_draws_each_stream_once(self, tmp_path, monkeypatch):
+        # a small chunk makes "the longest read plus one chunk" a tight bound
+        monkeypatch.setattr(metareduce.montecarlo, "TAPE_CHUNK", 1000)
+        drawn, readers = count_normals(monkeypatch)
+        path = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.4],
+                            mc=self.MC)
+        run(path, "validate")
+        assert sorted(drawn) == [(11, 0), (11, 1)]
+        for (_, w), n in drawn.items():
+            reads = [k for v, k in readers if v == w]
+            assert len(reads) == 4          # 2 sigmas x 2 estimators
+            assert max(reads) <= n <= max(reads) + 1000
+            assert sum(reads) > max(reads) + 1000   # the replay saved draws
+
+    def test_each_command_draws_again(self, tmp_path, monkeypatch):
+        drawn, _ = count_normals(monkeypatch)
+        path = write_config(tmp_path, mc={"committor_runs": 200,
+                                          "trace_runs": 0, "sim_steps": 0})
+        outs = []
+        for _ in range(2):
+            before = sum(drawn.values())
+            assert run(path, "simulate") == 0
+            outs.append((sum(drawn.values()) - before,
+                         (tmp_path / "out" / "results.csv").read_bytes()))
+        assert outs[0][0] > 0
+        assert outs[0] == outs[1]
 
 
 class TestTanh2d:

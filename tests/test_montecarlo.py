@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metareduce as mr
 import metareduce.montecarlo
@@ -13,7 +15,7 @@ from metareduce.errors import (NumericError, Runaway, SimulationTimeout,
                                ZeroHits)
 from metareduce.dynamics import DeterministicMapModel, MetastableStructure
 from metareduce.maps import build_map, builtin_names
-from metareduce.montecarlo import fit_log_scaling
+from metareduce.montecarlo import Normals, fit_log_scaling
 
 from test_maps import PARAMS as MAP_PARAMS
 from conftest import (HAND_K3, MASTER_SEED, exact_committor,
@@ -673,11 +675,78 @@ class TestPlainEngine:
                  for p in pairs]
         assert together == alone
 
+    @pytest.mark.parametrize("tape_bytes", [None, 8 * 3000])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_tape_for_every_call(self, structure, monkeypatch, workers,
+                                     tape_bytes):
+        # the calls of a command in turn, all reading one tape; a small cap
+        # sends the later reads past the tape's end
+        monkeypatch.setattr(metareduce.montecarlo, "TAPE_CHUNK", 1000)
+        if tape_bytes is not None:
+            monkeypatch.setattr(metareduce.montecarlo, "TAPE_BYTES",
+                                tape_bytes)
+        tape, pairs = Normals(7), [(0, 1), (1, 0)]
+        for sigma in (0.5, 0.4):
+            model = make_ref_model(sigma)
+            ests = mr.estimate_committor(model, structure, pairs, 300, tape,
+                                         workers=workers)
+            hits = plain_committor(model, structure, pairs, 300, 7, workers)
+            assert [e.estimate for e in ests] == (hits / 300).tolist()
+            freqs, _ = mr.empirical_diluted_trace(model, structure, 0, 3, 4,
+                                                  1000, tape, workers=workers)
+            counts = plain_diluted_trace(model, structure, 0, 3, 4, 1000, 7,
+                                         workers)
+            np.testing.assert_array_equal(freqs, counts / 1000)
+        assert 0 < recorded(tape) <= (tape_bytes
+                                      or metareduce.montecarlo.TAPE_BYTES)
+
     def test_fewer_runs_than_workers_rejected(self, structure):
         # raised before any stream is made or any step taken
         with pytest.raises(NumericError, match="100 runs cannot fill 101"):
             mr.estimate_committor(make_ref_model(0.5), structure, [(0, 1)],
                                   100, 7, workers=101)
+
+
+def recorded(tape):
+    """Bytes of the chunks a tape holds."""
+    return sum(c.nbytes for chunks, _ in tape.streams.values()
+               for c in chunks)
+
+
+class TestNormals:
+    """One tape, many readers: each reads its stream as one fresh
+    generator would, however the reads are split and interleaved."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(chunk=st.integers(1, 9), cap=st.integers(0, 40),
+           reads=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 25),
+                                    st.sampled_from([1, 2])), max_size=30))
+    def test_readers_replay_their_streams(self, chunk, cap, reads):
+        # readers 0, 1 and 3 share stream 0, reader 2 reads stream 1 alone
+        streams = [0, 0, 1, 0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metareduce.montecarlo, "TAPE_CHUNK", chunk)
+            mp.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * cap)
+            tape = Normals(MASTER_SEED)
+            readers = [tape.reader(w) for w in streams]
+            got = [[] for _ in readers]
+            for k, n, d in reads:
+                out = np.full((n, d), np.nan)
+                readers[k](out)
+                got[k].append(out.ravel())
+                assert recorded(tape) <= 8 * cap
+        for w, parts in zip(streams, got):
+            z = np.concatenate([np.empty(0), *parts])
+            want = mr.rng_stream(MASTER_SEED, w).standard_normal(z.size)
+            assert z.tobytes() == want.tobytes()
+
+    def test_stream_drawn_once_for_many_readers(self, monkeypatch):
+        monkeypatch.setattr(metareduce.montecarlo, "TAPE_CHUNK", 100)
+        tape = Normals(MASTER_SEED)
+        for _ in range(3):
+            tape.reader(0)(np.empty(250))
+        assert sum(c.size for c in tape.streams[0][0]) == 250
 
 
 class TestFitLogScaling:
