@@ -17,6 +17,7 @@ DEDUP_FACTOR = 1e-6             # * diam(X)
 JAC_CHECK_RTOL = 1e-5
 RADIUS_FLOOR_FACTOR = 1e-3      # * diam(X)
 NEWTON_MAX_ITER = 100
+BALL_TOL = 1e-15                # slack on r^2 of the closed-ball test
 
 
 @dataclass(frozen=True)
@@ -144,21 +145,28 @@ class MetastableStructure:
         return out[()]
 
     def in_ball(self, x, k):
-        """Whether each point of x is in ball k: |x - c|^2 <= r^2 + 1e-15,
+        """Whether each point of x is in ball k: |x - c|^2 <= r^2 + BALL_TOL,
         summed axis by axis.  Grid membership, the invariance check and
         every Monte Carlo estimator use this test."""
-        return _in_closed_ball(x, self.centers[k], self.radii[k])
+        return _in_closed_ball(x, self.centers[k], self.bounds[k])
+
+    @functools.cached_property
+    def bounds(self):
+        """Per ball, r^2 + BALL_TOL, one radius at a time: a scalar square
+        may differ in the last bit from an array's."""
+        return np.array([r ** 2 + BALL_TOL for r in self.radii])
 
 
-def _in_closed_ball(x, center, radius):
-    """``MetastableStructure.in_ball`` for one ball."""
-    d2 = x[..., 0] - center[0]
+def _in_closed_ball(x, center, bound):
+    """Whether |x - c|^2 <= bound for each point of x, shape (..., d): one
+    ball, or one per point with ``center`` (..., d) and ``bound`` (...)."""
+    d2 = x[..., 0] - center[..., 0]
     d2 *= d2
     for a in range(1, x.shape[-1]):
-        t = x[..., a] - center[a]
+        t = x[..., a] - center[..., a]
         t *= t
         d2 += t
-    return d2 <= radius ** 2 + 1e-15
+    return d2 <= bound
 
 
 def classify_stability(jacobian):
@@ -288,7 +296,8 @@ def _ball_invariant(model, center, radius, n_boundary, seed):
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         offsets = radius * np.repeat(scales, n_boundary)[:, None] * u
     pts = np.vstack([center, center + offsets])
-    return bool(_in_closed_ball(model.pi(pts), center, radius).all())
+    return bool(_in_closed_ball(model.pi(pts), center,
+                                radius ** 2 + BALL_TOL).all())
 
 
 @dataclass(frozen=True)

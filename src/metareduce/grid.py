@@ -14,8 +14,7 @@ class Grid:
     """Uniform tensor grid covering the box exactly (nodes on the boundary).
 
     ``axes`` holds the per-axis node coordinates; flattened node ordering is
-    C-order (last axis fastest).  ``weight`` is the quadrature cell volume
-    prod_k h_k used by the midpoint-rule kernel assembly.
+    C-order (last axis fastest).
     """
 
     axes: tuple
@@ -49,10 +48,6 @@ class Grid:
     @property
     def spacings(self):
         return np.array([a[1] - a[0] for a in self.axes])
-
-    @property
-    def weight(self):
-        return float(np.prod(self.spacings))
 
     def points(self):
         """All node coordinates, shape (n_nodes, dim), C-order."""

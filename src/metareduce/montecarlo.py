@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import _in_closed_ball
 from .errors import NumericError, Runaway, SimulationTimeout, ZeroHits
 
 RUNAWAY_FACTOR = 100.0
@@ -241,8 +242,9 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     int or a ``Normals`` tape, which replays each stream to every call.
     ``retire(step, x, idx, *state)`` gets the new positions of the active
     runs, their indices among all runs and their per-run state entries
-    (which it may update in place), and returns a mask of the runs that
-    stop; the arrays are compacted only on steps where some do.
+    (which it may update in place), and returns the positions, among the
+    active runs, of those that stop; the arrays are compacted only on
+    steps where some do.
     """
     tape = seed if isinstance(seed, Normals) else Normals(seed)
     reads, counts, x = [], [], []
@@ -267,9 +269,9 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
         for read, lo, hi in zip(reads, edges[:-1], edges[1:]):
             read(z[lo:hi])
         x = model.pi(x) + model.noise(z[:len(x)])
-        stop = retire(step, x, idx, *state)
-        if stop.any():
-            keep = np.flatnonzero(~stop)    # take is cheaper than a mask
+        gone = retire(step, x, idx, *state)
+        if gone.size:
+            keep = np.delete(np.arange(len(x)), gone)   # take, not a mask
             x, idx = x.take(keep, axis=0), idx[keep]
             state = [a[keep] for a in state]
             edges = np.searchsorted(idx, bounds)
@@ -296,18 +298,22 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
         raise NumericError("committor needs i != j")
     if n_runs < MIN_COMMITTOR_RUNS:
         raise NumericError(f"n_runs must be >= {MIN_COMMITTOR_RUNS}")
-    home, target = np.repeat(pairs, n_runs, axis=0).T
-    hit = np.zeros(home.size, bool)
+    hit = np.zeros(len(pairs) * n_runs, bool)
+    c, b = structure.centers, structure.bounds
+    balls = [(c[k], b[k]) for k in pairs.T]     # home and target per pair
+    ends = np.arange(len(pairs) + 1) * n_runs   # each pair's runs
 
     def retire(step, x, idx):
-        # entry k * n + a of the flat (N, n) membership: run a in ball k
-        rows, at = structure.membership(x).ravel(), np.arange(idx.size)
-        reached = rows[target[idx] * idx.size + at]
+        # each run tests only its own two balls: a pair's active runs stay
+        # contiguous, so its centres and thresholds are repeated per run
+        n = np.diff(np.searchsorted(idx, ends))
+        home, reached = (_in_closed_ball(x, cs.repeat(n, axis=0),
+                                         bs.repeat(n)) for cs, bs in balls)
         hit[idx[reached]] = True    # a point in both balls counts as a hit
-        return reached | rows[home[idx] * idx.size + at]
+        return np.flatnonzero(reached | home)
 
-    _run(model, [(structure.centers[i], n_runs, 0) for i in pairs[:, 0]],
-         seed, workers, step_cap, "committor", retire)
+    _run(model, [(c[i], n_runs, 0) for i in pairs[:, 0]], seed, workers,
+         step_cap, "committor", retire)
     hits = hit.reshape(-1, n_runs).sum(axis=1)
     if not hits.all():
         i, j = pairs[hits.argmin()]       # the first pair with no hit
@@ -354,7 +360,7 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
     times = np.zeros(len(starts) * n_reps)
 
     def retire(step, x, idx):
-        hit = structure.membership(x).any(axis=0)
+        hit = np.flatnonzero(structure.membership(x).any(axis=0))
         times[idx[hit]] = step
         return hit
 
@@ -376,26 +382,32 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         raise NumericError(f"n_runs must be >= {MIN_TRACE_RUNS}")
     if m < 1:
         raise NumericError("m must be >= 1")
-    counts = np.zeros(structure.n_balls * (n_blocks + 1), dtype=np.int64)
+    n_balls = structure.n_balls
+    counts = np.zeros(n_balls * (n_blocks + 1), dtype=np.int64)
     counts[i * (n_blocks + 1)] = n_runs    # visit 0 is the start, in ball i
 
-    def retire(step, x, idx, visits):
-        # block n is recorded at visit n m, so visits // m blocks are done
+    def retire(step, x, idx, left, block):
+        # block n is recorded at visit n m: only the runs due now are tallied
         rows = structure.membership(x)
-        in_m = rows.any(axis=0)
-        visits += in_m
-        # in M at a multiple of m (// by a scalar is cheaper than %)
-        due = np.flatnonzero(in_m & (visits // m * m == visits))
+        left -= rows.any(axis=0)
+        due = np.flatnonzero(left == 0)
+        ball = np.full(due.size, n_balls - 1)    # the first ball, as ball_of
+        for k in range(n_balls - 2, -1, -1):
+            ball[rows[k, due]] = k
         nonlocal counts
-        counts += np.bincount(    # argmax: the first ball, as in ball_of
-            rows[:, due].argmax(axis=0) * (n_blocks + 1)
-            + visits[due] // m, minlength=counts.size)
-        return visits >= n_blocks * m
+        done = block[due]   # the blocks recorded now
+        counts += np.bincount(ball * (n_blocks + 1) + done,
+                              minlength=counts.size)
+        left[due] = m
+        block[due] = done + 1
+        return due[done == n_blocks]
 
-    # per run: visits to M so far
-    _run(model, [(structure.centers[i], n_runs, 0)], seed, workers,
-         step_cap, "trace", retire, np.zeros(n_runs, dtype=np.int64))
-    freqs = counts.reshape(structure.n_balls, -1) / n_runs
+    if n_blocks > 0:    # else visit 0 is all there is
+        # per run: visits to M until the next recorded one, and that block
+        _run(model, [(structure.centers[i], n_runs, 0)], seed, workers,
+             step_cap, "trace", retire, np.full(n_runs, m, dtype=np.int64),
+             np.ones(n_runs, dtype=np.int64))
+    freqs = counts.reshape(n_balls, -1) / n_runs
     se = np.sqrt(freqs * (1.0 - freqs) / n_runs)
     return freqs, se
 

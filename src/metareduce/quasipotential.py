@@ -4,12 +4,15 @@ The accumulated cost of a chain of one-step Gaussian rates is minimized by a
 shortest path on a hop-bounded grid digraph: node u connects to every node
 within ``r_hop`` of the deterministic image of u, weighted by the one-step
 rate.  Hops longer than the largest optimal single-step displacement are
-never used because the rate grows quadratically; this is verified a
-posteriori through the saturation check.
+never used, as rate(d) >= |d|^2 / (2 lambda_max(C)) grows quadratically.
+A table that writes V on every node verifies this a posteriori through
+the saturation check; one that reads only H up to a cost bound B (the
+refinement) drops beforehand the hops longer than sqrt(2 lambda_max(C) B).
 
 Dijkstra reads a graph through two members: ``weights``, the CSR matrix of
 edge weights, and ``hops(pred, child)``, the hop lengths of the edges
-pred -> child of the shortest-path tree.  ``ActionGraph`` is the grid's.
+pred -> child of the shortest-path tree; and through ``limit``, if it has
+one, the cost Dijkstra stops at.  ``ActionGraph`` is the grid's.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (HopRadiusTooSmall, InfiniteH, NumericError, RHopSaturated,
 PATH_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
 SATURATION_FRACTION = 0.8
+BOUND_MARGIN = 1e-3           # relative margin of the refinement's cost bound
 EDGE_BLOCK = 1 << 16          # candidate edges assembled per block
 
 
@@ -37,6 +41,7 @@ class ActionGraph:
     points: np.ndarray      # (n_nodes, d) grid nodes
     images: np.ndarray      # (n_nodes, d) deterministic images
     weights: object         # (n_nodes, n_nodes) CSR matrix
+    limit: float = np.inf   # the cost bound the hops were cut at
 
     def hops(self, pred, child):
         """Lengths |points[child] - images[pred]| of the edges pred -> child."""
@@ -44,8 +49,10 @@ class ActionGraph:
         return np.sqrt((diff ** 2).sum(axis=-1))
 
 
-def build_action_graph(model, grid, r_hop):
-    """Assemble the action digraph; validates hop reachability of all images."""
+def build_action_graph(model, grid, r_hop, limit=np.inf):
+    """Assemble the action digraph; validates that every image has a node
+    within r_hop.  A finite cost ``limit`` B drops the hops longer than
+    sqrt(2 lambda_max(C) B), which cost more than B."""
     h_max = float(grid.spacings.max())
     if r_hop < 3.0 * h_max:
         raise HopRadiusTooSmall(
@@ -57,8 +64,9 @@ def build_action_graph(model, grid, r_hop):
     if far.any():
         raise HopRadiusTooSmall(
             f"image of node {far.argmax()} has no grid node within r_hop")
-    weights = _weights(grid, images, model.rate, float(r_hop))
-    return ActionGraph(pts, images, weights)
+    reach = math.sqrt(2 * np.linalg.eigvalsh(model.cov)[-1] * limit)
+    weights = _weights(grid, images, model.rate, min(float(r_hop), reach))
+    return ActionGraph(pts, images, weights, limit)
 
 
 def _weights(grid, images, rate, r_hop):
@@ -66,7 +74,9 @@ def _weights(grid, images, rate, r_hop):
     within r_hop of each image.  A row's candidates are the box of grid
     indices around its image, one index wider each side so rounding drops
     no node, padded to one shape with nodes at infinity and listed last
-    axis fastest, so columns ascend; blocks hold ~EDGE_BLOCK candidates."""
+    axis fastest, so columns ascend; blocks hold ~EDGE_BLOCK candidates.
+    A first pass counts each row's edges, so the second fills the CSR
+    arrays in place and no block's edges are held twice."""
     from scipy.sparse import csr_matrix
     origin, h = np.array([a[0] for a in grid.axes]), grid.spacings
     lo = np.maximum(np.ceil((images - r_hop - origin) / h) - 1, 0).astype(int)
@@ -74,8 +84,8 @@ def _weights(grid, images, rate, r_hop):
                     np.array(grid.shape) - 1).astype(int)
     width = np.maximum(hi - lo + 1, 1).max(axis=0)
     step = max(1, EDGE_BLOCK // int(width.prod()))
-    counts, cols, data = [], [], []
-    for b in range(0, grid.n_nodes, step):
+
+    def block(b):
         diffs = []          # per axis (rows, width): node - image
         for k, a in enumerate(grid.axes):
             idx = lo[b:b + step, k, None] + np.arange(width[k])
@@ -85,15 +95,21 @@ def _weights(grid, images, rate, r_hop):
         sq = sum(np.expand_dims(dk ** 2, tuple(j + 1 for j in range(grid.dim)
                                                if j != k))
                  for k, dk in enumerate(diffs))
-        u, *off = np.nonzero(np.sqrt(sq) <= r_hop)
-        diff = np.stack([dk[u, o] for dk, o in zip(diffs, off)], axis=-1)
-        data.append(rate(diff))
-        cols.append(np.ravel_multi_index(tuple(
+        return diffs, np.sqrt(sq) <= r_hop      # and the edges
+
+    starts, axes = range(0, grid.n_nodes, step), tuple(range(1, grid.dim + 1))
+    indptr = np.cumsum(np.concatenate(
+        [[0]] + [np.count_nonzero(block(b)[1], axis=axes) for b in starts]))
+    data, cols = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    for b in starts:
+        diffs, edge = block(b)
+        u, *off = np.nonzero(edge)
+        at = slice(indptr[b], indptr[b + len(edge)])
+        data[at] = rate(np.stack([dk[u, o] for dk, o in zip(diffs, off)],
+                                 axis=-1))
+        cols[at] = np.ravel_multi_index(tuple(
             (lo[b + u] + np.stack(off, axis=-1)).T), grid.shape)
-            .astype(np.int32))
-        counts.append(np.bincount(u, minlength=len(diffs[0])))
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+    return csr_matrix((data, cols, indptr),
                       shape=(grid.n_nodes, grid.n_nodes))
 
 
@@ -102,13 +118,15 @@ def quasipotential_from(graph, source_set):
     along the discovered shortest path (for the saturation check).  Reads
     ``graph.weights``, a CSR matrix whose stored entries, zeros included,
     are the edges (distinct targets per row), and ``graph.hops(pred, child)``
-    on the edges of the shortest-path tree."""
+    on the edges of the shortest-path tree.  Nodes farther than a graph's
+    ``limit`` read inf."""
     from scipy.sparse.csgraph import dijkstra
     sources = np.atleast_1d(np.asarray(source_set, int))
     if sources.size == 0:
         raise NumericError("source set must be nonempty")
     dist, pred, _ = dijkstra(graph.weights, indices=sources, min_only=True,
-                             return_predecessors=True)
+                             return_predecessors=True,
+                             limit=getattr(graph, "limit", np.inf))
     # max hop to the root of the shortest-path tree by pointer doubling: it
     # follows predecessors, since zero-weight edges tie distances
     n = dist.size
@@ -140,16 +158,17 @@ class QuasipotentialTable:
         return self.h_matrix.shape[0]
 
 
-def compute_h_matrix(model, grid, structure, r_hop):
+def compute_h_matrix(model, grid, structure, r_hop, limit=np.inf):
     """Dijkstra costs between ball-center nodes and derived path quantities.
 
     H(i, j) is the quasipotential from ball i's center node to the node
     nearest ball j's center, which makes H an exact shortest-path metric on
     the graph (the triangle inequality holds to rounding).  Index paths are
     simple (no repeated indices), of length at most N - 1, costed by
-    summing H entries.
+    summing H entries.  A finite ``limit`` cuts the graph at that cost (V
+    reads inf beyond it), and an H above it makes the result None.
     """
-    graph = build_action_graph(model, grid, r_hop)
+    graph = build_action_graph(model, grid, r_hop, limit)
     n = structure.n_balls
     centers = grid.nearest_index(structure.centers)
     v_surfaces = np.empty((n, grid.n_nodes))
@@ -161,6 +180,8 @@ def compute_h_matrix(model, grid, structure, r_hop):
             if j == i:
                 continue
             val = dist[centers[j]]
+            if val > limit:
+                return None
             if not np.isfinite(val):
                 raise InfiniteH(f"ball {j} unreachable from ball {i}")
             h[i, j] = float(val)
@@ -263,15 +284,24 @@ class RefinementReport:
 def refinement_check(model, grid, structure, r_hop, tol=0.05, coarse=None):
     """Compare H entries on the grid and its twofold refinement.
 
-    ``coarse`` is the table already built on ``grid``, if any.  A failure
-    is reported, never raised: grid error at the requested resolution is a
-    diagnostic, not a contract violation.
+    ``coarse`` is the table already built on ``grid``, if any.  The fine
+    graph is cut at a cost B, BOUND_MARGIN above the coarse table's
+    largest H (the fine grid holds the coarse nodes): it keeps the hops up
+    to r* = sqrt(2 lambda_max(C) B), as a longer one costs more than B.
+    A path of cost at most B uses only kept edges, so a fine H at most B
+    is the full graph's, bit for bit; if some fine H exceeds B, the table
+    is rebuilt on the full r_hop graph.  Saturation is judged against
+    r_hop either way.  A failure is reported, never raised: grid error at
+    the requested resolution is a diagnostic, not a contract violation.
     """
     from .grid import Grid
     fine = Grid.from_box(model.box, [2 * (s - 1) + 1 for s in grid.shape])
     coarse_t = coarse if coarse is not None else compute_h_matrix(
         model, grid, structure, r_hop)
-    fine_t = compute_h_matrix(model, fine, structure, r_hop)
+    bound = (1 + BOUND_MARGIN) * float(coarse_t.h_matrix.max())
+    fine_t = compute_h_matrix(model, fine, structure, r_hop, bound)
+    if fine_t is None:
+        fine_t = compute_h_matrix(model, fine, structure, r_hop)
     mask = ~np.eye(structure.n_balls, dtype=bool)
     c = coarse_t.h_matrix[mask]
     f = fine_t.h_matrix[mask]

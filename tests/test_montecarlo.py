@@ -556,6 +556,12 @@ class TestDilutedTrace:
                                               1000, MASTER_SEED)
         assert freqs[0, 0] == 1.0 and freqs[1, 0] == 0.0
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_no_blocks_is_the_start(self, structure, m):
+        freqs, _ = mr.empirical_diluted_trace(make_ref_model(0.35), structure,
+                                              1, m, 0, 1000, MASTER_SEED)
+        np.testing.assert_array_equal(freqs, [[0.0], [1.0]])
+
     def test_symmetric_limit(self, structure):
         model = make_ref_model(0.4)
         freqs, ses = mr.empirical_diluted_trace(model, structure, 0, 2, 40,
@@ -604,10 +610,11 @@ class TestPlainEngine:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_committor(self, structure, structure2d, workers):
+        # all 12 ordered tanh2d pairs: every run tests its own two balls
         for model, st, pairs, n_runs in (
                 (make_ref_model(0.5), structure, [(0, 1), (1, 0)], 300),
-                (tanh2d_model(0.5), structure2d, [(0, 1), (2, 3), (3, 0)],
-                 100)):
+                (tanh2d_model(0.5), structure2d,
+                 list(itertools.permutations(range(4), 2)), 100)):
             ests = mr.estimate_committor(model, st, pairs, n_runs, 7,
                                          workers=workers)
             hits = plain_committor(model, st, pairs, n_runs, 7, workers)
@@ -661,6 +668,26 @@ class TestPlainEngine:
                                                   workers=workers)
             counts = plain_diluted_trace(model, st, i, m, 4, 1000, 7, workers)
             np.testing.assert_array_equal(freqs, counts / 1000)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("sigma", [0.01, 0.5])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_diluted_trace_overlapping_balls(self, sigma, workers, m):
+        # the set-up of test_committor_overlapping_balls: a point in both
+        # balls is tallied in the first; with m = 1 every visit is due
+        dim, pi, jac = build_map("linear", {"a": 0.0})
+        model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], sigma,
+                                      "zero")
+        st = MetastableStructure(np.array([[0.2], [0.0]]),
+                                 np.array([0.5, 0.5]), 0.5)
+        for i in (0, 1):
+            freqs, _ = mr.empirical_diluted_trace(model, st, i, m, 4, 1000,
+                                                  MASTER_SEED, workers=workers)
+            counts = plain_diluted_trace(model, st, i, m, 4, 1000,
+                                         MASTER_SEED, workers)
+            np.testing.assert_array_equal(freqs, counts / 1000)
+            if sigma == 0.01:       # every visit lands in both: ball 0
+                assert (counts[0, 1:] == 1000).all()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_pairs_together_equal_pairs_alone(self, structure, structure2d,

@@ -2,7 +2,12 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +286,30 @@ def test_action_graph_matches_brute_force_edges(case):
     np.testing.assert_array_equal(graph.hops(u, v), hop[u, v])
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grids_with_images(), st.floats(0.0, 2.0))
+def test_cut_graph_keeps_the_hops_up_to_r_star(case, limit):
+    # a graph cut at cost B stores exactly the edges of hop at most
+    # r* = sqrt(2 lambda_max B) (and r_hop); every edge it drops costs
+    # more than B
+    grid, r_hop, cov, images = case
+    box = [[a[0], a[-1]] for a in grid.axes]
+    model = DeterministicMapModel(grid.dim, lambda x: images, None, box, cov,
+                                  1.0)
+    graph = mr.build_action_graph(model, grid, r_hop, limit)
+    r_star = math.sqrt(2 * np.linalg.eigvalsh(cov)[-1] * limit)
+    diff = grid.points()[None, :, :] - images[:, None, :]
+    hop = np.sqrt((diff ** 2).sum(axis=-1))
+    u, v = np.nonzero(hop <= min(r_hop, r_star))
+    w = graph.weights
+    assert w.nnz == u.size
+    np.testing.assert_array_equal(w.indices, v)
+    assert (graph.hops(u, v) <= r_star).all()
+    du, dv = np.nonzero((hop > r_star) & (hop <= r_hop))
+    cov_inv = np.linalg.inv(cov)
+    assert all(0.5 * d @ cov_inv @ d > limit for d in diff[du, dv])
+
+
 class TestHMatrix:
     def test_symmetric_double_well(self, table):
         h = table.h_matrix
@@ -491,3 +520,107 @@ class TestRefinement:
         rep = refinement_check(model, coarse, ref["structure"], REF_RHOP,
                                tol=0.01)
         assert not rep.passed
+
+
+def tanh2d_case(nodes):
+    dim, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+    model = DeterministicMapModel(2, pi, jac, [[-2.0, 2.0]] * 2, np.eye(2),
+                                  0.35, "tanh2d")
+    structure = mr.build_metastable_structure(
+        model, mr.find_fixed_points(model), 0.2)
+    return model, Grid.from_box(model.box, nodes), structure, 2.5
+
+
+@pytest.fixture(scope="module", params=["ref401", "tanh2d21"])
+def refine_case(request, ref):
+    """Model, grid, structure, r_hop, the coarse table and the fine table
+    on the full r_hop graph."""
+    if request.param == "ref401":
+        case = (make_ref_model(0.35), ref["grid"], ref["structure"], REF_RHOP)
+    else:
+        case = tanh2d_case(21)
+    model, grid, structure, r_hop = case
+    fine = Grid.from_box(model.box, [2 * (s - 1) + 1 for s in grid.shape])
+    return (*case, mr.compute_h_matrix(model, grid, structure, r_hop),
+            mr.compute_h_matrix(model, fine, structure, r_hop))
+
+
+def record_fine_tables(monkeypatch):
+    """(limit, table) of every compute_h_matrix call refinement_check makes."""
+    calls, build = [], metareduce.quasipotential.compute_h_matrix
+
+    def recording(model, grid, structure, r_hop, limit=np.inf):
+        calls.append((limit, build(model, grid, structure, r_hop, limit)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(metareduce.quasipotential, "compute_h_matrix",
+                        recording)
+    return calls
+
+
+def relative_change(coarse, fine):
+    mask = ~np.eye(coarse.n_balls, dtype=bool)
+    c, f = coarse.h_matrix[mask], fine.h_matrix[mask]
+    return float(np.max(np.abs(c - f) / np.abs(f)))
+
+
+class TestCostBoundedRefinement:
+    def test_cut_table_is_the_full_graphs(self, refine_case, monkeypatch):
+        model, grid, structure, r_hop, coarse, full = refine_case
+        calls = record_fine_tables(monkeypatch)
+        rep = refinement_check(model, grid, structure, r_hop, coarse=coarse)
+        (limit, cut), = calls       # no fallback
+        assert limit == pytest.approx(coarse.h_matrix.max(), rel=2e-3)
+        np.testing.assert_array_equal(cut.h_matrix, full.h_matrix)
+        assert rep.max_relative_change == relative_change(coarse, full)
+
+    def test_bound_below_fine_h_falls_back(self, refine_case, monkeypatch):
+        model, grid, structure, r_hop, coarse, full = refine_case
+        monkeypatch.setattr(metareduce.quasipotential, "BOUND_MARGIN", -0.5)
+        calls = record_fine_tables(monkeypatch)
+        rep = refinement_check(model, grid, structure, r_hop, coarse=coarse)
+        assert [(np.isfinite(limit), t is None) for limit, t in calls] \
+            == [(True, True), (False, False)]
+        np.testing.assert_array_equal(calls[1][1].h_matrix, full.h_matrix)
+        assert rep.max_relative_change == relative_change(coarse, full)
+
+    def test_saturation_judged_against_r_hop(self, ref):
+        # the fine optimal paths' longest hop sets where RHopSaturated
+        # starts: above 0.8 r_hop, whatever the cut
+        model, structure = make_ref_model(0.35), ref["structure"]
+        coarse = mr.compute_h_matrix(model, ref["grid"], structure, REF_RHOP)
+        fine = Grid.from_box(model.box, 801)
+        graph = mr.build_action_graph(model, fine, REF_RHOP)
+        c = fine.nearest_index(structure.centers)
+        hop = quasipotential_from(graph, [c[0]])[1][c[1]]
+        with pytest.raises(RHopSaturated):
+            refinement_check(model, ref["grid"], structure,
+                             0.99 * hop / 0.8, coarse=coarse)
+        refinement_check(model, ref["grid"], structure, 1.01 * hop / 0.8,
+                         coarse=coarse)
+
+    def test_51_refinement_peak_rss(self):
+        # the 51 x 51 tanh2d refinement peaked at 1.9 GB on the full r_hop
+        # graph; the cost-bounded one, filled in place, at about 0.4 GB.
+        # A memory guard, not a timing gate.
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            import metareduce as mr
+            from metareduce.dynamics import DeterministicMapModel
+            from metareduce.maps import build_map
+            from metareduce.quasipotential import refinement_check
+            dim, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+            model = DeterministicMapModel(2, pi, jac, [[-2.0, 2.0]] * 2,
+                                          np.eye(2), 0.35, "tanh2d")
+            st = mr.build_metastable_structure(
+                model, mr.find_fixed_points(model), 0.2)
+            refinement_check(model, mr.Grid.from_box(model.box, 51), st, 2.5)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """)
+        src = str(Path(metareduce.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=300).stdout
+        assert int(out.split()[-1]) * 1024 < 1.2e9     # ru_maxrss is in KiB
