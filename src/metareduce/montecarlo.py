@@ -5,15 +5,19 @@ master seed and a worker id, so every estimate is a pure function of
 (config, master seed, worker count).  Workers own contiguous blocks of runs,
 each on its own stream; all blocks are stepped together in one process, so
 the worker count sets only this stream layout.  A command's estimators
-share one ``Normals`` tape, which draws each stream once and replays it.
+share one ``Normals`` tape, which draws each stream once and hands every
+read views of what it recorded; each worker block keeps its position.
 
 The single chain of ``simulate_chain`` is stepped parallel in time, and is
 bit for bit the chain stepped one step at a time: chains driven by the same
-noise coalesce near a stable point, in floating point too (``_recur``).
+noise coalesce near a stable point, in floating point too.  ``_recur``
+sweeps its segments from the ball centres keeping only checkpoints, steps
+the exact chain until it meets one, and fills the rest in one batch.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +30,7 @@ DEFAULT_STEP_CAP = 100_000_000
 MIN_COMMITTOR_RUNS = 100
 MIN_TRACE_RUNS = 1000
 SEGMENT = 1024              # steps per segment of the parallel-in-time sweep
-GUESS_BYTES = 1 << 20       # cap on the guess paths one sweep holds
+GUESS_BYTES = 1 << 20       # cap on the states one group of segments holds
 CHECK_EVERY = 16            # plain steps between two coalescence checks
 TAPE_BYTES = 16 << 20       # cap on the normals one tape records
 TAPE_CHUNK = 1 << 16        # most normals a tape draws at a time
@@ -41,42 +45,49 @@ def rng_stream(master_seed, worker_id):
 
 
 class Normals:
-    """Each stream (seed, w), drawn once in chunks (chunk c: what a reader
-    asks or 2^c normals, at most TAPE_CHUNK) and replayed to every reader,
-    as Philox gives the same normals however draws split.  Past TAPE_BYTES
-    a stream records no more; a reader past its end goes on alone."""
+    """Each stream (seed, w), drawn once in chunks (chunk c: what a read
+    asks or 2^c normals, at most TAPE_CHUNK) and replayed to every read,
+    as Philox gives the same normals however draws split.  A read hands
+    out views of the recorded chunks, which are never copied again.  Past
+    TAPE_BYTES a stream records no more; a read past its end goes on with
+    a generator restored there."""
 
     def __init__(self, seed):
         self.seed, self.nbytes = seed, 0
-        self.streams = {}       # w -> (chunks, generator at their end)
+        # w -> (chunks, offsets of their starts and end, generator at the end)
+        self.streams = {}
 
-    def reader(self, w):
-        """A function filling C-contiguous arrays with stream w's normals."""
+    def read(self, w, at, n, parts):
+        """Append stream w's normals at, ..., at + n - 1 to ``parts`` and
+        return the position after them: an int on the tape or, past its
+        end, the generator that goes on with the stream."""
+        if not isinstance(at, int):
+            parts.append(at.standard_normal(n))
+            return at
         if w not in self.streams:
-            self.streams[w] = ([], rng_stream(self.seed, w))
-        chunks, rng = self.streams[w]
-        c, at, own = 0, 0, None     # the next normal is chunks[c][at]
-
-        def fill(out):
-            nonlocal c, at, own
-            flat, done = out.reshape(-1), 0
-            while done < flat.size and own is None:
-                if c == len(chunks):
-                    size = min(TAPE_CHUNK, max(flat.size - done, 1 << c))
-                    if self.nbytes + 8 * size > TAPE_BYTES:
-                        own = rng_stream(self.seed, w)
-                        own.bit_generator.state = rng.bit_generator.state
-                        break
-                    chunks.append(rng.standard_normal(size))
-                    self.nbytes += 8 * size
-                k = min(flat.size - done, chunks[c].size - at)
-                flat[done:done + k] = chunks[c][at:at + k]
-                done, at = done + k, at + k
-                if at == chunks[c].size:
-                    c, at = c + 1, 0
-            if done < flat.size:
-                own.standard_normal(out=flat[done:])
-        return fill
+            self.streams[w] = ([], [0], rng_stream(self.seed, w))
+        chunks, starts, rng = self.streams[w]
+        end = at + n
+        while starts[-1] < end:
+            size = min(TAPE_CHUNK, max(end - starts[-1], 1 << len(chunks)))
+            if self.nbytes + 8 * size > TAPE_BYTES:
+                break
+            chunks.append(rng.standard_normal(size))
+            starts.append(starts[-1] + size)
+            self.nbytes += 8 * size
+        stop = end if end <= starts[-1] else starts[-1]
+        c = bisect_right(starts, at) - 1
+        while at < stop:
+            lo = starts[c]
+            parts.append(chunks[c][at - lo:stop - lo])
+            c += 1
+            at = starts[c]
+        if stop == end:
+            return end
+        own = rng_stream(self.seed, w)
+        own.bit_generator.state = rng.bit_generator.state
+        parts.append(own.standard_normal(end - stop))
+        return own
 
 
 @dataclass
@@ -101,7 +112,9 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     Positions leaving the box are kept (the drift pulls them back) but
     counted; a position farther than 100 * diam(X) raises Runaway.  The
     positions, bit for bit those of the one-step recursion, are mostly
-    copied from batched sweeps started at the ball centres (``_recur``).
+    stepped in batches: a sweep from the ball centres finds where the
+    exact chain meets them, and a second batch fills the path from there
+    (``_recur``).
     The runaway bound, box exits, ball residence and events are checked
     per chunk of steps, an exit before an entry at the same step.
     """
@@ -163,62 +176,100 @@ def _recur(model, centers, x, noise, path, sweep):
     """Fill path[k] = x = pi(x) + noise[k], k < len(noise), bit for bit as
     that loop would, and return the last x and whether to keep sweeping.
 
-    A group of segments of SEGMENT steps is swept together from x and
-    from every ball centre, one ``pi`` call on an (n, d) batch per step
-    (a batch gives its rows bit for bit).  Segment 0 starts at x, so its
-    guess is exact.  In each later segment the exact state steps alone
-    until it equals a guess at the same step, compared bit for bit every
-    CHECK_EVERY steps; from there both apply ``pi`` to the same bits and
-    add the same noise, so that guess's rest is the path.  Where
-    |pi'| < 1, as near a stable point, chains driven by the same noise
-    meet in the last bit within a few dozen steps.  A segment that never
-    meets a guess is stepped to its end; after a group where none did,
-    ``sweep`` is False and the rest of the run is stepped plainly.
+    Groups of segments of SEGMENT steps, as many as GUESS_BYTES holds,
+    are filled by ``_group``.  After a group where no segment met a guess,
+    ``sweep`` is False and the rest of the run is stepped plainly, as is a
+    last stretch of one segment or less.
     """
     take, d = noise.shape
-    n_max = max(1, GUESS_BYTES // (SEGMENT * (centers.size + d) * 8))
+    # per segment: pass 1's checkpoints from x and the centres, pass 2's rows
+    marks = -(-SEGMENT // CHECK_EVERY) * (len(centers) + 1)
+    n_max = max(2, GUESS_BYTES // (8 * d * max(marks, SEGMENT)))
     k = 0
-    while sweep and k < take:
-        starts = np.concatenate([x[None], centers])
+    while sweep and take - k > SEGMENT:
         span = min(n_max * SEGMENT, take - k)
-        seg = min(SEGMENT, span)
-        n = -(-span // seg)
-        z = np.zeros((n * seg, d))          # the last segment padded
-        z[:span] = noise[k:k + span]
-        z = z.reshape(n, 1, seg, d).transpose(2, 0, 1, 3)
-        guess = np.empty((seg, n, len(starts), d))
-        guess[...] = z                      # each segment's noise per start
-        rows = guess.reshape(seg, -1, d)
-        y = np.tile(starts, (n, 1))
-        for t in range(seg):
-            y = np.add(model.pi(y), rows[t], out=rows[t])
-        path[k:k + seg] = guess[:, 0, 0]
-        x, met = guess[-1, 0, 0].copy(), n == 1
-        for s in range(1, n):
-            lo = k + s * seg
-            x, hit = _coalesce(model, x, noise, path, lo,
-                               min(lo + seg, take), guess[:, s])
-            met |= hit
-        sweep, k = met, k + span
+        x, sweep = _group(model, centers, x, noise[k:k + span],
+                          path[k:k + span])
+        k += span
     for k in range(k, take):
         path[k] = x = model.pi(x) + noise[k]
     return x, sweep
 
 
-def _coalesce(model, x, noise, path, lo, hi, guess):
-    """Step x through path[lo:hi] until it equals, bit for bit, one of the
-    guesses (guess[t] holds the states after step lo + t), then copy that
-    guess's rest.  Returns the last state and whether a guess was met."""
-    bits = guess.view(np.int64)
-    for at in range(lo, hi, CHECK_EVERY):
-        end = min(at + CHECK_EVERY, hi)
-        for k in range(at, end):
-            path[k] = x = model.pi(x) + noise[k]
-        same = (bits[end - 1 - lo] == x.view(np.int64)).all(axis=1)
-        if same.any():
-            path[end:hi] = guess[end - lo:hi - lo, same.argmax()]
-            return path[hi - 1].copy(), True
-    return x, False
+def _sweep(model, centers, x, noise):
+    """Pass 1: every segment of ``noise`` stepped from x and from every
+    centre.  marks[j, s] holds segment s's states after its step
+    (j + 1) CHECK_EVERY - 1, or after its last step if that comes first,
+    so marks[-1] holds every segment's ends."""
+    n = -(-len(noise) // SEGMENT)
+    y = np.empty((n, len(centers) + 1, noise.shape[1]))
+    y[:, 0], y[:, 1:] = x, centers
+    marks = np.empty((-(-SEGMENT // CHECK_EVERY),) + y.shape)
+    for t in range(SEGMENT):
+        z = noise[t::SEGMENT]       # step t of every segment that has one
+        head = y[:len(z)]           # a short last segment stays at its end
+        np.add(model.pi(head), z[:, None], out=head)
+        if (t + 1) % CHECK_EVERY == 0 or t == SEGMENT - 1:
+            marks[t // CHECK_EVERY] = y
+    return marks
+
+
+def _group(model, centers, x, noise, path):
+    """Fill path from x for a group of two or more segments, and return
+    the last state and whether a segment after the first met a guess.
+
+    Pass 1 (``_sweep``) steps every segment from x and from every ball
+    centre, one ``pi`` call on a batch a step (a batch gives its rows bit
+    for bit); segment 0 starts at x, so its guess is exact.  The exact
+    chain then goes segment by segment from the previous segment's exact
+    end, stepping alone until it equals a checkpoint bit for bit: from
+    there both apply ``pi`` to the same bits and add the same noise, so
+    that guess's end is the segment's.  Where |pi'| < 1, as near a stable
+    point, chains driven by the same noise meet in the last bit within a
+    few dozen steps.  Pass 2 (``_fill``) steps segment 0 and the rest of
+    every segment that met from their exact states; if none met, segment 0
+    is stepped plainly.
+    """
+    span = len(noise)
+    marks = _sweep(model, centers, x, noise)
+    ends, bits = marks[-1], marks.view(np.int64)
+    fills = [(0, SEGMENT, x)]       # (lo, hi, state before step lo)
+    x = ends[0, 0]
+    for s, lo in enumerate(range(SEGMENT, span, SEGMENT), 1):
+        hi = min(lo + SEGMENT, span)
+        for j, at in enumerate(range(lo, hi, CHECK_EVERY)):
+            end = min(at + CHECK_EVERY, hi)
+            for k in range(at, end):
+                path[k] = x = model.pi(x) + noise[k]
+            same = (bits[j, s] == x.view(np.int64)).all(axis=1)
+            if same.any():
+                fills.append((end, hi, x))
+                x = ends[s, same.argmax()]
+                break
+    if len(fills) == 1:
+        y = fills[0][2]
+        for k in range(SEGMENT):
+            path[k] = y = model.pi(y) + noise[k]
+    else:
+        _fill(model, noise, path, fills)
+    return x.copy(), len(fills) > 1
+
+
+def _fill(model, noise, path, fills):
+    """Pass 2: path[lo:hi] from each fill's state, in one batch whose rows
+    drop out, longest first, as their stretches end."""
+    fills.sort(key=lambda f: f[0] - f[1])
+    sizes = [hi - lo for lo, hi, _ in fills]
+    rows = np.empty((sizes[0], len(fills), noise.shape[1]))
+    for r, (lo, hi, _) in enumerate(fills):
+        rows[:hi - lo, r] = noise[lo:hi]
+    y, n = np.array([y for _, _, y in fills]), len(fills)
+    for t in range(sizes[0]):
+        while sizes[n - 1] <= t:
+            n -= 1
+        y = np.add(model.pi(y[:n]), rows[t, :n], out=rows[t, :n])
+    for r, (lo, hi, _) in enumerate(fills):
+        path[lo:hi] = rows[:hi - lo, r]
 
 
 @dataclass(frozen=True)
@@ -238,8 +289,10 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     ``stream0 + w``; a group needs at least ``workers`` runs.  All blocks
     are stepped together, so ``workers`` sets only the stream layout: each
     step reads, block by block in run order, one row of normals per active
-    run into one buffer, then maps all active runs at once.  ``seed`` is an
-    int or a ``Normals`` tape, which replays each stream to every call.
+    run, as views of the tape joined by one copy into the step's buffer,
+    then maps all active runs at once.  ``seed`` is an int or a ``Normals``
+    tape, which replays each stream to every call; each block keeps its
+    position on its stream.
     ``retire(step, x, idx, *state)`` gets the new positions of the active
     runs, their indices among all runs and their per-run state entries
     (which it may update in place), and returns the positions, among the
@@ -247,34 +300,50 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     steps where some do.
     """
     tape = seed if isinstance(seed, Normals) else Normals(seed)
-    reads, counts, x = [], [], []
+    streams, counts, x = [], [], []
     for x0, n_runs, stream0 in groups:
         if n_runs < workers:
             raise NumericError(f"{what}: {n_runs} runs cannot fill "
                                f"{workers} worker blocks")
-        reads += [tape.reader(stream0 + w) for w in range(workers)]
+        streams += range(stream0, stream0 + workers)
         counts += [n_runs // workers + (w < n_runs % workers)
                    for w in range(workers)]
         x.append(np.tile(x0, (n_runs, 1)))
     x = np.concatenate(x)
     z = np.empty_like(x)        # the normals of a step, block by block
     idx = np.arange(x.shape[0])
-    # block edges among all runs (bounds) and among the active runs (edges)
-    bounds = edges = np.cumsum([0] + counts)
+    # block edges among all runs; normals each block reads a step
+    bounds, reads = np.cumsum([0] + counts), [x.shape[1] * c for c in counts]
+    at = [0] * len(streams)     # each block's position on its stream
+    read = tape.read
     step = 0
     while x.shape[0]:
         step += 1
         if step > step_cap:
             raise SimulationTimeout(f"{what} run exceeded {step_cap} steps")
-        for read, lo, hi in zip(reads, edges[:-1], edges[1:]):
-            read(z[lo:hi])
+        parts = []
+        for b, n in enumerate(reads):
+            if n:
+                at[b] = read(streams[b], at[b], n, parts)
+        np.concatenate(parts, out=z.reshape(-1)[:x.size])
         x = model.pi(x) + model.noise(z[:len(x)])
         gone = retire(step, x, idx, *state)
         if gone.size:
             keep = np.delete(np.arange(len(x)), gone)   # take, not a mask
             x, idx = x.take(keep, axis=0), idx[keep]
             state = [a[keep] for a in state]
-            edges = np.searchsorted(idx, bounds)
+            edges = np.searchsorted(idx, bounds).tolist()
+            reads = [x.shape[1] * (hi - lo)
+                     for lo, hi in zip(edges, edges[1:])]
+
+
+def _check_balls(structure, index):
+    """Raise NumericError unless every ball index is in [0, n_balls)."""
+    index = np.asarray(index)
+    bad = index[(index < 0) | (index >= structure.n_balls)]
+    if bad.size:
+        raise NumericError(f"ball index {bad[0]} outside "
+                           f"[0, {structure.n_balls})")
 
 
 def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
@@ -294,6 +363,9 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
     bit, so it is equal in law.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if not pairs.size:
+        raise NumericError("committor needs at least one pair (i, j)")
+    _check_balls(structure, pairs)
     if (pairs[:, 0] == pairs[:, 1]).any():
         raise NumericError("committor needs i != j")
     if n_runs < MIN_COMMITTOR_RUNS:
@@ -378,6 +450,7 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
     """Frequencies of the ball occupied at the (n m)-th visit to the
     metastable union, n = 0..n_blocks, over runs started at the i-th stable
     point.  Returns (freqs, stderrs) of shape (n_balls, n_blocks + 1)."""
+    _check_balls(structure, i)
     if n_runs < MIN_TRACE_RUNS:
         raise NumericError(f"n_runs must be >= {MIN_TRACE_RUNS}")
     if m < 1:

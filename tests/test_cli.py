@@ -414,9 +414,9 @@ class TestSimulate:
 
 def count_normals(monkeypatch):
     """Normals drawn from each Philox stream (seed, w), in every tape; and
-    per reader of every tape, its stream and how many normals it read."""
-    drawn, readers = {}, []
-    make, reader = metareduce.montecarlo.rng_stream, Normals.reader
+    per block reading a tape, its stream and how many normals it read."""
+    drawn, readers, places = {}, [], {}
+    make, read = metareduce.montecarlo.rng_stream, Normals.read
 
     class Counted:
         def __init__(self, seed, w):
@@ -428,17 +428,22 @@ def count_normals(monkeypatch):
             drawn[self.key] = drawn.get(self.key, 0) + z.size
             return z
 
-    def recorded(self, w):
-        fill, read = reader(self, w), [w, 0]
-        readers.append(read)
-
-        def counted(out):
-            read[1] += out.size
-            return fill(out)
-        return counted
+    def counted(self, w, at, n, parts):
+        # a block's reads go on from where its last one stopped (an int, or
+        # past the tape's end a generator); blocks at one place of a stream
+        # read the same normals, so either may be credited
+        if isinstance(at, int) and at == 0:
+            readers.append([w, 0])
+            reader = readers[-1]
+        else:
+            reader = places[self, w, at].pop()
+        reader[1] += n
+        after = read(self, w, at, n, parts)
+        places.setdefault((self, w, after), []).append(reader)
+        return after
 
     monkeypatch.setattr(metareduce.montecarlo, "rng_stream", Counted)
-    monkeypatch.setattr(Normals, "reader", recorded)
+    monkeypatch.setattr(Normals, "read", counted)
     return drawn, readers
 
 

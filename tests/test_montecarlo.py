@@ -246,6 +246,44 @@ def flip_model(sigma):
                                       np.array([0.5, 0.5]), 0.5)
 
 
+_BUILTIN = {}
+
+
+def builtin_model(name, sigma):
+    """A built-in map (or ``flip_model``) on [-2, 2]^d with identity
+    covariance, and its structure at delta 0.2; built once per name."""
+    if name == "flip":
+        return flip_model(sigma)
+    if name not in _BUILTIN:
+        dim, pi, jac = build_map(name, MAP_PARAMS.get(name, {}))
+        model = DeterministicMapModel(dim, pi, jac, [[-2.0, 2.0]] * dim,
+                                      np.eye(dim), sigma, name)
+        _BUILTIN[name] = model, mr.build_metastable_structure(
+            model, mr.find_fixed_points(model), 0.2)
+    model, structure = _BUILTIN[name]
+    return dataclasses.replace(model, sigma=sigma), structure
+
+
+def first_far_step(model, path):
+    """The first step (1-based) past 100 diam(X), or 0 if none is."""
+    far = ~((path * path).sum(axis=1) <= (100.0 * model.diam) ** 2)
+    return int(far.argmax()) + 1 if far.any() else 0
+
+
+def assert_chain_is_plain(model, structure, x0, n_steps, seed):
+    """simulate_chain is the plain loop bit for bit, or raises Runaway at
+    the step where the plain loop first leaves 100 diam(X)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = plain_path(model, x0, n_steps, seed)
+        step = first_far_step(model, path)
+        if step:
+            with pytest.raises(Runaway, match=rf"^\|X_{step}\|"):
+                mr.simulate_chain(model, structure, x0, n_steps, seed)
+            return
+        trace = mr.simulate_chain(model, structure, x0, n_steps, seed)
+    assert_trace_is_path(trace, model, structure, path)
+
+
 def counting(model):
     """``model`` with ``pi`` wrapped in a counter of single-point and
     batched calls."""
@@ -263,11 +301,7 @@ class TestParallelInTime:
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_every_builtin_map(self, name):
-        dim, pi, jac = build_map(name, MAP_PARAMS.get(name, {}))
-        model = DeterministicMapModel(dim, pi, jac, [[-2.0, 2.0]] * dim,
-                                      np.eye(dim), 0.1, name)
-        st = mr.build_metastable_structure(model, mr.find_fixed_points(model),
-                                           0.2)
+        model, st = builtin_model(name, 0.1)
         trace = mr.simulate_chain(model, st, st.centers[0], 5000, 7)
         assert_trace_is_path(trace, model, st,
                              plain_path(model, st.centers[0], 5000, 7))
@@ -315,6 +349,72 @@ class TestParallelInTime:
         segment = metareduce.montecarlo.SEGMENT
         assert calls["batch"] <= segment
         assert calls["point"] + calls["batch"] <= 100_000 + segment
+
+    def test_runaway_in_swept_group(self):
+        # near a well the segments meet, until a kick past the unstable
+        # orbit at |x| = 1.67 diverges in a later segment of the first group
+        model, st = builtin_model("cubic", 0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = plain_path(model, st.centers[0], 20_000, 0)
+            step = first_far_step(model, path)
+        assert 2 * metareduce.montecarlo.SEGMENT < step < 20_000
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Runaway) as err:
+                mr.simulate_chain(model, st, st.centers[0], 20_000, 0)
+        assert str(err.value) == f"|X_{step}| exceeded 100 diam(X)"
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(name=st.sampled_from(builtin_names() + ["flip"]),
+           sigma=st.sampled_from([0.05, 0.3]),
+           segment=st.integers(2, 40),
+           check_every=st.sampled_from([1, 3, 16]),
+           guess_bytes=st.integers(0, 1 << 13),
+           segments=st.integers(1, 6), extra=st.sampled_from([-1, 0, 1]),
+           where=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+           seed=st.integers(0, 1000))
+    def test_sweep_is_the_plain_loop(self, name, sigma, segment,
+                                     check_every, guess_bytes, segments,
+                                     extra, where, seed):
+        # small segments and caps split the run into many groups; runs of
+        # k segments, one step short or over, from a point off the centres
+        model, structure = builtin_model(name, sigma)
+        lo, hi = model.box[:, 0], model.box[:, 1]
+        x0 = lo + np.array(where[:model.dim]) * (hi - lo)
+        n_steps = max(1, segments * segment + extra)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metareduce.montecarlo, "SEGMENT", segment)
+            mp.setattr(metareduce.montecarlo, "CHECK_EVERY", check_every)
+            mp.setattr(metareduce.montecarlo, "GUESS_BYTES", guess_bytes)
+            assert_chain_is_plain(model, structure, x0, n_steps, seed)
+
+    @pytest.mark.parametrize("check_every", [1, 3, 16])
+    def test_small_segments_across_chunks(self, structure2d, monkeypatch,
+                                          check_every):
+        monkeypatch.setattr(metareduce.montecarlo, "SEGMENT", 100)
+        monkeypatch.setattr(metareduce.montecarlo, "CHECK_EVERY",
+                            check_every)
+        monkeypatch.setattr(metareduce.montecarlo, "GUESS_BYTES", 1 << 14)
+        assert_chain_is_plain(tanh2d_model(0.4), structure2d,
+                              np.array([0.3, -1.2]), 65_536 + 101, 5)
+
+    @pytest.mark.parametrize("n_steps", [1025, 2047, 2048, 2049])
+    def test_last_segment_edges(self, structure2d, n_steps):
+        # a 1-step last segment; a run of whole segments and one over
+        assert_chain_is_plain(tanh2d_model(0.4), structure2d,
+                              structure2d.centers[1], n_steps, 3)
+
+
+def never_stepped():
+    """A 1D model whose map fails the test if it is ever called."""
+    def pi(x):
+        raise AssertionError("stepped")
+
+    return DeterministicMapModel(1, pi, None, [[-2, 2]], [[1.0]], 0.4,
+                                 "never")
 
 
 class TestEstimateCommittor:
@@ -378,13 +478,21 @@ class TestEstimateCommittor:
             == self.REF_PINS[workers]
 
     def test_same_ball_rejected_before_any_step(self, structure):
-        def pi(x):
-            raise AssertionError("stepped")
-
-        model = DeterministicMapModel(1, pi, None, [[-2, 2]], [[1.0]], 0.4,
-                                      "never")
         with pytest.raises(NumericError, match="i != j"):
-            mr.estimate_committor(model, structure, [(0, 1), (1, 1)], 1000,
+            mr.estimate_committor(never_stepped(), structure,
+                                  [(0, 1), (1, 1)], 1000, MASTER_SEED)
+
+    @pytest.mark.parametrize("pairs,match", [
+        # -1 would wrap to ball 1 and name one ball twice
+        ([(-1, 1)], r"ball index -1 outside \[0, 2\)"),
+        ([(0, 1), (0, 2)], r"ball index 2 outside \[0, 2\)"),
+        ([(20, 0)], r"ball index 20 outside \[0, 2\)"),
+        ([], "at least one pair"),
+    ])
+    def test_bad_pairs_rejected_before_any_step(self, structure, pairs,
+                                                match):
+        with pytest.raises(NumericError, match=match):
+            mr.estimate_committor(never_stepped(), structure, pairs, 200,
                                   MASTER_SEED)
 
     def test_first_zero_hit_pair_raises(self):
@@ -569,6 +677,14 @@ class TestDilutedTrace:
         for j in (0, 1):
             assert abs(freqs[j, -1] - 0.5) <= 3 * ses[j, -1] + 1e-12
 
+    @pytest.mark.parametrize("i", [-1, 2, 20])
+    def test_bad_start_ball_rejected_before_any_step(self, structure, i):
+        # -1 would run from the last ball
+        with pytest.raises(NumericError,
+                           match=rf"ball index {i} outside \[0, 2\)"):
+            mr.empirical_diluted_trace(never_stepped(), structure, i, 1, 2,
+                                       1000, MASTER_SEED)
+
     def test_frequencies_sum_to_one(self, structure):
         model = make_ref_model(0.35)
         freqs, _ = mr.empirical_diluted_trace(model, structure, 1, 3, 5,
@@ -727,6 +843,27 @@ class TestPlainEngine:
         assert 0 < recorded(tape) <= (tape_bytes
                                       or metareduce.montecarlo.TAPE_BYTES)
 
+    def test_every_block_past_the_tape_end(self, structure2d, monkeypatch):
+        # 12 pairs x 2 workers: with a tape of 3,000 normals every one of
+        # the 24 blocks goes on past its stream's end with a generator
+        monkeypatch.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * 3000)
+        read, past = Normals.read, set()
+
+        def watched(self, w, at, n, parts):
+            after = read(self, w, at, n, parts)
+            if not isinstance(after, int):
+                past.add(id(after))
+            return after
+
+        monkeypatch.setattr(Normals, "read", watched)
+        model, pairs = tanh2d_model(0.5), list(
+            itertools.permutations(range(4), 2))
+        ests = mr.estimate_committor(model, structure2d, pairs, 100, 7,
+                                     workers=2)
+        hits = plain_committor(model, structure2d, pairs, 100, 7, 2)
+        assert [e.estimate for e in ests] == (hits / 100).tolist()
+        assert len(past) == 24
+
     def test_fewer_runs_than_workers_rejected(self, structure):
         # raised before any stream is made or any step taken
         with pytest.raises(NumericError, match="100 runs cannot fill 101"):
@@ -736,13 +873,14 @@ class TestPlainEngine:
 
 def recorded(tape):
     """Bytes of the chunks a tape holds."""
-    return sum(c.nbytes for chunks, _ in tape.streams.values()
+    return sum(c.nbytes for chunks, _, _ in tape.streams.values()
                for c in chunks)
 
 
 class TestNormals:
-    """One tape, many readers: each reads its stream as one fresh
-    generator would, however the reads are split and interleaved."""
+    """One tape, many readers, each at its own position: each reads its
+    stream as one fresh generator would, however the reads are split and
+    interleaved."""
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
@@ -756,12 +894,10 @@ class TestNormals:
             mp.setattr(metareduce.montecarlo, "TAPE_CHUNK", chunk)
             mp.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * cap)
             tape = Normals(MASTER_SEED)
-            readers = [tape.reader(w) for w in streams]
-            got = [[] for _ in readers]
+            at = [0] * len(streams)
+            got = [[] for _ in streams]
             for k, n, d in reads:
-                out = np.full((n, d), np.nan)
-                readers[k](out)
-                got[k].append(out.ravel())
+                at[k] = tape.read(streams[k], at[k], n * d, got[k])
                 assert recorded(tape) <= 8 * cap
         for w, parts in zip(streams, got):
             z = np.concatenate([np.empty(0), *parts])
@@ -772,7 +908,7 @@ class TestNormals:
         monkeypatch.setattr(metareduce.montecarlo, "TAPE_CHUNK", 100)
         tape = Normals(MASTER_SEED)
         for _ in range(3):
-            tape.reader(0)(np.empty(250))
+            tape.read(0, 0, 250, [])
         assert sum(c.size for c in tape.streams[0][0]) == 250
 
 
