@@ -263,7 +263,32 @@ def cmd_reduce(pipe: Pipeline):
     return 0
 
 
+def _event_blocks(trace):
+    """Yield the events file (see cmd_simulate) EVENT_BLOCK lines at a time,
+    each one join of pieces: "".join frees them before the text is encoded."""
+    heads = np.array([f'{{"ball": {b}, "kind": {k}, "position": ['
+                      for b in range(trace.event_balls.max(initial=0) + 1)
+                      for k in (-1, 1)], dtype=object)
+    n, d = trace.event_positions.shape
+    parts = np.empty((EVENT_BLOCK, 2 * d + 3), dtype=object)
+    parts[:, 2:2 * d:2] = ", "
+    parts[:, [2 * d, -1]] = '], "step": ', "}\n"
+    for at in range(0, n, EVENT_BLOCK):
+        ev, m = slice(at, at + EVENT_BLOCK), min(n - at, EVENT_BLOCK)
+        parts[:m, 0] = heads[2 * trace.event_balls[ev]
+                             + (trace.event_kinds[ev] > 0)]
+        parts[:m, 1:2 * d:2].flat = list(map(
+            repr, trace.event_positions[ev].ravel().tolist()))
+        parts[:m, -2] = list(map(str, trace.event_steps[ev].tolist()))
+        yield "".join(parts[:m].ravel().tolist())
+
+
 def cmd_simulate(pipe: Pipeline):
+    """Write results.csv and, if mc.sim_steps > 0, events_<sigma>.ndjson,
+    one JSON object a line, keys sorted, per ball entry or exit of the path:
+    "ball", "kind" (+1 an entry, -1 an exit; at one step an exit comes
+    first), "position" (each coordinate as Python's repr, json's form of a
+    finite float; a runaway raises) and "step".  No events, an empty file."""
     cfg = pipe.cfg
     structure = pipe.structure
     rows = []
@@ -272,18 +297,8 @@ def cmd_simulate(pipe: Pipeline):
         if cfg.mc["sim_steps"] > 0:
             trace = simulate_chain(model, structure, structure.centers[0],
                                    cfg.mc["sim_steps"], cfg.seed)
-            # the lines json.dumps(..., sort_keys=True) writes (positions are
-            # finite: a runaway raises), from Python lists a block at a time
-            cols = (trace.event_steps, trace.event_balls, trace.event_kinds,
-                    trace.event_positions)
-            lines = []
-            for at in range(0, len(cols[0]), EVENT_BLOCK):
-                lines += [f'{{"ball": {b}, "kind": {k}, "position": '
-                          f'[{", ".join(map(repr, p))}], "step": {s}}}'
-                          for s, b, k, p in zip(*(
-                              c[at:at + EVENT_BLOCK].tolist() for c in cols))]
             (pipe.out_dir / f"events_{_sig_tag(sigma)}.ndjson").write_text(
-                "\n".join(lines) + ("\n" if lines else ""))
+                "".join(_event_blocks(trace)))
             rows.append(("balls_visited", sigma,
                          float(len(trace.balls_visited)), 0.0,
                          cfg.mc["sim_steps"], cfg.seed))

@@ -18,7 +18,7 @@ from metareduce.cli import Pipeline, main
 from metareduce.config import load_config
 from metareduce.dynamics import DeterministicMapModel
 from metareduce.errors import ConfigError
-from metareduce.montecarlo import Normals
+from metareduce.montecarlo import Normals, SimulationTrace
 
 BASE = {
     "schema": 1,
@@ -70,6 +70,16 @@ def count_calls(monkeypatch, module, name):
                 and getattr(mod, name, None) is original):
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def events_lines(trace):
+    """The events file's lines as json.dumps(..., sort_keys=True) writes
+    them, one per event of ``trace``."""
+    return [json.dumps({"step": int(s), "ball": int(b), "kind": int(k),
+                        "position": list(map(float, p))},
+                       sort_keys=True) + "\n"
+            for s, b, k, p in zip(trace.event_steps, trace.event_balls,
+                                  trace.event_kinds, trace.event_positions)]
 
 
 class TestConfigErrors:
@@ -291,6 +301,29 @@ class TestSingleWell:
         assert "all of M" in doc["message"]
         assert "one metastable state" in doc["message"]
 
+    def test_simulate_runs(self, tmp_path):
+        # one ball: events at sigma 0.35; none at 0.01, where the path never
+        # leaves the ball it starts in, so its file is empty
+        path = write_config(tmp_path, map={"name": "linear",
+                                           "params": {"a": 0.5}},
+                            box=[[-1, 1]], delta=0.1, r_hop=0.5, sigma=None,
+                            sigmas=[0.35, 0.01],
+                            mc={"committor_runs": 500, "trace_runs": 0,
+                                "sim_steps": 2000})
+        code, lines = run_subprocess(path, "simulate")
+        assert (code, lines) == (0, [])
+        out = tmp_path / "out"
+        assert (out / "results.csv").read_text().splitlines()[1:] == [
+            "balls_visited,0.35,1.0,0.0,2000,11",
+            "balls_visited,0.01,0.0,0.0,2000,11"]
+        assert (out / "events_0.01.ndjson").read_bytes() == b""
+        pipe = Pipeline(load_config(path))
+        trace = metareduce.simulate_chain(
+            pipe.model(0.35), pipe.structure, pipe.structure.centers[0],
+            2000, pipe.cfg.seed)
+        assert (out / "events_0.35.ndjson").read_text() == "".join(
+            events_lines(trace))
+
 
 class TestEmptyBall:
     @pytest.mark.parametrize("command", ["qsd", "reduce", "validate"])
@@ -382,6 +415,36 @@ class TestSimulate:
         assert len(json.loads(lines[0])["position"]) == pipe.cfg.dim
         written = (tmp_path / "out" / f"events_{sigma!r}.ndjson").read_bytes()
         assert written == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("d,n", [(1, 14), (2, 2 * 1024 + 5), (2, 0)],
+                             ids=["1d", "2d-three-blocks", "no-events"])
+    def test_events_writer_oracle(self, tmp_path, monkeypatch, d, n):
+        # a hand-built trace: json's float forms a chain path never reaches
+        # (exponents, -0.0, subnormals), balls past 9, both kinds, and
+        # blocks after a full one reusing its rows
+        rng = np.random.default_rng(5)
+        edge = [-0.0, 5e-324, 1e-05, 1e16, 1e22, 0.1 + 0.2,
+                1.7976931348623157e308]
+        values = rng.standard_normal(n * d) * 10.0 ** rng.integers(
+            -30, 30, n * d)
+        values[:2 * len(edge)] = (edge + [-v for v in edge])[:n * d]
+        trace = SimulationTrace(
+            event_steps=np.cumsum(rng.integers(1, 10**6, n)),
+            event_balls=np.arange(n) % 13,
+            event_kinds=np.where(np.arange(n) % 3, 1, -1),
+            event_positions=values.reshape(n, d),
+            entry_counts=np.zeros(13, dtype=np.int64),
+            steps_in_ball=np.zeros(13, dtype=np.int64), exits_from_box=0,
+            final_position=np.zeros(d))
+        monkeypatch.setattr(metareduce.cli, "simulate_chain",
+                            lambda *args: trace)
+        path = write_config(tmp_path, mc={"committor_runs": 0,
+                                          "trace_runs": 0, "sim_steps": 10})
+        assert run(path, "simulate") == 0
+        lines = events_lines(trace)
+        written = (tmp_path / "out" / "events_0.35.ndjson").read_bytes()
+        assert written == "".join(lines).encode()
+        assert all(repr(v) in lines[i // d] for i, v in enumerate(edge[:n]))
 
     def test_reruns_byte_identical(self, tmp_path):
         # digests of the outputs of the chain stepped one step at a time,
