@@ -5,8 +5,8 @@ from .dynamics import (DeterministicMapModel, DriftReport, FixedPointRecord,
                        check_lyapunov_drift, classify_stability,
                        find_fixed_points)
 from .grid import Grid
-from .kernel import (KernelMatrix, discretize_kernel, gaussian_rate,
-                     invariant_measure, killed_kernel, trace_kernel)
+from .kernel import (KernelMatrix, discretize_kernel, invariant_measure,
+                     killed_kernel, trace_kernel)
 from .montecarlo import (EstimateWithError, SimulationTrace,
                          empirical_diluted_trace, estimate_committor,
                          estimate_ex, rng_stream, simulate_chain)

@@ -3,7 +3,8 @@
 
 Every command is a pure function of (config, cache): reruns with the same
 inputs produce byte-identical outputs.  Exit codes: 0 pass, 1 check failure,
-2 config error, 3 numeric error; errors are mirrored as JSON on stderr.
+2 config error or a file that cannot be read or written ("io"), 3 numeric
+error; errors are mirrored as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .dynamics import (DriftViolated, build_metastable_structure,
                        check_lyapunov_drift, find_fixed_points)
-from .errors import ConfigError, MetareduceError, NumericError
+from .errors import ConfigError, NumericError
 from .grid import Grid
 from .kernel import discretize_kernel, load_kernel, save_kernel, trace_kernel
 from .montecarlo import (Normals, empirical_diluted_trace,
@@ -463,11 +464,11 @@ def main(argv=None):
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
+    except OSError as exc:
+        _emit_error("io", exc)
+        return 2
     except NumericError as exc:
         _emit_error("numeric", exc)
-        return 3
-    except MetareduceError as exc:
-        _emit_error("error", exc)
         return 3
 
 

@@ -75,12 +75,6 @@ class KernelMatrix:
         return pos
 
 
-def gaussian_rate(model, x, y):
-    """One-step large-deviation rate <y - pi(x), cov^{-1}(y - pi(x))> / 2."""
-    x, y = (np.atleast_1d(np.asarray(v, float)) for v in (x, y))
-    return float(model.rate(y - model.pi(x)))
-
-
 def discretize_kernel(model, grid):
     """Row-normalized exp(-rate/sigma^2) on all grid nodes, in one buffer.
 
@@ -247,8 +241,11 @@ def load_kernel(cache_dir, model, grid):
     data_path = cache_dir / f"{key}.kern"
     if not (meta_path.exists() and data_path.exists()):
         return None
-    stored = json.loads(meta_path.read_text())
-    stored.pop("hash", None)
+    try:
+        stored = json.loads(meta_path.read_text())
+    except ValueError:          # a garbled file is a miss, then rewritten
+        return None
+    meta["hash"] = key          # as save_kernel writes it
     n = grid.n_nodes
     if stored != meta or data_path.stat().st_size != 8 * n * n:
         return None

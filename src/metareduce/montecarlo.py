@@ -415,20 +415,20 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
     s = 1
     while (s + 1) ** grid.dim <= grid.n_nodes // n_starts:
         s += 1
-    lattice = grid.points().reshape(*grid.shape, grid.dim)
-    starts = list(lattice[(slice(None, None, s),) * grid.dim]
-                  .reshape(-1, grid.dim))
+    d = grid.dim
+    lattice = grid.points().reshape(*grid.shape, d)
+    starts = [lattice[(slice(None, None, s),) * d].reshape(-1, d)]
     if fixed_points is not None:
-        h = grid.spacings
-        for r in fixed_points:
-            if not r.is_stable:
-                starts.append(np.atleast_1d(r.location))
-                for axis in range(model.dim):
-                    for s in (-2.0, -1.0, 1.0, 2.0):
-                        p = np.atleast_1d(r.location).copy()
-                        p[axis] += s * h[axis]
-                        if model.in_box(p):
-                            starts.append(p)
+        # each unstable point, then the points -2, -1, +1 and +2 spacings
+        # from it along each axis that lie in the box
+        unstable = [r.location for r in fixed_points if not r.is_stable]
+        near = np.repeat(np.reshape(unstable, (-1, 1, d)), 1 + 4 * d, axis=1)
+        near[:, 1 + np.arange(4 * d), np.repeat(np.arange(d), 4)] += (
+            np.outer(grid.spacings, [-2.0, -1.0, 1.0, 2.0]).ravel())
+        keep = model.in_box(near)
+        keep[:, 0] = True
+        starts.append(near[keep])
+    starts = np.concatenate(starts)
     times = np.zeros(len(starts) * n_reps)
 
     def retire(step, x, idx):

@@ -6,6 +6,7 @@ quasipotential table) are built once per session and memoized per sigma.
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import metareduce as mr
 from metareduce.dynamics import DeterministicMapModel
@@ -90,6 +91,16 @@ HAND_K3 = np.array([[0.5, 0.3, 0.2],
 def kernel_from_matrix(matrix, kind="stochastic"):
     m = np.asarray(matrix, float)
     return mr.KernelMatrix(m, kind, np.arange(m.shape[0]))
+
+
+def stochastic_matrices(sizes=st.integers(2, 8),
+                        entries=st.floats(0.01, 1.0)):
+    """Square matrices of drawn entries, each row divided by its sum; rows
+    that sum to 0 are redrawn."""
+    return sizes.flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(np.array).filter(lambda m: (m.sum(axis=1) > 0).all()).map(
+        lambda m: m / m.sum(axis=1)[:, None])
 
 
 # --- exact oracles for the Monte Carlo estimators -----------------------------

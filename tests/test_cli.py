@@ -127,10 +127,35 @@ class TestConfigErrors:
         ({"mc": {"committor_runs": 99}}, "committor_runs"),
         ({"mc": {"trace_runs": 1}}, "trace_runs"),
         ({"seed": -3}, "seed"),
-        ({"mc": {"step_cap": 0}}, "step_cap")])
+        ({"mc": {"step_cap": 0}}, "step_cap"),
+        # a str is the config file's whole text
+        ("[1, 2]", "JSON object"),
+        ('{"schema": 1,', "cannot read config"),
+        ({"schema": 2}, "schema"),
+        ({"dim": 3}, "dim"),
+        ({"box": [[-2, 2], [-2, 2]]}, "box"),
+        ({"sigmas": [0.3]}, "either 'sigma' or 'sigmas'"),
+        ({"sigma": None}, "'sigma'"),
+        ({"sigma": None, "sigmas": []}, "'sigmas' must not be empty"),
+        ({"sigma": 0.0}, "sigma"),
+        ({"sigma": -0.5}, "sigma"),
+        ({"grid_nodes": [101, 101]}, "grid_nodes"),
+        ({"mc": [0, 0]}, "mc must be an object"),
+        ({"mc": {"sim_steps": -1}}, "budgets must be nonnegative"),
+        # the model's own checks, reached when the command builds it
+        ({"box": [[2, -2]]}, "hi > lo"),
+        ({"cov": [[1.0, 0.0]]}, "cov must be d x d"),
+        ({"cov": [[-1.0]]}, "positive definite"),
+        ({"map": {"name": "tanh2d", "params": {"beta": [2.0, 2.0]}},
+          "dim": 2, "box": [[-2, 2], [-2, 2]], "cov": [[1, 0.5], [0, 1]]},
+         "symmetric")])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides,
                                          field):
-        path = write_config(tmp_path, **overrides)
+        if isinstance(overrides, str):
+            path = tmp_path / "config.json"
+            path.write_text(overrides)
+        else:
+            path = write_config(tmp_path, **overrides)
         assert run(path, "analyze") == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and field in err["message"]
@@ -173,7 +198,66 @@ class TestConfigErrors:
         assert err["error"] == "config" and "workers" in err["message"]
 
 
+class TestIoErrors:
+    """A file or directory that cannot be read or written exits 2 with one
+    JSON line on stderr, not a traceback."""
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        path = write_config(tmp_path)
+        assert run(path, "reduce", "--out", str(blocker / "sub")) == 2
+        line, = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["type"]) == ("io", "NotADirectoryError")
+
+    def test_cache_under_a_regular_file(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("METAREDUCE_CACHE", str(blocker / "cache"))
+        path = write_config(tmp_path)
+        assert run(path, "reduce") == 2
+        line, = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert (err["error"], err["type"]) == ("io", "NotADirectoryError")
+        assert not (tmp_path / "out" / "reduced_0.35.json").exists()
+
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        (tmp_path / "out" / "analyze.json").mkdir(parents=True)
+        assert run(write_config(tmp_path), "analyze") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"]) == ("io", "IsADirectoryError")
+
+    @pytest.mark.parametrize("garbled", [b'{"cache_schema": 3', b"[]",
+                                         b"\xff\xfe"])
+    def test_garbled_meta_file_is_a_miss(self, tmp_path, monkeypatch,
+                                         garbled):
+        # the kernel is recomputed and its meta file rewritten
+        path = write_config(tmp_path)
+        assert run(path, "spectrum") == 0
+        first = (tmp_path / "out" / "spectrum_0.35.csv").read_bytes()
+        meta, = (tmp_path / "cache").glob("*.meta.json")
+        good = meta.read_bytes()
+        meta.write_bytes(garbled)
+        calls = count_calls(monkeypatch, metareduce.cli, "discretize_kernel")
+        assert run(path, "spectrum") == 0
+        assert len(calls) == 1
+        assert meta.read_bytes() == good
+        assert (tmp_path / "out" / "spectrum_0.35.csv").read_bytes() == first
+
+
 class TestAnalyze:
+    def test_failing_drift_recorded(self, tmp_path):
+        # a = 0.99: E U(X_1) - U(x) = sigma^2 - (1 - a^2) x^2 >= 0 out to
+        # |x| = 3.5, so a sample in the shell outside [-2, 2] fails
+        path = write_config(tmp_path, map={"name": "linear",
+                                           "params": {"a": 0.99}}, sigma=0.5)
+        assert run(path, "analyze") == 1
+        doc = json.loads((tmp_path / "out" / "analyze.json").read_text())
+        drift = doc["drift"]["0.5"]
+        assert drift["passed"] is False
+        assert drift["drift"] >= 0.0 and abs(drift["sample"][0]) > 2.0
+
     def test_tanh_three_fixed_points(self, tmp_path):
         path = write_config(tmp_path)
         assert run(path, "analyze") == 0

@@ -291,6 +291,16 @@ class TestModelValidation:
             DeterministicMapModel(2, pi, jac, [[-2, 2], [-2, 2]],
                                   [[1.0, 2.0], [2.0, 1.0]], 0.4, "tanh2d")
 
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_sigma_must_be_nonnegative_and_finite(self, sigma):
+        # sigma = 0 is a noiseless model; a config never gets this far, as
+        # it asks for sigma > 0 itself
+        dim, pi, jac = build_map("tanh", {"beta": 2.0})
+        DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], 0.0, "tanh")
+        with pytest.raises(mr.errors.ConfigError, match="sigma"):
+            DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], sigma,
+                                  "tanh")
+
 
 def bits(a):
     return np.ascontiguousarray(a, float).view(np.int64)

@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metareduce as mr
+import metareduce.montecarlo
 from metareduce.dynamics import DeterministicMapModel
 from metareduce.errors import (DegenerateRow, NonRecurrentComplement,
                                NumericError)
@@ -13,27 +16,30 @@ from metareduce.grid import Grid
 from metareduce.kernel import cache_key, load_kernel, save_kernel
 from metareduce.maps import build_map
 
-from conftest import HAND_K3, kernel_from_matrix, make_ref_model
+from conftest import (HAND_K3, MASTER_SEED, kernel_from_matrix,
+                      make_ref_model, stochastic_matrices)
 
 
 class TestGaussianRate:
+    # the one-step rate I(x, y) of a model is model.rate(y - model.pi(x))
     def test_vanishes_on_image(self):
         model = make_ref_model(0.35)
         x = np.array([0.7])
-        assert mr.gaussian_rate(model, x, model.pi(x)) == 0.0
+        assert model.rate(model.pi(x) - model.pi(x)) == 0.0
 
     def test_scalar_hand_value(self):
         # x = 0, y = 0.5, tanh(0) = 0: rate = 0.5 * 0.25
         model = make_ref_model(0.35)
-        assert mr.gaussian_rate(model, [0.0], [0.5]) == pytest.approx(0.125)
+        x, y = np.array([0.0]), np.array([0.5])
+        assert model.rate(y - model.pi(x)) == pytest.approx(0.125)
 
     def test_2d_anisotropic_hand_value(self):
         model = DeterministicMapModel(
             2, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)),
             [[-3, 3], [-3, 3]], [[1.0, 0.0], [0.0, 4.0]], 0.3, "zero")
         # 0.5 * (2^2 / 1 + 2^2 / 4) = 2.5
-        assert mr.gaussian_rate(model, [0.0, 0.0], [2.0, 2.0]) \
-            == pytest.approx(2.5)
+        x, y = np.array([0.0, 0.0]), np.array([2.0, 2.0])
+        assert model.rate(y - model.pi(x)) == pytest.approx(2.5)
 
     def test_rate_of_noise_is_half_squared_norm(self):
         # noise(z) / sigma = L z and (L z)^T (L L^T)^{-1} (L z) = |z|^2
@@ -154,6 +160,24 @@ class TestTraceKernel:
         via_a = mr.trace_kernel(mr.trace_kernel(K, [0, 1]), [0])
         np.testing.assert_allclose(via_a.matrix, one_step.matrix, atol=1e-10)
 
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_transitive_and_stochastic(self, data):
+        # watching the chain on A and then on B within A is watching it on
+        # B; positive entries keep every complement transient
+        k = kernel_from_matrix(data.draw(stochastic_matrices()))
+        a = sorted(data.draw(st.sets(st.integers(0, k.size - 1), min_size=1)))
+        b = sorted(data.draw(st.sets(st.sampled_from(a), min_size=1)))
+        on_a = mr.trace_kernel(k, a)
+        via_a = mr.trace_kernel(on_a, b)
+        direct = mr.trace_kernel(k, b)
+        np.testing.assert_array_equal(via_a.domain, b)
+        np.testing.assert_allclose(via_a.matrix, direct.matrix, rtol=1e-10,
+                                   atol=1e-13)
+        for t in (on_a, via_a, direct):
+            assert np.abs(t.matrix.sum(axis=1) - 1.0).max() <= 1e-12
+
     def test_rows_stochastic_before_renormalization(self, cache, ref):
         # output rows must already sum to 1 within 1e-10 (asserted internally)
         traced = cache.trace(0.35)
@@ -236,6 +260,74 @@ class TestInvariantMeasure:
         law = mr.invariant_measure(trace)
         masses = [law[trace.local_indices(b)].sum() for b in balls]
         np.testing.assert_allclose(masses, [0.950, 0.050], atol=1e-3)
+
+
+MEHLER_A = 0.5
+
+
+def mehler_model(sigma):
+    """x' = a x + sigma xi on [-2, 2]: the continuous kernel is Mehler's,
+    with eigenvalues a^k and invariant law N(0, sigma^2 / (1 - a^2))."""
+    dim, pi, jac = build_map("linear", {"a": MEHLER_A})
+    return DeterministicMapModel(dim, pi, jac, [[-2, 2]], [[1.0]], sigma,
+                                 "linear")
+
+
+class TestMehlerOracle:
+    GRID = Grid.from_box(np.array([[-2.0, 2.0]]), 401)
+
+    @pytest.mark.parametrize("sigma,tol", [
+        # sigma = 0.1: a row's Gaussian samples at spacing sigma / 10 sum to
+        # its integral far below rounding, and the box edge is 17 stationary
+        # sd out; measured 2.0e-15
+        (0.1, 1e-12),
+        # sigma = 0.3: the box's edge rows (5.8 sd out) move the higher
+        # modes: lambda_3 reads 0.1249946, lambda_5 0.0311939 (5.6e-5 off)
+        (0.3, 1e-4)])
+    def test_spectrum_is_a_to_the_k(self, sigma, tol):
+        # the spectrum command's route: all eigenvalues of the grid kernel
+        lam = mr.eigenvalues(mr.discretize_kernel(mehler_model(sigma),
+                                                  self.GRID))[:6]
+        np.testing.assert_array_equal(lam.imag, 0.0)
+        np.testing.assert_allclose(lam.real, MEHLER_A ** np.arange(6),
+                                   rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.3])
+    def test_invariant_law_variance(self, sigma):
+        # six digits: at sigma = 0.3 the box cuts 3.1e-7 of the variance
+        x = self.GRID.points()[:, 0]
+        law = mr.invariant_measure(mr.discretize_kernel(mehler_model(sigma),
+                                                        self.GRID))
+        assert abs(law @ x) <= 1e-12
+        assert law @ x ** 2 == pytest.approx(sigma ** 2 / (1 - MEHLER_A ** 2),
+                                             rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.1, 0.3])
+    def test_simulated_path_variance(self, sigma, monkeypatch):
+        # the path is read where simulate_chain's recursion writes it; for
+        # the Gaussian AR(1) chain the sample variance of n steps has
+        # standard error v sqrt(2 (1 + a^2) / ((1 - a^2) n)) and the mean
+        # sqrt(v (1 + a) / ((1 - a) n)); both must lie within 4 of them
+        model = mehler_model(sigma)
+        structure = mr.build_metastable_structure(
+            model, mr.find_fixed_points(model), 0.1)
+        recur, paths = metareduce.montecarlo._recur, []
+
+        def recording(*args):
+            out = recur(*args)
+            paths.append(args[4].copy())
+            return out
+
+        monkeypatch.setattr(metareduce.montecarlo, "_recur", recording)
+        n, a = 100_000, MEHLER_A
+        mr.simulate_chain(model, structure, structure.centers[0], n,
+                          MASTER_SEED)
+        path = np.concatenate(paths)[:, 0]
+        assert path.size == n
+        v = sigma ** 2 / (1 - a ** 2)
+        assert abs(path.var() - v) <= 4 * v * np.sqrt(
+            2 * (1 + a ** 2) / ((1 - a ** 2) * n))
+        assert abs(path.mean()) <= 4 * np.sqrt(v * (1 + a) / ((1 - a) * n))
 
 
 class TestKernelCache:

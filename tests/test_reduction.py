@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metareduce as mr
 from metareduce.errors import Overflow, ThetaTooLarge
@@ -9,7 +11,7 @@ from metareduce.reduction import (ball_rows, build_reduced_chain, choose_m,
                                   default_theta, diluted_marginal_deviation,
                                   solve_all_qsds, stochastic_power)
 
-from conftest import kernel_from_matrix
+from conftest import kernel_from_matrix, stochastic_matrices
 
 
 def kernel_norm(m):
@@ -237,6 +239,16 @@ class TestStochasticPower:
         p = np.array([[0.9, 0.1], [0.2, 0.8]])
         np.testing.assert_allclose(stochastic_power(p, 13),
                                    np.linalg.matrix_power(p, 13), atol=1e-13)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(p=stochastic_matrices(
+               st.integers(1, 8), st.one_of(st.just(0.0), st.floats(0.0, 1.0))),
+           n=st.integers(0, 200))
+    def test_matches_direct_power_on_drawn_matrices(self, p, n):
+        # zero entries included, so periodic and reducible chains occur
+        np.testing.assert_allclose(stochastic_power(p, n),
+                                   np.linalg.matrix_power(p, n), atol=1e-12)
 
     def test_large_power_row_sums(self, cache):
         out = stochastic_power(cache.trace(0.4).matrix, 4096)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import metareduce as mr
 from metareduce.dynamics import DeterministicMapModel
@@ -11,7 +13,7 @@ from metareduce.kernel import killed_kernel
 from metareduce.maps import build_map
 from metareduce.spectral import check_uniform_positivity, positivity_cap
 
-from conftest import kernel_from_matrix
+from conftest import kernel_from_matrix, stochastic_matrices
 
 HAND_2 = [[0.6, 0.4], [0.3, 0.7]]
 HAND_KILLED = [[0.5, 0.2], [0.3, 0.4]]
@@ -166,6 +168,26 @@ class TestSolveQsd:
             expected = sol.lambda0 ** (n - 1) * (1.0 - sol.lambda0)
             assert abs(prob - expected) <= 1e-10
             v = v @ killed.matrix
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_geometric_law_on_drawn_blocks(self, data):
+        # the killed block of a positive stochastic matrix on a proper
+        # subset: started from the QSD, P[tau = n] = lambda0^{n-1} escape,
+        # by matrix powers of the block and its row masses leaving it
+        k = data.draw(stochastic_matrices(st.integers(2, 8)))
+        n = k.shape[0]
+        ball = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1,
+                                        max_size=n - 1)))
+        sol = mr.solve_qsd(kernel_from_matrix(k), ball)
+        block = k[np.ix_(ball, ball)]
+        leaving = np.delete(k[ball], ball, axis=1).sum(axis=1)
+        assert sol.qsd.min() >= 0.0 and abs(sol.qsd.sum() - 1.0) <= 1e-12
+        for step in range(1, 11):
+            prob = sol.qsd @ np.linalg.matrix_power(block, step - 1) @ leaving
+            expected = sol.lambda0 ** (step - 1) * sol.escape
+            assert abs(prob / expected - 1.0) <= 1e-8
 
     def test_escape_mass_below_epsilon(self, cache, ref):
         # sigma = 0.08: the killed kernel's principal eigenvalue rounds to 1,
