@@ -80,8 +80,14 @@ class DeterministicMapModel:
         return float(np.linalg.norm(self.box[:, 1] - self.box[:, 0]))
 
     def in_box(self, x):
-        """Whether each point of x, shape (..., d), lies in the closed box."""
-        return np.all((x >= self.box[:, 0]) & (x <= self.box[:, 1]), axis=-1)
+        """Whether each point of x, shape (..., d), lies in the closed box.
+        Tested column by column: a reduction over a short last axis is
+        slow."""
+        x, (lo, hi) = np.asarray(x), self.box.T
+        inside = (x[..., 0] >= lo[0]) & (x[..., 0] <= hi[0])
+        for k in range(1, self.dim):
+            inside &= (x[..., k] >= lo[k]) & (x[..., k] <= hi[k])
+        return inside
 
     def validate(self, nodes_per_axis=33, n_jac_samples=32, seed=0):
         """Sampled positive-invariance and Jacobian consistency checks."""

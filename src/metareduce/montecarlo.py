@@ -12,7 +12,9 @@ The single chain of ``simulate_chain`` is stepped parallel in time, and is
 bit for bit the chain stepped one step at a time: chains driven by the same
 noise coalesce near a stable point, in floating point too.  ``_recur``
 sweeps its segments from the ball centres keeping only checkpoints, steps
-the exact chain until it meets one, and fills the rest in one batch.
+each segment from every guess end of the one before until it meets one,
+resolves the exact chain's segment starts by lookup, and fills the path in
+one batch.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ RUNAWAY_FACTOR = 100.0
 DEFAULT_STEP_CAP = 100_000_000
 MIN_COMMITTOR_RUNS = 100
 MIN_TRACE_RUNS = 1000
-SEGMENT = 1024              # steps per segment of the parallel-in-time sweep
+SEGMENT = 256               # steps per segment of the parallel-in-time sweep
 GUESS_BYTES = 1 << 20       # cap on the states one group of segments holds
 CHECK_EVERY = 16            # plain steps between two coalescence checks
 TAPE_BYTES = 16 << 20       # cap on the normals one tape records
@@ -112,9 +114,9 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     Positions leaving the box are kept (the drift pulls them back) but
     counted; a position farther than 100 * diam(X) raises Runaway.  The
     positions, bit for bit those of the one-step recursion, are mostly
-    stepped in batches: a sweep from the ball centres finds where the
-    exact chain meets them, and a second batch fills the path from there
-    (``_recur``).
+    stepped in batches: a sweep from the ball centres, then one from its
+    segments' ends, finds where the exact chain meets them, and a last
+    batch fills the path from there (``_recur``).
     The runaway bound, box exits, ball residence and events are checked
     per chunk of steps, an exit before an entry at the same step.
     """
@@ -143,7 +145,8 @@ def simulate_chain(model, structure, x0, n_steps, seed):
         # a runaway path may overflow before the chunk ends
         with np.errstate(over="ignore", invalid="ignore"):
             x, sweep = _recur(model, structure.centers, x, noise, path, sweep)
-            far = ~((path * path).sum(axis=1) <= runaway2)    # NaN too
+            # |X|^2 summed column by column; NaN is far too
+            far = ~_in_closed_ball(path, np.zeros(model.dim), runaway2)
         if far.any():
             raise Runaway(f"|X_{done + far.argmax() + 1}| exceeded 100 diam(X)")
         exits_box += int((~model.in_box(path)).sum())
@@ -182,7 +185,8 @@ def _recur(model, centers, x, noise, path, sweep):
     last stretch of one segment or less.
     """
     take, d = noise.shape
-    # per segment: pass 1's checkpoints from x and the centres, pass 2's rows
+    # per segment: pass 1's checkpoints from x and the centres, pass 2's
+    # rows; the candidates' states and tests take less, below 128 d balls
     marks = -(-SEGMENT // CHECK_EVERY) * (len(centers) + 1)
     n_max = max(2, GUESS_BYTES // (8 * d * max(marks, SEGMENT)))
     k = 0
@@ -205,13 +209,21 @@ def _sweep(model, centers, x, noise):
     y = np.empty((n, len(centers) + 1, noise.shape[1]))
     y[:, 0], y[:, 1:] = x, centers
     marks = np.empty((-(-SEGMENT // CHECK_EVERY),) + y.shape)
+    for j, y in _checkpoints(model, y, noise):
+        marks[j] = y
+    return marks
+
+
+def _checkpoints(model, y, noise):
+    """Step y[s] through segment s of ``noise`` in place, one ``pi`` call
+    on the batch a step, and yield (j, y) after each segment's step
+    (j + 1) CHECK_EVERY - 1 and after its last step."""
     for t in range(SEGMENT):
         z = noise[t::SEGMENT]       # step t of every segment that has one
         head = y[:len(z)]           # a short last segment stays at its end
         np.add(model.pi(head), z[:, None], out=head)
         if (t + 1) % CHECK_EVERY == 0 or t == SEGMENT - 1:
-            marks[t // CHECK_EVERY] = y
-    return marks
+            yield t // CHECK_EVERY, y
 
 
 def _group(model, centers, x, noise, path):
@@ -220,23 +232,33 @@ def _group(model, centers, x, noise, path):
 
     Pass 1 (``_sweep``) steps every segment from x and from every ball
     centre, one ``pi`` call on a batch a step (a batch gives its rows bit
-    for bit); segment 0 starts at x, so its guess is exact.  The exact
-    chain then goes segment by segment from the previous segment's exact
-    end, stepping alone until it equals a checkpoint bit for bit: from
-    there both apply ``pi`` to the same bits and add the same noise, so
-    that guess's end is the segment's.  Where |pi'| < 1, as near a stable
-    point, chains driven by the same noise meet in the last bit within a
-    few dozen steps.  Pass 2 (``_fill``) steps segment 0 and the rest of
-    every segment that met from their exact states; if none met, segment 0
-    is stepped plainly.
+    for bit); segment 0 starts at x, so its guess is exact.  Where
+    |pi'| < 1, as near a stable point, chains driven by the same noise
+    meet in the last bit within a few dozen steps; once the exact chain
+    equals a checkpoint bit for bit, both apply ``pi`` to the same bits
+    and add the same noise, so that guess's end is the segment's.
+    Segment 1's exact chain steps alone until it meets one.  Once a
+    segment has met so, each later segment starts at one of the guess
+    ends of the segment before, and ``_candidates`` steps all those
+    starts at once; the exact chain then goes by lookup, and steps alone
+    only where the start it needs never met.  Pass 2 (``_fill``) steps
+    segment 0 and every met segment from their exact states; if none
+    met, segment 0 is stepped plainly.
     """
     span = len(noise)
     marks = _sweep(model, centers, x, noise)
     ends, bits = marks[-1], marks.view(np.int64)
     fills = [(0, SEGMENT, x)]       # (lo, hi, state before step lo)
-    x = ends[0, 0]
+    met = None      # met[s, g]: the guess segment s met from guess end g
+    x, g = ends[0, 0], -1       # the guess end of s - 1 that x is, or -1
     for s, lo in enumerate(range(SEGMENT, span, SEGMENT), 1):
         hi = min(lo + SEGMENT, span)
+        if g >= 0 and met[s, g] >= 0:     # the start it needs met
+            fills.append((lo, hi, x))
+            g = met[s, g]
+            x = ends[s, g]
+            continue
+        g = -1
         for j, at in enumerate(range(lo, hi, CHECK_EVERY)):
             end = min(at + CHECK_EVERY, hi)
             for k in range(at, end):
@@ -244,8 +266,11 @@ def _group(model, centers, x, noise, path):
             same = (bits[j, s] == x.view(np.int64)).all(axis=1)
             if same.any():
                 fills.append((end, hi, x))
-                x = ends[s, same.argmax()]
+                g = int(same.argmax())
+                x = ends[s, g]
                 break
+        if g >= 0 and met is None and hi < span:
+            met = _candidates(model, noise, marks, s + 1)
     if len(fills) == 1:
         y = fills[0][2]
         for k in range(SEGMENT):
@@ -253,6 +278,28 @@ def _group(model, centers, x, noise, path):
     else:
         _fill(model, noise, path, fills)
     return x.copy(), len(fills) > 1
+
+
+def _candidates(model, noise, marks, first):
+    """Step segment s = first, first + 1, ... of ``noise`` from each guess
+    end g of segment s - 1, all in one batch a step, until every one
+    equals a checkpoint of its segment bit for bit or its segment ends.
+    Return met, where met[s, g] is the guess that start met (its end is
+    then that guess's end), or -1 if it never met or s < first."""
+    ends, bits = marks[-1], marks.view(np.int64)
+    met = np.full(ends.shape[:2], -1)
+    y, todo = ends[first - 1:-1].copy(), met[first:]
+    for j, y in _checkpoints(model, y, noise[first * SEGMENT:]):
+        # start g of segment s against its guesses, column by column
+        a, b = y.view(np.int64)[:, :, None], bits[j, first:, None]
+        same = a[..., 0] == b[..., 0]
+        for k in range(1, y.shape[2]):
+            same &= a[..., k] == b[..., k]
+        new = same.any(axis=2) & (todo < 0)
+        todo[new] = same.argmax(axis=2)[new]
+        if (todo >= 0).all():
+            break
+    return met
 
 
 def _fill(model, noise, path, fills):

@@ -1,6 +1,8 @@
 """The (..., d) point contract, checked on every map in the registry: a batch
 of points gives, bit for bit, the stacked results of its rows."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,31 @@ def test_in_box_batch_equals_rows(model):
     assert inside.shape == (x.shape[0],)
     assert inside.tolist() == [bool(model.in_box(p)) for p in x]
     assert 0 < inside.sum() < x.shape[0]
+
+
+# per coordinate: the faces of [-1, 2], their float neighbours, the
+# extremes, signed zeros, infinities and NaN
+FACE_COORDS = [-1.0, 2.0, np.nextafter(-1.0, -2.0), np.nextafter(-1.0, 0.0),
+               np.nextafter(2.0, 3.0), np.nextafter(2.0, 0.0), 0.0, -0.0,
+               5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_in_box_is_the_all_reduction(dim):
+    # column by column, as np.all over the last axis did, for every
+    # combination of face, extreme, infinite and NaN coordinates
+    m = DeterministicMapModel(dim, None, None, [[-1.0, 2.0]] * dim,
+                              np.eye(dim), 0.3)
+    lo, hi = m.box[:, 0], m.box[:, 1]
+    x = np.array(list(itertools.product(FACE_COORDS, repeat=dim)))
+    for pts in (x, x.reshape(len(FACE_COORDS), -1, dim), x[0], x[1], x[-1]):
+        old = np.all((pts >= lo) & (pts <= hi), axis=-1)
+        new = m.in_box(pts)
+        assert np.shape(new) == old.shape and np.asarray(new).dtype == bool
+        np.testing.assert_array_equal(new, old)
+    # in: both faces, their inner neighbours, both zeros and 5e-324
+    assert m.in_box(x).sum() == 7 ** dim
+    assert m.in_box(x[0]) and not m.in_box(x[-1])
 
 
 def test_nearest_index_batch_equals_rows(model):

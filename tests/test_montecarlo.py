@@ -13,7 +13,8 @@ import metareduce as mr
 import metareduce.montecarlo
 from metareduce.errors import (NumericError, Runaway, SimulationTimeout,
                                ZeroHits)
-from metareduce.dynamics import DeterministicMapModel, MetastableStructure
+from metareduce.dynamics import (DeterministicMapModel, MetastableStructure,
+                                 _in_closed_ball)
 from metareduce.maps import build_map, builtin_names
 from metareduce.montecarlo import Normals, fit_log_scaling
 
@@ -127,6 +128,41 @@ class TestSimulateChain:
         assert str(err.value) == f"|X_{step}| exceeded 100 diam(X)"
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("pi", [
+        lambda x: 3.0 * x,          # grows past 100 diam(X)
+        lambda x: 2.0 * x ** 3,     # its squares overflow to inf
+        np.log,                     # NaN once a step lands below 0
+    ], ids=["linear", "cubic", "log"])
+    def test_runaway_step_is_the_row_sum(self, dim, pi):
+        # the column-by-column |X|^2 reports the step that the row sum
+        # (path * path).sum(axis=1) of first_far_step reports
+        model = DeterministicMapModel(dim, pi, None, [[-2.0, 2.0]] * dim,
+                                      np.eye(dim), 0.1, "explode")
+        st = MetastableStructure(np.zeros((1, dim)), np.array([0.5]), 0.5)
+        x0 = np.full(dim, 0.9)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            assert first_far_step(model, plain_path(model, x0, 3000, 7))
+            assert_chain_is_plain(model, st, x0, 3000, 7)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_far_is_the_row_sum(self, dim):
+        # |x|^2 column by column is the row sum's, bit for bit: each row
+        # is inside a bound of its own row sum and outside the float below
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal((4000, dim)) * 10.0 ** rng.integers(
+            -170, 170, (4000, dim))
+        x[:12] = np.array([[np.inf], [-np.inf], [np.nan], [1e200], [-0.0],
+                           [5e-324], [1.5e154], [40.0], [np.inf], [np.nan],
+                           [-1e200], [0.0]])[:, [0] * dim]
+        x[12:24, 0] = [np.inf, -np.inf, np.nan, 1e200, 1.5e154, 0.0] * 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            r2 = (x * x).sum(axis=1)
+            for bound in (r2, np.nextafter(r2, -np.inf), 1600.0,
+                          (100.0 * 4.0 * np.sqrt(dim)) ** 2, np.inf):
+                np.testing.assert_array_equal(
+                    _in_closed_ball(x, np.zeros(dim), bound), r2 <= bound)
 
     def test_exit_flagging(self, structure):
         model = make_ref_model(0.8)
@@ -295,6 +331,36 @@ def counting(model):
     return dataclasses.replace(model, pi=pi), calls
 
 
+def switch_model(n_steps, kicks):
+    """1D, pi(x) = 0 below 5 and x from 5 up: chains below 5 meet at their
+    next step, chains above never meet.  The noise of step k is
+    (-1)^k 1e-3, or z for k: z in ``kicks``, whatever normals are drawn
+    (one chunk's worth), so a kick of +100 at a segment's last step sends
+    every chain below 5 above it and a kick of -100 brings it back."""
+    script = 1e-3 * (-1.0) ** np.arange(n_steps)
+    script[list(kicks)] = list(kicks.values())
+
+    class Scripted(DeterministicMapModel):
+        def noise(self, z):
+            return script[:len(z)].reshape(z.shape)
+
+    model = Scripted(1, lambda x: np.where(x < 5.0, 0.0, x), None,
+                     [[-200.0, 200.0]], [[1.0]], 1.0, "switch")
+    return model, MetastableStructure(np.array([[0.0], [1.0]]),
+                                      np.array([0.5, 0.5]), 0.5)
+
+
+def switch_calls(n_steps, kicks):
+    """simulate_chain on ``switch_model`` from 0.5, checked bit for bit
+    against the plain loop; returns its point and batch pi calls."""
+    model, st = switch_model(n_steps, kicks)
+    counted, calls = counting(model)
+    trace = mr.simulate_chain(counted, st, np.array([0.5]), n_steps, 0)
+    assert_trace_is_path(trace, model, st,
+                         plain_path(model, [0.5], n_steps, 0))
+    return calls
+
+
 class TestParallelInTime:
     """simulate_chain steps segments from the ball centres at once and
     keeps the path of the plain recursion bit for bit."""
@@ -349,6 +415,46 @@ class TestParallelInTime:
         segment = metareduce.montecarlo.SEGMENT
         assert calls["batch"] <= segment
         assert calls["point"] + calls["batch"] <= 100_000 + segment
+
+    def test_segment_starts_found_in_one_batch(self, structure2d):
+        # each group's segment 1 steps alone until it meets a guess; the
+        # other segments' starts are looked up from one candidate batch
+        model, calls = counting(tanh2d_model(0.4))
+        mr.simulate_chain(model, structure2d, structure2d.centers[0],
+                          100_000, MASTER_SEED)
+        assert calls["point"] <= 200
+        assert calls["batch"] <= 1500
+
+    def test_needed_start_never_meets(self):
+        # segment 1 meets, so the candidates run; every guess of segment 2
+        # ends at 100, where segment 3's start never meets, so segment 3
+        # steps alone and segment 4 steps alone until it meets
+        seg, every = (metareduce.montecarlo.SEGMENT,
+                      metareduce.montecarlo.CHECK_EVERY)
+        calls = switch_calls(6 * seg, {3 * seg - 1: 100.0, 4 * seg: -100.0})
+        assert calls["point"] == seg + 2 * every
+        assert calls["batch"] == 3 * seg
+
+    def test_segment_one_misses_a_later_one_meets(self):
+        # segment 0 ends at 100, so segment 1 never meets; segment 2 comes
+        # back below 5 and meets, and the candidates run from segment 3
+        seg, every = (metareduce.montecarlo.SEGMENT,
+                      metareduce.montecarlo.CHECK_EVERY)
+        calls = switch_calls(6 * seg, {seg - 1: 100.0, 2 * seg: -100.0})
+        assert calls["point"] == seg + every
+        assert calls["batch"] == 2 * seg + every
+
+    @pytest.mark.parametrize("kicked", [False, True])
+    @pytest.mark.parametrize("last", [1, 19])
+    def test_short_last_segment(self, last, kicked):
+        # a last segment shorter than a check (or than two) is looked up,
+        # met while it stays at its end; after a kick to 100 its start
+        # never meets and it steps alone
+        seg, every = (metareduce.montecarlo.SEGMENT,
+                      metareduce.montecarlo.CHECK_EVERY)
+        kicks = {3 * seg - 1: 100.0} if kicked else {}
+        calls = switch_calls(3 * seg + last, kicks)
+        assert calls["point"] == every + kicked * last
 
     def test_runaway_in_swept_group(self):
         # near a well the segments meet, until a kick past the unstable
