@@ -194,16 +194,8 @@ def cmd_spectrum(pipe: Pipeline):
                   ("mode", "re", "im", "modulus", "dist_to_one"), rows)
         rep = verify_spectral_gap(lams, n, RHO_THRESHOLD)
         write_json(pipe.out_dir / f"gap_{_sig_tag(sigma)}.json", {
-            "sigma": sigma,
-            "n_expected": n,
-            "rho_threshold": rep.rho_threshold,
-            "leading_moduli": rep.leading_moduli.tolist(),
-            "distances_to_one": rep.distances_to_one.tolist(),
-            "next_modulus": rep.next_modulus,
-            "gap_radius": rep.gap_radius,
-            "n_above_threshold": rep.n_above_threshold,
-            "passed": rep.passed,
-        })
+            "sigma": sigma, "n_expected": n,    # and every field of rep
+            **{k: np.asarray(v).tolist() for k, v in vars(rep).items()}})
         all_pass &= rep.passed
     return 0 if all_pass else 1
 

@@ -70,10 +70,12 @@ class DeterministicMapModel:
         """d^T C^{-1} d / 2 for each row of d, shape (..., d) -> (...)."""
         return 0.5 * np.einsum("...k,kl,...l->...", d, self._factors[0], d)
 
-    def noise(self, z):
-        """sigma z L^T for standard normal rows z, shape (..., d)."""
+    def noise(self, z, out=None):
+        """sigma z L^T for standard normal rows z, shape (..., d), written
+        to ``out`` if given (C-contiguous, of z's shape)."""
         # np.dot gives the bits of z @ L^T, without matmul's overhead
-        return self.sigma * np.dot(z, self._factors[1].T)
+        d = np.dot(z, self._factors[1].T, out=out)
+        return np.multiply(d, self.sigma, out=d)
 
     @property
     def diam(self):
@@ -136,16 +138,16 @@ class MetastableStructure:
         return len(self.radii)
 
     def membership(self, x):
-        """The (N, ...) closed-ball rows of x, shape (..., d): row k tells
-        which points lie in ball k (``in_ball``)."""
+        """The N closed-ball rows of x, shape (..., d), each of shape
+        (...): row k tells which points lie in ball k (``in_ball``)."""
         x = np.asarray(x, float)
-        return np.array([self.in_ball(x, k) for k in range(self.n_balls)])
+        return [self.in_ball(x, k) for k in range(self.n_balls)]
 
     def ball_of(self, x):
         """Index of the closed ball containing each point of x, shape
         (..., d), or -1; where balls overlap the first one wins."""
         rows = self.membership(x)
-        out = np.full(rows.shape[1:], -1)
+        out = np.full(np.shape(rows[0]), -1)
         for k in range(self.n_balls - 1, -1, -1):     # the first ball last
             out = np.where(rows[k], k, out)
         return out[()]
@@ -324,13 +326,11 @@ def check_lyapunov_drift(model, n_samples=64, seed=2, shell=(1.05, 2.0)):
     """
     rng = np.random.default_rng(seed)
     lo, hi = model.box[:, 0], model.box[:, 1]
-    center = (lo + hi) / 2
-    half = (hi - lo) / 2
+    center, half = (lo + hi) / 2, (hi - lo) / 2
     trace_cov = float(np.trace(model.cov))
     r0 = float(np.linalg.norm(half))
 
-    worst = -np.inf
-    contraction_ok = True
+    worst, contraction_ok = -np.inf, True
     for _ in range(n_samples):
         u = rng.standard_normal(model.dim)
         u /= np.linalg.norm(u)

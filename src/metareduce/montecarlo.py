@@ -337,14 +337,15 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     are stepped together, so ``workers`` sets only the stream layout: each
     step reads, block by block in run order, one row of normals per active
     run, as views of the tape joined by one copy into the step's buffer,
-    then maps all active runs at once.  ``seed`` is an int or a ``Normals``
-    tape, which replays each stream to every call; each block keeps its
-    position on its stream.
+    then maps all active runs at once into buffers of its own.  ``seed``
+    is an int or a ``Normals`` tape, which replays each stream to every
+    call; each block keeps its position on its stream.
     ``retire(step, x, idx, *state)`` gets the new positions of the active
-    runs, their indices among all runs and their per-run state entries
-    (which it may update in place), and returns the positions, among the
-    active runs, of those that stop; the arrays are compacted only on
-    steps where some do.
+    runs (a buffer the next step overwrites), their indices among all
+    runs and their per-run state arrays (which it may update in place),
+    and returns the positions, among the active runs, of those that stop;
+    on steps where some do, each array is compacted by one ``take`` of
+    the indices a keep mask leaves.
     """
     tape = seed if isinstance(seed, Normals) else Normals(seed)
     streams, counts, x = [], [], []
@@ -358,6 +359,7 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
         x.append(np.tile(x0, (n_runs, 1)))
     x = np.concatenate(x)
     z = np.empty_like(x)        # the normals of a step, block by block
+    w, y = np.empty_like(x), np.empty_like(x)   # a step's noise, its sums
     idx = np.arange(x.shape[0])
     # block edges among all runs; normals each block reads a step
     bounds, reads = np.cumsum([0] + counts), [x.shape[1] * c for c in counts]
@@ -368,20 +370,31 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
         step += 1
         if step > step_cap:
             raise SimulationTimeout(f"{what} run exceeded {step_cap} steps")
-        parts = []
-        for b, n in enumerate(reads):
-            if n:
-                at[b] = read(streams[b], at[b], n, parts)
+        parts, n = [], len(x)
+        for b, size in enumerate(reads):
+            if size:
+                at[b] = read(streams[b], at[b], size, parts)
         np.concatenate(parts, out=z.reshape(-1)[:x.size])
-        x = model.pi(x) + model.noise(z[:len(x)])
+        x = np.add(model.pi(x), model.noise(z[:n], out=w[:n]), out=y[:n])
         gone = retire(step, x, idx, *state)
         if gone.size:
-            keep = np.delete(np.arange(len(x)), gone)   # take, not a mask
-            x, idx = x.take(keep, axis=0), idx[keep]
-            state = [a[keep] for a in state]
+            keep = np.ones(n, bool)
+            keep[gone] = False
+            keep = np.flatnonzero(keep)     # then take: x[mask] is slow
+            x, idx = x.take(keep, axis=0), idx.take(keep)
+            state = [a.take(keep) for a in state]
             edges = np.searchsorted(idx, bounds).tolist()
             reads = [x.shape[1] * (hi - lo)
                      for lo, hi in zip(edges, edges[1:])]
+
+
+def _ball_rows(structure, x):
+    """The ball rows of x (``membership``) and their union, M's row."""
+    rows = structure.membership(x)
+    in_m = rows[0] | rows[-1]
+    for row in rows[1:-1]:
+        in_m |= row
+    return rows, in_m
 
 
 def _check_balls(structure, index):
@@ -479,8 +492,8 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
     times = np.zeros(len(starts) * n_reps)
 
     def retire(step, x, idx):
-        hit = np.flatnonzero(structure.membership(x).any(axis=0))
-        times[idx[hit]] = step
+        hit = np.flatnonzero(_ball_rows(structure, x)[1])
+        times[idx.take(hit)] = step
         return hit
 
     _run(model, [(x0, n_reps, s_idx * workers)
@@ -508,25 +521,29 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
 
     def retire(step, x, idx, left, block):
         # block n is recorded at visit n m: only the runs due now are tallied
-        rows = structure.membership(x)
-        left -= rows.any(axis=0)
+        rows, in_m = _ball_rows(structure, x)
+        left -= in_m.view(np.uint8)
         due = np.flatnonzero(left == 0)
-        ball = np.full(due.size, n_balls - 1)    # the first ball, as ball_of
-        for k in range(n_balls - 2, -1, -1):
-            ball[rows[k, due]] = k
-        nonlocal counts
-        done = block[due]   # the blocks recorded now
-        counts += np.bincount(ball * (n_blocks + 1) + done,
-                              minlength=counts.size)
+        done = block.take(due)  # the blocks recorded now
+        # a due run is in M, so its first ball, as ball_of, is the number
+        # of leading balls it is not in; counts has rows of n_blocks + 1
+        lead = ~rows[0].take(due)
+        key = lead * (n_blocks + 1) + done
+        for row in rows[1:-1]:
+            lead &= ~row.take(due)
+            key += lead * (n_blocks + 1)
+        counts[:] += np.bincount(key, minlength=counts.size)
         left[due] = m
         block[due] = done + 1
         return due[done == n_blocks]
 
     if n_blocks > 0:    # else visit 0 is all there is
-        # per run: visits to M until the next recorded one, and that block
+        # per run: visits to M until the next recorded one, and that block,
+        # in the least types that hold them: in_m's uint8 view needs no cast
         _run(model, [(structure.centers[i], n_runs, 0)], seed, workers,
-             step_cap, "trace", retire, np.full(n_runs, m, dtype=np.int64),
-             np.ones(n_runs, dtype=np.int64))
+             step_cap, "trace", retire,
+             np.full(n_runs, m, dtype=np.min_scalar_type(m)),
+             np.ones(n_runs, dtype=np.min_scalar_type(n_blocks + 1)))
     freqs = counts.reshape(n_balls, -1) / n_runs
     se = np.sqrt(freqs * (1.0 - freqs) / n_runs)
     return freqs, se

@@ -176,9 +176,7 @@ def compute_h_matrix(model, grid, structure, r_hop, limit=np.inf):
     for i in range(n):
         dist, maxhop = quasipotential_from(graph, [centers[i]])
         v_surfaces[i] = dist
-        for j in range(n):
-            if j == i:
-                continue
+        for j in [k for k in range(n) if k != i]:
             val = dist[centers[j]]
             if val > limit:
                 return None
@@ -190,26 +188,22 @@ def compute_h_matrix(model, grid, structure, r_hop, limit=np.inf):
                     f"optimal path {i}->{j} uses a hop above "
                     f"{SATURATION_FRACTION} * r_hop; increase r_hop")
     _check_triangle(h, "triangle inequality")
-    h0 = float(min(h[i, j] for i in range(n) for j in range(n) if i != j)) \
-        if n > 1 else np.inf
+    h0 = float(h[~np.eye(n, dtype=bool)].min(initial=np.inf))
 
     optimal = {}
     longest = np.zeros((n, n), dtype=int)
     h0_hat = np.inf
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            paths = []
-            for gamma in _simple_paths(i, j, n):
-                cost = sum(h[a, b] for a, b in zip(gamma[:-1], gamma[1:]))
-                excess = cost - h[i, j]
-                if excess <= PATH_TOL:
-                    paths.append(gamma)
-                elif excess > 0:
-                    h0_hat = min(h0_hat, excess)
-            optimal[(i, j)] = tuple(paths)
-            longest[i, j] = max(len(g) - 1 for g in paths)
+    for i, j in itertools.permutations(range(n), 2):
+        paths = []
+        for gamma in _simple_paths(i, j, n):
+            cost = sum(h[a, b] for a, b in zip(gamma[:-1], gamma[1:]))
+            excess = cost - h[i, j]
+            if excess <= PATH_TOL:
+                paths.append(gamma)
+            elif excess > 0:
+                h0_hat = min(h0_hat, excess)
+        optimal[(i, j)] = tuple(paths)
+        longest[i, j] = max(len(g) - 1 for g in paths)
     return QuasipotentialTable(v_surfaces, h, h0, h0_hat, optimal, longest,
                                float(r_hop))
 
@@ -303,8 +297,7 @@ def refinement_check(model, grid, structure, r_hop, tol=0.05, coarse=None):
     if fine_t is None:
         fine_t = compute_h_matrix(model, fine, structure, r_hop)
     mask = ~np.eye(structure.n_balls, dtype=bool)
-    c = coarse_t.h_matrix[mask]
-    f = fine_t.h_matrix[mask]
+    c, f = coarse_t.h_matrix[mask], fine_t.h_matrix[mask]
     rel = float(np.max(np.abs(c - f) / np.maximum(np.abs(f), 1e-300))) \
         if c.size else 0.0
     return RefinementReport(rel, tol)

@@ -229,11 +229,9 @@ def check_uniform_positivity(kernel, l_target, n_cap=200):
         raise NumericError("l_target must lie in (1, 2)")
     K = kernel.matrix
     P = K.copy()
-    ratios = []
-    best = np.inf
+    ratios, best = [], np.inf
     for n in range(1, n_cap + 1):
-        lo = P.min(axis=0)
-        hi = P.max(axis=0)
+        lo, hi = P.min(axis=0), P.max(axis=0)
         if (lo <= 0.0).any():
             if n == n_cap and (hi <= 0.0).any():
                 raise ZeroColumn(f"column of K^{n} identically zero at the cap")

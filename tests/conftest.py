@@ -226,6 +226,7 @@ def plain_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         recorded[runs[due]] += 1
         return recorded[runs] > n_blocks
 
-    plain_engine(model, structure, [(structure.centers[i], n_runs, 0)], seed,
-                 workers, stop)
+    if n_blocks > 0:    # else visit 0 is all there is
+        plain_engine(model, structure, [(structure.centers[i], n_runs, 0)],
+                     seed, workers, stop)
     return counts

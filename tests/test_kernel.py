@@ -330,6 +330,49 @@ class TestMehlerOracle:
         assert abs(path.mean()) <= 4 * np.sqrt(v * (1 + a) / ((1 - a) * n))
 
 
+def separable_models(betas, variances, sigma):
+    """``tanh2d`` with slopes ``betas`` and the diagonal covariance
+    ``variances``, and the two 1D ``tanh`` maps it is the product of."""
+    _, pi, jac = build_map("tanh2d", {"beta": list(betas)})
+    box = [[-2.0, 2.0]]
+    axes = [DeterministicMapModel(1, *build_map("tanh", {"beta": b})[1:],
+                                  box, [[v]], sigma, "tanh")
+            for b, v in zip(betas, variances)]
+    return DeterministicMapModel(2, pi, jac, box * 2, np.diag(variances),
+                                 sigma, "tanh2d"), axes
+
+
+class TestSeparable2D:
+    """With a diagonal covariance the 2D Gaussian kernel of a map acting
+    axis by axis is the Kronecker product of the two 1D kernels (nodes in
+    C order, x slowest), so its invariant law is the outer product."""
+
+    CASES = [((2.0, 2.0), (1.0, 1.0)), ((2.0, 2.6), (1.0, 0.5))]
+
+    @pytest.mark.parametrize("betas,variances", CASES)
+    @pytest.mark.parametrize("sigma", [0.35, 0.2])
+    def test_kernel_is_the_kronecker_product(self, betas, variances, sigma):
+        # 41^2 nodes; measured at most 7.2e-14 (1.8e-14 and 4.3e-14 with
+        # the identity); the smallest entry is 1.6e-148
+        model, axes = separable_models(betas, variances, sigma)
+        k1 = [mr.discretize_kernel(a, Grid.from_box(a.box, 41)).matrix
+              for a in axes]
+        k2 = mr.discretize_kernel(model, Grid.from_box(model.box, 41))
+        np.testing.assert_allclose(k2.matrix, np.kron(*k1), rtol=1e-12,
+                                   atol=0)
+
+    @pytest.mark.parametrize("betas,variances", CASES)
+    def test_invariant_law_is_the_outer_product(self, betas, variances):
+        # 21^2 nodes (GTH is cubic in them); measured at most 2.7e-15
+        model, axes = separable_models(betas, variances, 0.2)
+        laws = [mr.invariant_measure(mr.discretize_kernel(
+            a, Grid.from_box(a.box, 21))) for a in axes]
+        law = mr.invariant_measure(mr.discretize_kernel(
+            model, Grid.from_box(model.box, 21)))
+        np.testing.assert_allclose(law, np.outer(*laws).ravel(), rtol=1e-12,
+                                   atol=0)
+
+
 class TestKernelCache:
     def test_roundtrip_and_exact_match(self, tmp_path):
         model = make_ref_model(0.5)

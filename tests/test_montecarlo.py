@@ -977,6 +977,86 @@ class TestPlainEngine:
                                   100, 7, workers=101)
 
 
+class TestEngineProperties:
+    """Derandomized draws of the estimators' layouts and tape sizes, each
+    bit for bit against conftest's plain stepper.  Run counts are odd and
+    no multiple of 3, so worker blocks differ in size; a tape of at most
+    65,536 normals sends most draws' later reads past its end."""
+
+    @staticmethod
+    def system(two_d, structure, structure2d, sigma=0.5):
+        return ((tanh2d_model(sigma), structure2d) if two_d
+                else (make_ref_model(sigma), structure))
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), two_d=st.booleans(), m=st.integers(1, 4),
+           n_blocks=st.integers(0, 6), workers=st.integers(1, 3),
+           n_runs=st.sampled_from([1001, 1003, 1007]),
+           sigma=st.sampled_from([0.4, 0.5]),
+           tape=st.integers(0, 1 << 16))
+    def test_diluted_trace(self, structure, structure2d, data, two_d, m,
+                           n_blocks, workers, n_runs, sigma, tape):
+        model, balls = self.system(two_d, structure, structure2d, sigma)
+        i = data.draw(st.integers(0, balls.n_balls - 1), label="start")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * tape)
+            freqs, _ = mr.empirical_diluted_trace(model, balls, i, m, n_blocks,
+                                                  n_runs, 7, workers=workers)
+        counts = plain_diluted_trace(model, balls, i, m, n_blocks, n_runs, 7,
+                                     workers)
+        np.testing.assert_array_equal(freqs, counts / n_runs)
+
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data(), two_d=st.booleans(), workers=st.integers(1, 3),
+           n_runs=st.sampled_from([101, 103, 107]),
+           tape=st.integers(0, 1 << 16))
+    def test_committor(self, structure, structure2d, data, two_d, workers,
+                       n_runs, tape):
+        model, balls = self.system(two_d, structure, structure2d)
+        pairs = data.draw(st.lists(st.sampled_from(list(
+            itertools.permutations(range(balls.n_balls), 2))), min_size=1,
+            max_size=4, unique=True), label="pairs")
+        hits = plain_committor(model, balls, pairs, n_runs, 7, workers)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * tape)
+            if not hits.all():
+                with pytest.raises(ZeroHits):
+                    mr.estimate_committor(model, balls, pairs, n_runs, 7,
+                                          workers=workers)
+                return
+            ests = mr.estimate_committor(model, balls, pairs, n_runs, 7,
+                                         workers=workers)
+        assert [e.estimate for e in ests] == (hits / n_runs).tolist()
+
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              database=None)
+    @given(two_d=st.booleans(), workers=st.integers(1, 3),
+           n_reps=st.sampled_from([5, 7, 11]), tape=st.integers(0, 1 << 16))
+    def test_hitting_time(self, structure, structure2d, two_d, workers,
+                          n_reps, tape):
+        model, balls = self.system(two_d, structure, structure2d)
+        grid = mr.Grid.from_box(model.box, 11 if two_d else 101)
+        run, groups = metareduce.montecarlo._run, []
+
+        def recording(model, g, *args):
+            groups[:] = g
+            return run(model, g, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metareduce.montecarlo, "_run", recording)
+            mp.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * tape)
+            est = mr.estimate_ex(model, balls, grid, 100, 7,
+                                 fixed_points=mr.find_fixed_points(model),
+                                 n_reps=n_reps, workers=workers)
+        runs = plain_hitting_steps(model, balls, groups, 7,
+                                   workers).reshape(-1, n_reps)
+        t = runs[runs.mean(axis=1).argmax()]
+        assert (est.estimate, est.stderr) \
+            == (t.mean(), t.std(ddof=1) / np.sqrt(n_reps))
+
+
 def recorded(tape):
     """Bytes of the chunks a tape holds."""
     return sum(c.nbytes for chunks, _, _ in tape.streams.values()

@@ -11,7 +11,8 @@ from metareduce.reduction import (ball_rows, build_reduced_chain, choose_m,
                                   default_theta, diluted_marginal_deviation,
                                   solve_all_qsds, stochastic_power)
 
-from conftest import kernel_from_matrix, stochastic_matrices
+from conftest import (REF_BOX, REF_DELTA, REF_RHOP, kernel_from_matrix,
+                      make_ref_model, stochastic_matrices)
 
 
 def kernel_norm(m):
@@ -213,6 +214,62 @@ class TestBuildP:
         assert doc["m"] == model.m
         np.testing.assert_allclose(doc["P"], model.p)
         assert len(doc["eigenvalues"]) == 3
+
+
+def mp_reduced_p(trace, qsd_rows, indicators, m):
+    """P = I + a (Lambda^m - I) b of the float trace and QSD rows, every
+    other step in mpmath at its working precision: the top N eigenpairs,
+    the block binormalization L <- (L R)^{-1} L, psi = Pi0 1_B, mu and
+    then a = mu R, b = L psi^T.  Returns P as a complex array."""
+    mpmath = pytest.importorskip("mpmath")
+    n = len(qsd_rows)
+    lam, left, right = mpmath.eig(mpmath.matrix(trace.tolist()), left=True,
+                                  right=True)
+    top = sorted(range(len(lam)), key=lambda k: -abs(lam[k]))[:n]
+    R = mpmath.matrix([[right[r, k] for k in top] for r in range(right.rows)])
+    L = mpmath.matrix([[left[k, c] for c in range(left.cols)] for k in top])
+    L = (L * R) ** -1 * L
+    Q, B = mpmath.matrix(qsd_rows.tolist()), mpmath.matrix(indicators.tolist())
+    pi0, eye = R * L, mpmath.eye(n)
+    psi = (pi0 * B.T).T
+    mu = (Q * psi.T) ** -1 * (Q * pi0)      # Id - eps = <QSD_i, psi_j>
+    a, b = mu * R, L * psi.T
+    p = eye + a * mpmath.diag([lam[k] ** m - 1 for k in top]) * b
+    return np.array(p.tolist(), dtype=complex)
+
+
+class TestExtendedPrecisionP:
+    """The reduced matrix against the same reduction carried out in 60
+    digits from the float trace and QSDs on the 101-node reference, where
+    the off-diagonal entries are 7.0e-6 and 1.9e-8."""
+
+    @pytest.fixture(scope="class")
+    def ref101(self):
+        model = make_ref_model(0.35)
+        structure = mr.build_metastable_structure(
+            model, mr.find_fixed_points(model), REF_DELTA)
+        grid = mr.Grid.from_box(np.asarray(REF_BOX), 101)
+        balls, m_set, _ = grid.membership(structure)
+        h0 = mr.compute_h_matrix(model, grid, structure, REF_RHOP).h0
+        return grid, balls, m_set, h0
+
+    # measured: P 4.5e-10 and 6.8e-7 from mp P, P_hat 2.1e-9 and 2.6e-13
+    @pytest.mark.parametrize("sigma", [0.15, 0.12])
+    def test_p_and_exact_hop_match_60_digits(self, ref101, sigma):
+        mpmath = pytest.importorskip("mpmath")
+        grid, balls, m_set, h0 = ref101
+        trace = mr.trace_kernel(
+            mr.discretize_kernel(make_ref_model(sigma), grid), m_set)
+        model, proj = build_reduced_chain(
+            trace, mr.eigendecompose(trace, n_modes=2), balls, sigma,
+            default_theta(h0, sigma), h0=h0)
+        exact = (proj.qsd_rows @ model.km) @ proj.indicators.T  # P_hat
+        with mpmath.workdps(60):
+            want = mp_reduced_p(trace.matrix, proj.qsd_rows,
+                                proj.indicators, model.m)
+        assert np.abs(want.imag).max() <= 1e-30
+        for got in (model.p, exact):
+            np.testing.assert_allclose(got, want.real, rtol=1e-6, atol=0)
 
 
 class TestMarginals:
