@@ -22,7 +22,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .dynamics import (DriftViolated, build_metastable_structure,
                        check_lyapunov_drift, find_fixed_points)
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, SimulationTimeout, ZeroHits
 from .grid import Grid
 from .kernel import discretize_kernel, load_kernel, save_kernel, trace_kernel
 from .montecarlo import (Normals, empirical_diluted_trace,
@@ -372,31 +372,44 @@ def cmd_validate(pipe: Pipeline):
             "tolerance": ref.tolerance})
 
         if cfg.mc["committor_runs"] > 0 and n > 1:
-            est, = estimate_committor(pipe.model(sigma), pipe.structure,
-                                      [(0, 1)], cfg.mc["committor_runs"],
-                                      pipe.normals, workers=cfg.workers,
-                                      step_cap=cfg.mc["step_cap"])
-            dev = abs(est.log_scale + table.h_matrix[0, 1])
-            tol = COMMITTOR_ETA_FACTOR * table.h0
-            add("committor_ldp", dev <= tol,
-                {"p_hat": est.estimate, "sigma2_log_p": est.log_scale,
-                 "H12": float(table.h_matrix[0, 1]), "deviation": float(dev),
-                 "tolerance": float(tol)})
+            try:
+                est, = estimate_committor(
+                    pipe.model(sigma), pipe.structure, [(0, 1)],
+                    cfg.mc["committor_runs"], pipe.normals,
+                    workers=cfg.workers, step_cap=cfg.mc["step_cap"])
+            except (ZeroHits, SimulationTimeout) as exc:
+                add("committor_ldp", True, {"reason": str(exc)}, skipped=True)
+            else:
+                dev = abs(est.log_scale + table.h_matrix[0, 1])
+                tol = COMMITTOR_ETA_FACTOR * table.h0
+                add("committor_ldp", dev <= tol,
+                    {"p_hat": est.estimate, "sigma2_log_p": est.log_scale,
+                     "H12": float(table.h_matrix[0, 1]),
+                     "deviation": float(dev), "tolerance": float(tol)})
         else:
             add("committor_ldp", True, {"reason": "zero MC budget"},
                 skipped=True)
 
         if cfg.mc["trace_runs"] > 0 and n > 1:
-            freqs, ses = empirical_diluted_trace(
-                pipe.model(sigma), pipe.structure, 0, model_r.m,
-                cfg.mc["trace_blocks"], cfg.mc["trace_runs"], pipe.normals,
-                workers=cfg.workers, step_cap=cfg.mc["step_cap"])
-            marg = reduced_chain_marginals(model_r.p, 0,
-                                           cfg.mc["trace_blocks"]).T
-            bound = 3.0 * ses + devs.max()
-            mc_ok = bool((np.abs(freqs - marg) <= bound).all())
-            add("reduction_monte_carlo", mc_ok,
-                {"max_excess": float((np.abs(freqs - marg) - bound).max())})
+            runs = cfg.mc["trace_runs"]
+            try:
+                freqs, _ = empirical_diluted_trace(
+                    pipe.model(sigma), pipe.structure, 0, model_r.m,
+                    cfg.mc["trace_blocks"], runs, pipe.normals,
+                    workers=cfg.workers, step_cap=cfg.mc["step_cap"])
+            except SimulationTimeout as exc:
+                add("reduction_monte_carlo", True, {"reason": str(exc)},
+                    skipped=True)
+            else:
+                marg = reduced_chain_marginals(model_r.p, 0,
+                                               cfg.mc["trace_blocks"]).T
+                # the law's own standard error, not the count's, which is 0
+                # where no run was seen; |1 - p| as p may round past 1
+                se = np.sqrt(marg * np.abs(1.0 - marg) / runs)
+                bound = 3.0 * se + devs.max()
+                mc_ok = bool((np.abs(freqs - marg) <= bound).all())
+                add("reduction_monte_carlo", mc_ok, {
+                    "max_excess": float((np.abs(freqs - marg) - bound).max())})
         else:
             add("reduction_monte_carlo", True, {"reason": "zero MC budget"},
                 skipped=True)

@@ -13,8 +13,8 @@ bit for bit the chain stepped one step at a time: chains driven by the same
 noise coalesce near a stable point, in floating point too.  ``_recur``
 sweeps its segments from the ball centres keeping only checkpoints, steps
 each segment from every guess end of the one before until it meets one,
-resolves the exact chain's segment starts by lookup, and fills the path in
-one batch.
+resolves the exact chain's segment starts by lookup, and steps every
+segment from its start into the path in one batch.
 """
 
 from __future__ import annotations
@@ -115,10 +115,10 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     counted; a position farther than 100 * diam(X) raises Runaway.  The
     positions, bit for bit those of the one-step recursion, are mostly
     stepped in batches: a sweep from the ball centres, then one from its
-    segments' ends, finds where the exact chain meets them, and a last
-    batch fills the path from there (``_recur``).
+    segments' ends, finds each segment's exact start, and a last batch
+    steps every segment from its start into the path (``_recur``).
     The runaway bound, box exits, ball residence and events are checked
-    per chunk of steps, an exit before an entry at the same step.
+    per chunk of steps, a change of ball logging its exit, then its entry.
     """
     x0 = np.atleast_1d(np.asarray(x0, float))
     if not model.in_box(x0):
@@ -153,18 +153,13 @@ def simulate_chain(model, structure, x0, n_steps, seed):
         ball = structure.ball_of(path)
         steps_in_ball += np.bincount(ball[ball >= 0], minlength=nballs)
         prev = np.concatenate([[current], ball[:-1]])
-        moved = np.nonzero(ball != prev)[0]
-        entered = moved[ball[moved] >= 0]
-        entry_counts += np.bincount(ball[entered], minlength=nballs)
-        left = moved[prev[moved] >= 0]
-        at = np.concatenate([left, entered])
-        kinds = np.repeat([-1, 1], [left.size, entered.size])
-        # stable: an exit stays before an entry at the same step
-        order = np.argsort(at, kind="stable")
-        at, kinds = at[order], kinds[order]
-        events.append((done + at + 1,
-                       np.where(kinds < 0, prev[at], ball[at]),
-                       kinds, path[at]))
+        moved = np.flatnonzero(ball != prev)
+        # side 2i is change i's exit, side 2i + 1 its entry; keep the balls
+        side = np.stack([prev[moved], ball[moved]], axis=1).ravel()
+        e = np.flatnonzero(side >= 0)
+        at, balls, kinds = moved[e >> 1], side[e], (e & 1) * 2 - 1
+        entry_counts += np.bincount(balls[kinds > 0], minlength=nballs)
+        events.append((done + at + 1, balls, kinds, path[at]))
         current = ball[-1]
         done += take
     ev_steps, ev_balls, ev_kinds, ev_pos = map(np.concatenate, zip(*events))
@@ -185,8 +180,9 @@ def _recur(model, centers, x, noise, path, sweep):
     last stretch of one segment or less.
     """
     take, d = noise.shape
-    # per segment: pass 1's checkpoints from x and the centres, pass 2's
-    # rows; the candidates' states and tests take less, below 128 d balls
+    # per segment: pass 1's checkpoints from x and the centres, or the
+    # SEGMENT states pass 2 writes if more; the candidates' states and
+    # tests take less, below 128 d balls
     marks = -(-SEGMENT // CHECK_EVERY) * (len(centers) + 1)
     n_max = max(2, GUESS_BYTES // (8 * d * max(marks, SEGMENT)))
     k = 0
@@ -214,14 +210,17 @@ def _sweep(model, centers, x, noise):
     return marks
 
 
-def _checkpoints(model, y, noise):
-    """Step y[s] through segment s of ``noise`` in place, one ``pi`` call
-    on the batch a step, and yield (j, y) after each segment's step
-    (j + 1) CHECK_EVERY - 1 and after its last step."""
+def _checkpoints(model, y, noise, path=None):
+    """Step y[s] through segment s of ``noise``, one ``pi`` call on the
+    batch a step, and yield (j, y) after each segment's step
+    (j + 1) CHECK_EVERY - 1 and after its last step.  y is stepped in
+    place or, given ``path``, into path[t::SEGMENT] at step t."""
     for t in range(SEGMENT):
         z = noise[t::SEGMENT]       # step t of every segment that has one
         head = y[:len(z)]           # a short last segment stays at its end
-        np.add(model.pi(head), z[:, None], out=head)
+        if path is not None:
+            y = path[t::SEGMENT, None]
+        np.add(model.pi(head), z[:, None], out=y[:len(z)])
         if (t + 1) % CHECK_EVERY == 0 or t == SEGMENT - 1:
             yield t // CHECK_EVERY, y
 
@@ -241,43 +240,41 @@ def _group(model, centers, x, noise, path):
     segment has met so, each later segment starts at one of the guess
     ends of the segment before, and ``_candidates`` steps all those
     starts at once; the exact chain then goes by lookup, and steps alone
-    only where the start it needs never met.  Pass 2 (``_fill``) steps
-    segment 0 and every met segment from their exact states; if none
-    met, segment 0 is stepped plainly.
+    only where the start it needs never met.  Pass 2 steps every segment
+    from the exact start kept for it, through ``_checkpoints`` into path;
+    if none met, segment 0 is stepped plainly.
     """
     span = len(noise)
     marks = _sweep(model, centers, x, noise)
     ends, bits = marks[-1], marks.view(np.int64)
-    fills = [(0, SEGMENT, x)]       # (lo, hi, state before step lo)
-    met = None      # met[s, g]: the guess segment s met from guess end g
+    starts, met, hit = [x], None, False     # met[s, g]: as _candidates
     x, g = ends[0, 0], -1       # the guess end of s - 1 that x is, or -1
     for s, lo in enumerate(range(SEGMENT, span, SEGMENT), 1):
         hi = min(lo + SEGMENT, span)
+        starts.append(x)
         if g >= 0 and met[s, g] >= 0:     # the start it needs met
-            fills.append((lo, hi, x))
             g = met[s, g]
             x = ends[s, g]
             continue
         g = -1
         for j, at in enumerate(range(lo, hi, CHECK_EVERY)):
-            end = min(at + CHECK_EVERY, hi)
-            for k in range(at, end):
+            for k in range(at, min(at + CHECK_EVERY, hi)):
                 path[k] = x = model.pi(x) + noise[k]
             same = (bits[j, s] == x.view(np.int64)).all(axis=1)
             if same.any():
-                fills.append((end, hi, x))
-                g = int(same.argmax())
+                hit, g = True, int(same.argmax())
                 x = ends[s, g]
                 break
         if g >= 0 and met is None and hi < span:
             met = _candidates(model, noise, marks, s + 1)
-    if len(fills) == 1:
-        y = fills[0][2]
+    if hit:
+        for _ in _checkpoints(model, np.array(starts)[:, None], noise, path):
+            pass
+    else:
+        y = starts[0]
         for k in range(SEGMENT):
             path[k] = y = model.pi(y) + noise[k]
-    else:
-        _fill(model, noise, path, fills)
-    return x.copy(), len(fills) > 1
+    return x.copy(), hit
 
 
 def _candidates(model, noise, marks, first):
@@ -300,23 +297,6 @@ def _candidates(model, noise, marks, first):
         if (todo >= 0).all():
             break
     return met
-
-
-def _fill(model, noise, path, fills):
-    """Pass 2: path[lo:hi] from each fill's state, in one batch whose rows
-    drop out, longest first, as their stretches end."""
-    fills.sort(key=lambda f: f[0] - f[1])
-    sizes = [hi - lo for lo, hi, _ in fills]
-    rows = np.empty((sizes[0], len(fills), noise.shape[1]))
-    for r, (lo, hi, _) in enumerate(fills):
-        rows[:hi - lo, r] = noise[lo:hi]
-    y, n = np.array([y for _, _, y in fills]), len(fills)
-    for t in range(sizes[0]):
-        while sizes[n - 1] <= t:
-            n -= 1
-        y = np.add(model.pi(y[:n]), rows[t, :n], out=rows[t, :n])
-    for r, (lo, hi, _) in enumerate(fills):
-        path[lo:hi] = rows[:hi - lo, r]
 
 
 @dataclass(frozen=True)
@@ -515,6 +495,9 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         raise NumericError(f"n_runs must be >= {MIN_TRACE_RUNS}")
     if m < 1:
         raise NumericError("m must be >= 1")
+    if n_blocks * m > step_cap:     # a step makes at most one visit to M
+        raise SimulationTimeout(f"trace run needs {n_blocks} x {m} visits "
+                                f"to M, over {step_cap} steps")
     n_balls = structure.n_balls
     counts = np.zeros(n_balls * (n_blocks + 1), dtype=np.int64)
     counts[i * (n_blocks + 1)] = n_runs    # visit 0 is the start, in ball i

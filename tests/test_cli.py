@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -765,6 +766,37 @@ class TestValidate:
             doc = json.loads(
                 (tmp_path / "out" / f"validate_{tag}.json").read_text())
             assert doc["passed"]
+
+    def test_reference_sigma_015_with_monte_carlo(self, tmp_path):
+        # default budgets: no committor run from ball 0 reaches ball 1, so
+        # that check is skipped with the estimator's message; P_01 = 7e-6,
+        # so the trace's 10,000 runs see no hop at n = 1, which the law's
+        # own standard error allows
+        path = write_config(tmp_path, sigma=0.15, grid_nodes=401, mc=None,
+                            seed=20250809)
+        assert run(path, "validate") == 0
+        doc = json.loads(
+            (tmp_path / "out" / "validate_0.15.json").read_text())
+        by_name = {c["name"]: c for c in doc["checks"]}
+        assert by_name.pop("committor_ldp") == {
+            "name": "committor_ldp", "passed": True, "skipped": True,
+            "detail": {"reason": "no run from ball 0 reached ball 1"}}
+        for check in by_name.values():
+            assert check["passed"] and not check["skipped"]
+
+    def test_estimators_past_step_cap_skipped(self, tmp_path):
+        path = write_config(tmp_path, mc={"committor_runs": 100,
+                                          "trace_runs": 1000, "step_cap": 1})
+        assert run(path, "validate") == 0
+        doc = json.loads(
+            (tmp_path / "out" / "validate_0.35.json").read_text())
+        by_name = {c["name"]: c for c in doc["checks"]}
+        for name, reason in (
+                ("committor_ldp", "committor run exceeded 1 steps"),
+                ("reduction_monte_carlo", r"trace run needs 20 x \d+ visits "
+                                          r"to M, over 1 steps")):
+            assert by_name[name]["skipped"] and by_name[name]["passed"]
+            assert re.fullmatch(reason, by_name[name]["detail"]["reason"])
 
     def test_coarse_grid_refinement_warning(self, tmp_path):
         path = write_config(tmp_path, grid_nodes=51, tol_refine=0.01)

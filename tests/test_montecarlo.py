@@ -380,6 +380,16 @@ class TestParallelInTime:
         assert_trace_is_path(trace, model, st,
                              plain_path(model, st.centers[0], 70_000, 11))
 
+    def test_correlated_covariance(self, structure2d):
+        # C = [[1, 0.3], [0.3, 0.5]], not the identity; two chunks
+        dim, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+        model = DeterministicMapModel(2, pi, jac, [[-2.0, 2.0]] * 2,
+                                      [[1.0, 0.3], [0.3, 0.5]], 0.4, "tanh2d")
+        x0 = structure2d.centers[0]
+        trace = mr.simulate_chain(model, structure2d, x0, 70_000, 11)
+        assert_trace_is_path(trace, model, structure2d,
+                             plain_path(model, x0, 70_000, 11))
+
     @pytest.mark.parametrize("n_steps", [1, 3000])
     def test_noiseless_from_off_centre(self, structure, n_steps):
         model = make_ref_model(0.0)
@@ -790,6 +800,13 @@ class TestDilutedTrace:
                            match=rf"ball index {i} outside \[0, 2\)"):
             mr.empirical_diluted_trace(never_stepped(), structure, i, 1, 2,
                                        1000, MASTER_SEED)
+
+    def test_past_step_cap_rejected_before_any_step(self, structure):
+        # a step makes at most one visit to M, so 2 blocks of 2^63 visits
+        # cannot end within 50 steps
+        with pytest.raises(SimulationTimeout, match=r"over 50 steps$"):
+            mr.empirical_diluted_trace(never_stepped(), structure, 0, 2 ** 63,
+                                       2, 1000, MASTER_SEED, step_cap=50)
 
     def test_frequencies_sum_to_one(self, structure):
         model = make_ref_model(0.35)

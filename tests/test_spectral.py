@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import metareduce as mr
 from metareduce.dynamics import DeterministicMapModel
-from metareduce.errors import NumericError, PrincipalNotSimple
+from metareduce.errors import NumericError, PrincipalNotSimple, ZeroColumn
 from metareduce.grid import Grid
 from metareduce.kernel import killed_kernel
 from metareduce.maps import build_map
@@ -250,6 +250,22 @@ class TestUniformPositivity:
         killed_ref = killed_kernel(cache.trace(0.35), ref["balls"][0])
         res = check_uniform_positivity(killed_ref, 1.0 + 1e-12, n_cap=15)
         assert (np.diff(res.ratios) <= 1e-9).all()
+
+    def test_zero_entries_until_the_third_power(self):
+        # K's column 1 holds a 0 (ratio inf); K^2 = [[0.75, 0.25],
+        # [0.5, 0.5]] gives 2.0 and K^3 = [[0.625, 0.375], [0.75, 0.25]]
+        # gives 1.5, all exact in binary
+        res = check_uniform_positivity(
+            kernel_from_matrix([[0.5, 0.5], [1.0, 0.0]]), 1.9)
+        assert res.ratios == (np.inf, 2.0, 1.5)
+        assert res.n0 == 3 and res.achieved
+        assert res.achieved_ratio == 1.5
+
+    def test_zero_column_raises_at_the_cap(self):
+        # every power of K is K, whose column 1 is 0
+        with pytest.raises(ZeroColumn, match=r"K\^3 identically zero"):
+            check_uniform_positivity(
+                kernel_from_matrix([[1.0, 0.0], [1.0, 0.0]]), 1.9, n_cap=3)
 
     def test_not_achieved_flag(self):
         killed = kernel_from_matrix(HAND_KILLED, kind="substochastic")
