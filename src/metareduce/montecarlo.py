@@ -10,11 +10,11 @@ read views of what it recorded; each worker block keeps its position.
 
 The single chain of ``simulate_chain`` is stepped parallel in time, and is
 bit for bit the chain stepped one step at a time: chains driven by the same
-noise coalesce near a stable point, in floating point too.  ``_recur``
-sweeps its segments from the ball centres keeping only checkpoints, steps
-each segment from every guess end of the one before until it meets one,
-resolves the exact chain's segment starts by lookup, and steps every
-segment from its start into the path in one batch.
+noise coalesce near a stable point, in floating point too.  ``_group``
+sweeps the segments of a chunk from the ball centres keeping only
+checkpoints, steps each segment from every guess end of the one before
+until it meets one, resolves the exact chain's segment starts by lookup,
+and steps every segment from its start into the path in one batch.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ DEFAULT_STEP_CAP = 100_000_000
 MIN_COMMITTOR_RUNS = 100
 MIN_TRACE_RUNS = 1000
 SEGMENT = 256               # steps per segment of the parallel-in-time sweep
-GUESS_BYTES = 1 << 20       # cap on the states one group of segments holds
+CHUNK = 1 << 16             # steps of the chain drawn and swept at a time
 CHECK_EVERY = 16            # plain steps between two coalescence checks
 TAPE_BYTES = 16 << 20       # cap on the normals one tape records
 TAPE_CHUNK = 1 << 16        # most normals a tape draws at a time
@@ -114,13 +114,18 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     Positions leaving the box are kept (the drift pulls them back) but
     counted; a position farther than 100 * diam(X) raises Runaway.  The
     positions, bit for bit those of the one-step recursion, are mostly
-    stepped in batches: a sweep from the ball centres, then one from its
-    segments' ends, finds each segment's exact start, and a last batch
-    steps every segment from its start into the path (``_recur``).
-    The runaway bound, box exits, ball residence and events are checked
-    per chunk of steps, a change of ball logging its exit, then its entry.
+    stepped in batches, a chunk of CHUNK steps at a time: a sweep from the
+    ball centres, then one from its segments' ends, finds each segment's
+    exact start, and a last batch steps every segment from its start into
+    the path (``_group``).  After a chunk where no segment met a guess,
+    the rest of the run is stepped plainly, as is a chunk of one segment
+    or less.  The runaway bound, box exits, ball residence and events are
+    checked per chunk, a change of ball logging its exit, then its entry.
     """
-    x0 = np.atleast_1d(np.asarray(x0, float))
+    x0 = np.asarray(x0, float)
+    if x0.shape != (model.dim,):
+        raise NumericError(f"x0 must have shape ({model.dim},), not "
+                           f"{x0.shape}")
     if not model.in_box(x0):
         raise NumericError("x0 must lie in the invariant box")
     rng = rng_stream(seed, 0)
@@ -136,15 +141,18 @@ def simulate_chain(model, structure, x0, n_steps, seed):
     x = x0.copy()
     sweep = True
     current = structure.ball_of(x)
-    chunk = 65536
     done = 0
     while done < n_steps:
-        take = min(chunk, n_steps - done)
+        take = min(CHUNK, n_steps - done)
         noise = model.noise(rng.standard_normal((take, model.dim)))
         path = np.empty((take, model.dim))
         # a runaway path may overflow before the chunk ends
         with np.errstate(over="ignore", invalid="ignore"):
-            x, sweep = _recur(model, structure.centers, x, noise, path, sweep)
+            if sweep and take > SEGMENT:
+                x, sweep = _group(model, structure.centers, x, noise, path)
+            else:
+                for k in range(take):
+                    path[k] = x = model.pi(x) + noise[k]
             # |X|^2 summed column by column; NaN is far too
             far = ~_in_closed_ball(path, np.zeros(model.dim), runaway2)
         if far.any():
@@ -170,46 +178,6 @@ def simulate_chain(model, structure, x0, n_steps, seed):
         exits_from_box=exits_box, final_position=x.copy())
 
 
-def _recur(model, centers, x, noise, path, sweep):
-    """Fill path[k] = x = pi(x) + noise[k], k < len(noise), bit for bit as
-    that loop would, and return the last x and whether to keep sweeping.
-
-    Groups of segments of SEGMENT steps, as many as GUESS_BYTES holds,
-    are filled by ``_group``.  After a group where no segment met a guess,
-    ``sweep`` is False and the rest of the run is stepped plainly, as is a
-    last stretch of one segment or less.
-    """
-    take, d = noise.shape
-    # per segment: pass 1's checkpoints from x and the centres, or the
-    # SEGMENT states pass 2 writes if more; the candidates' states and
-    # tests take less, below 128 d balls
-    marks = -(-SEGMENT // CHECK_EVERY) * (len(centers) + 1)
-    n_max = max(2, GUESS_BYTES // (8 * d * max(marks, SEGMENT)))
-    k = 0
-    while sweep and take - k > SEGMENT:
-        span = min(n_max * SEGMENT, take - k)
-        x, sweep = _group(model, centers, x, noise[k:k + span],
-                          path[k:k + span])
-        k += span
-    for k in range(k, take):
-        path[k] = x = model.pi(x) + noise[k]
-    return x, sweep
-
-
-def _sweep(model, centers, x, noise):
-    """Pass 1: every segment of ``noise`` stepped from x and from every
-    centre.  marks[j, s] holds segment s's states after its step
-    (j + 1) CHECK_EVERY - 1, or after its last step if that comes first,
-    so marks[-1] holds every segment's ends."""
-    n = -(-len(noise) // SEGMENT)
-    y = np.empty((n, len(centers) + 1, noise.shape[1]))
-    y[:, 0], y[:, 1:] = x, centers
-    marks = np.empty((-(-SEGMENT // CHECK_EVERY),) + y.shape)
-    for j, y in _checkpoints(model, y, noise):
-        marks[j] = y
-    return marks
-
-
 def _checkpoints(model, y, noise, path=None):
     """Step y[s] through segment s of ``noise``, one ``pi`` call on the
     batch a step, and yield (j, y) after each segment's step
@@ -226,16 +194,19 @@ def _checkpoints(model, y, noise, path=None):
 
 
 def _group(model, centers, x, noise, path):
-    """Fill path from x for a group of two or more segments, and return
-    the last state and whether a segment after the first met a guess.
+    """Fill path[k] = x = pi(x) + noise[k] from x, bit for bit as that loop
+    would, for a chunk of two or more segments, and return the last state
+    and whether a segment after the first met a guess.
 
-    Pass 1 (``_sweep``) steps every segment from x and from every ball
-    centre, one ``pi`` call on a batch a step (a batch gives its rows bit
-    for bit); segment 0 starts at x, so its guess is exact.  Where
-    |pi'| < 1, as near a stable point, chains driven by the same noise
-    meet in the last bit within a few dozen steps; once the exact chain
-    equals a checkpoint bit for bit, both apply ``pi`` to the same bits
-    and add the same noise, so that guess's end is the segment's.
+    Pass 1 steps every segment from x and from every ball centre, one
+    ``pi`` call on a batch a step (a batch gives its rows bit for bit);
+    segment 0 starts at x, so its guess is exact.  marks[j, s] holds
+    segment s's states after its step (j + 1) CHECK_EVERY - 1, or after
+    its last step if that comes first, so marks[-1] holds every segment's
+    ends.  Where |pi'| < 1, as near a stable point, chains driven by the
+    same noise meet in the last bit within a few dozen steps; once the
+    exact chain equals a checkpoint bit for bit, both apply ``pi`` to the
+    same bits and add the same noise, so that guess's end is the segment's.
     Segment 1's exact chain steps alone until it meets one.  Once a
     segment has met so, each later segment starts at one of the guess
     ends of the segment before, and ``_candidates`` steps all those
@@ -245,7 +216,11 @@ def _group(model, centers, x, noise, path):
     if none met, segment 0 is stepped plainly.
     """
     span = len(noise)
-    marks = _sweep(model, centers, x, noise)
+    y = np.empty((-(-span // SEGMENT), len(centers) + 1, noise.shape[1]))
+    y[:, 0], y[:, 1:] = x, centers
+    marks = np.empty((-(-SEGMENT // CHECK_EVERY),) + y.shape)
+    for j, y in _checkpoints(model, y, noise):
+        marks[j] = y
     ends, bits = marks[-1], marks.view(np.int64)
     starts, met, hit = [x], None, False     # met[s, g]: as _candidates
     x, g = ends[0, 0], -1       # the guess end of s - 1 that x is, or -1

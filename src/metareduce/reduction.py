@@ -156,6 +156,8 @@ def build_p(km, decomp, projectors, m):
 def reduced_chain_marginals(p, start, n_steps):
     """delta_start P^n for n = 0..n_steps, stacked as rows."""
     n = p.shape[0]
+    if not 0 <= start < n:
+        raise NumericError(f"start state {start} outside [0, {n})")
     v = np.zeros(n)
     v[start] = 1.0
     out = [v.copy()]
@@ -253,6 +255,9 @@ def diluted_marginal_deviation(km, projectors, p, start_local, n_max):
     Returns per-step deviations max_j |delta_x (K0)^{nm} 1_{B_j} - (P^n)_ij|
     for n = 0..n_max, by vector iteration with ``km`` = (K0)^m.
     """
+    if not 0 <= start_local < km.shape[0]:
+        raise NumericError(f"start index {start_local} outside "
+                           f"[0, {km.shape[0]})")
     ball = np.flatnonzero(projectors.indicators[:, start_local])
     if ball.size != 1:
         raise NumericError("start index must lie in exactly one ball")

@@ -15,6 +15,7 @@ from metareduce.errors import (DegenerateRow, NonRecurrentComplement,
 from metareduce.grid import Grid
 from metareduce.kernel import cache_key, load_kernel, save_kernel
 from metareduce.maps import build_map
+from metareduce.spectral import _descending
 
 from conftest import (HAND_K3, MASTER_SEED, kernel_from_matrix,
                       make_ref_model, stochastic_matrices)
@@ -311,14 +312,14 @@ class TestMehlerOracle:
         model = mehler_model(sigma)
         structure = mr.build_metastable_structure(
             model, mr.find_fixed_points(model), 0.1)
-        recur, paths = metareduce.montecarlo._recur, []
+        group, paths = metareduce.montecarlo._group, []
 
         def recording(*args):
-            out = recur(*args)
+            out = group(*args)
             paths.append(args[4].copy())
             return out
 
-        monkeypatch.setattr(metareduce.montecarlo, "_recur", recording)
+        monkeypatch.setattr(metareduce.montecarlo, "_group", recording)
         n, a = 100_000, MEHLER_A
         mr.simulate_chain(model, structure, structure.centers[0], n,
                           MASTER_SEED)
@@ -360,6 +361,20 @@ class TestSeparable2D:
         k2 = mr.discretize_kernel(model, Grid.from_box(model.box, 41))
         np.testing.assert_allclose(k2.matrix, np.kron(*k1), rtol=1e-12,
                                    atol=0)
+
+    @pytest.mark.parametrize("betas,variances", CASES)
+    @pytest.mark.parametrize("sigma", [0.35, 0.2])
+    def test_top_spectrum_is_the_products(self, betas, variances, sigma):
+        # 21^2 nodes, the top 6 by Arnoldi against the 6 largest products
+        # of the two dense 1D spectra; measured at most 5.6e-15
+        model, axes = separable_models(betas, variances, sigma)
+        lam = [mr.eigenvalues(mr.discretize_kernel(
+            a, Grid.from_box(a.box, 21))) for a in axes]
+        products = np.multiply.outer(*lam).ravel()
+        got = mr.eigenvalues(mr.discretize_kernel(
+            model, Grid.from_box(model.box, 21)), k=6)
+        np.testing.assert_allclose(got, products[_descending(products)][:6],
+                                   rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("betas,variances", CASES)
     def test_invariant_law_is_the_outer_product(self, betas, variances):

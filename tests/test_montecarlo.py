@@ -79,6 +79,13 @@ class TestSimulateChain:
         assert trace.steps_in_ball[0] == 500
         assert trace.event_steps.size == 0
 
+    @pytest.mark.parametrize("x0", [[0.5, 9.0], [], [[0.5]]])
+    def test_malformed_start_rejected(self, structure, monkeypatch, x0):
+        # only shape (1,) is a point of the 1D box; rejected before a draw
+        monkeypatch.setattr(metareduce.montecarlo, "rng_stream", None)
+        with pytest.raises(NumericError, match=r"x0 must have shape \(1,\)"):
+            mr.simulate_chain(make_ref_model(0.4), structure, x0, 100, 7)
+
     def test_noiseless_generic_start_enters_basin(self, structure):
         model = make_ref_model(0.0)
         trace = mr.simulate_chain(model, structure, np.array([0.3]), 100,
@@ -249,11 +256,12 @@ class TestSeededSimulation:
 
 def plain_path(model, x0, n_steps, seed):
     """The chain one step at a time, noise drawn in simulate_chain's
-    65,536-step chunks: the path simulate_chain must give bit for bit."""
+    chunks of CHUNK steps: the path simulate_chain must give bit for bit."""
     rng = mr.rng_stream(seed, 0)
     x, rows = np.atleast_1d(np.asarray(x0, float)), []
-    for done in range(0, n_steps, 65_536):
-        take = min(65_536, n_steps - done)
+    chunk = metareduce.montecarlo.CHUNK
+    for done in range(0, n_steps, chunk):
+        take = min(chunk, n_steps - done)
         for z in model.noise(rng.standard_normal((take, model.dim))):
             x = model.pi(x) + z
             rows.append(x)
@@ -488,15 +496,16 @@ class TestParallelInTime:
            sigma=st.sampled_from([0.05, 0.3]),
            segment=st.integers(2, 40),
            check_every=st.sampled_from([1, 3, 16]),
-           guess_bytes=st.integers(0, 1 << 13),
+           chunk=st.tuples(st.integers(1, 8), st.sampled_from([-1, 0, 1])),
            segments=st.integers(1, 6), extra=st.sampled_from([-1, 0, 1]),
            where=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
            seed=st.integers(0, 1000))
     def test_sweep_is_the_plain_loop(self, name, sigma, segment,
-                                     check_every, guess_bytes, segments,
+                                     check_every, chunk, segments,
                                      extra, where, seed):
-        # small segments and caps split the run into many groups; runs of
-        # k segments, one step short or over, from a point off the centres
+        # small segments and chunks of 1 to 8 segments, one step short or
+        # over, split the run into many groups; runs of k segments, one
+        # step short or over, from a point off the centres
         model, structure = builtin_model(name, sigma)
         lo, hi = model.box[:, 0], model.box[:, 1]
         x0 = lo + np.array(where[:model.dim]) * (hi - lo)
@@ -504,7 +513,8 @@ class TestParallelInTime:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metareduce.montecarlo, "SEGMENT", segment)
             mp.setattr(metareduce.montecarlo, "CHECK_EVERY", check_every)
-            mp.setattr(metareduce.montecarlo, "GUESS_BYTES", guess_bytes)
+            mp.setattr(metareduce.montecarlo, "CHUNK",
+                       chunk[0] * segment + chunk[1])
             assert_chain_is_plain(model, structure, x0, n_steps, seed)
 
     @pytest.mark.parametrize("check_every", [1, 3, 16])
@@ -513,7 +523,9 @@ class TestParallelInTime:
         monkeypatch.setattr(metareduce.montecarlo, "SEGMENT", 100)
         monkeypatch.setattr(metareduce.montecarlo, "CHECK_EVERY",
                             check_every)
-        monkeypatch.setattr(metareduce.montecarlo, "GUESS_BYTES", 1 << 14)
+        # chunks of 3 segments and a step; the last chunk, 19 steps, is
+        # stepped plainly
+        monkeypatch.setattr(metareduce.montecarlo, "CHUNK", 301)
         assert_chain_is_plain(tanh2d_model(0.4), structure2d,
                               np.array([0.3, -1.2]), 65_536 + 101, 5)
 

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metareduce as mr
-from metareduce.errors import Overflow, ThetaTooLarge
-from metareduce.reduction import (ball_rows, build_reduced_chain, choose_m,
-                                  default_theta, diluted_marginal_deviation,
-                                  solve_all_qsds, stochastic_power)
+from metareduce.errors import (BasisDegenerate, NegativeEntry, NumericError,
+                               Overflow, ThetaTooLarge)
+from metareduce.reduction import (Projectors, ball_rows, build_reduced_chain,
+                                  choose_m, default_theta,
+                                  diluted_marginal_deviation, solve_all_qsds,
+                                  stochastic_power)
+from metareduce.spectral import SpectralDecomposition
 
 from conftest import (REF_BOX, REF_DELTA, REF_RHOP, kernel_from_matrix,
                       make_ref_model, stochastic_matrices)
@@ -54,6 +57,23 @@ def rank_one_block_kernel():
         for j in range(2):
             k[2 * i:2 * i + 2, 2 * j:2 * j + 2] = p[i, j] * q[j]
     return kernel_from_matrix(k), p, q
+
+
+def hand_decomp(right, left, eigenvalues=None):
+    """The modes given as columns of ``right`` and rows of ``left``, with
+    eigenvalues 1 unless given."""
+    right, left = np.asarray(right, complex), np.asarray(left, complex)
+    n = right.shape[1]
+    lam = np.ones(n) if eigenvalues is None else eigenvalues
+    return SpectralDecomposition(np.asarray(lam, complex), right, left, n)
+
+
+def hand_projectors(indicators, mu=None):
+    """Projectors on the ball rows ``indicators``, each ball's QSD its
+    indicator and psi_j = 1_{B_j}; mu_i = QSD_i unless given."""
+    rows = np.asarray(indicators, float)
+    return Projectors(rows if mu is None else np.asarray(mu, float), rows,
+                      np.zeros((len(rows),) * 2), rows, rows)
 
 
 class TestChooseM:
@@ -272,11 +292,116 @@ class TestExtendedPrecisionP:
             np.testing.assert_allclose(got, want.real, rtol=1e-6, atol=0)
 
 
+class TestGuards:
+    """Each raise of the reduction layer, reached by the smallest input
+    built by hand that reaches it."""
+
+    def test_pstar_rows_sum_to_one(self):
+        kernel = kernel_from_matrix([[0.5, 0.3], [0.1, 0.2]],
+                                    kind="substochastic")
+        with pytest.raises(NumericError, match=r"P\* rows must sum to 1"):
+            mr.build_pstar(kernel, np.eye(2), np.eye(2))
+
+    def test_projectors_need_n_modes(self):
+        decomp = hand_decomp([[1.0], [0.0]], [[1.0, 0.0]])
+        with pytest.raises(NumericError, match="at least N modes"):
+            mr.build_projectors(decomp, np.eye(2), np.eye(2))
+
+    def test_projectors_need_binormalized_modes(self):
+        decomp = hand_decomp([[1.0], [0.0]], [[2.0, 0.0]])
+        rows = np.array([[1.0, 0.0]])
+        with pytest.raises(NumericError, match="not binormalized"):
+            mr.build_projectors(decomp, rows, rows)
+
+    def test_qsd_projection_vanishes(self):
+        # Pi0 = e_2 e_2^T kills the QSD e_1 of the one ball
+        decomp = hand_decomp([[0.0], [1.0]], [[0.0, 1.0]])
+        rows = np.array([[1.0, 0.0]])
+        with pytest.raises(BasisDegenerate, match="vanished"):
+            mr.build_projectors(decomp, rows, rows)
+
+    def test_id_minus_eps_singular(self):
+        # Pi0 projects onto e_3 and e_1 + e_2, so Id - eps = [[.5, .5],
+        # [.5, .5]] on the balls {0} and {1}, whose rows do not vanish
+        decomp = hand_decomp([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]],
+                             [[0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
+        rows = np.eye(3)[:2]
+        with pytest.raises(BasisDegenerate, match="singular"):
+            mr.build_projectors(decomp, rows, rows)
+
+    def test_biorthogonality_fails(self):
+        # L R = 1 for R = (1, i), L = (1 - i, 1), but Pi0 = Re(R L) =
+        # [[1, 1], [1, 0]] is no projector: mu = psi = (1, 1), <mu, psi> = 2
+        decomp = hand_decomp([[1.0], [1j]], [[1 - 1j, 1.0]])
+        rows = np.array([[1.0, 0.0]])
+        with pytest.raises(NumericError, match="delta_ij failed"):
+            mr.build_projectors(decomp, rows, rows)
+
+    def test_completeness_fails(self):
+        # L R = 1 and Pi0 = Re(R L) = [[.5, .5, 0], [.5, .5, -1], 0]:
+        # mu = (1, 1, 0) and psi = (.5, .5, 0) are biorthogonal, but
+        # psi^T mu misses Pi0's -1
+        decomp = hand_decomp([[1.0], [1j], [0.0]],
+                             [[0.5 - 0.5j, 0.5 - 0.5j, 1j]])
+        rows = np.array([[1.0, 0.0, 0.0]])
+        with pytest.raises(NumericError, match="differs from Pi0 by 1"):
+            mr.build_projectors(decomp, rows, rows)
+
+    def test_p_needs_positive_m(self):
+        with pytest.raises(NumericError, match="m must be >= 1"):
+            mr.build_p(np.eye(1), hand_decomp([[1.0]], [[1.0]]),
+                       hand_projectors([[1.0]]), 0)
+
+    @pytest.mark.parametrize("lam,error,match", [
+        (1j, NumericError, "nonreal part"),
+        (-0.5, NegativeEntry, "below"),
+        (0.5, NumericError, "row sums off by 0.5"),
+    ])
+    def test_p_of_one_state(self, lam, error, match):
+        # P = lambda^m with m = 1 for one ball of one state
+        decomp = hand_decomp([[1.0]], [[1.0]], [lam])
+        with pytest.raises(error, match=match):
+            mr.build_p(np.eye(1), decomp, hand_projectors([[1.0]]), 1)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(NumericError, match="nonnegative"):
+            stochastic_power(np.eye(2), -1)
+
+    def test_row_sum_drift_rejected(self):
+        with pytest.raises(NumericError, match="drifted"):
+            stochastic_power(np.array([[1.0 + 1e-6]]), 1)
+
+    @pytest.mark.parametrize("indicators,start", [
+        ([[1, 0, 0], [0, 1, 0]], 2),    # in no ball
+        ([[1, 1], [0, 1]], 1),          # in two
+    ])
+    def test_deviation_start_in_one_ball(self, indicators, start):
+        n = len(indicators[0])
+        with pytest.raises(NumericError, match="exactly one ball"):
+            diluted_marginal_deviation(np.eye(n), hand_projectors(indicators),
+                                       np.eye(2), start, 1)
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_deviation_start_outside_m(self, start):
+        with pytest.raises(NumericError,
+                           match=rf"start index {start} outside \[0, 2\)"):
+            diluted_marginal_deviation(np.eye(2), hand_projectors(np.eye(2)),
+                                       np.eye(2), start, 1)
+
+
 class TestMarginals:
     def test_start_is_delta(self):
         p = np.array([[0.9, 0.1], [0.2, 0.8]])
         out = mr.reduced_chain_marginals(p, 1, 0)
         np.testing.assert_array_equal(out, [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_start_outside_states_rejected(self, start):
+        # -1 must not wrap to the last state
+        p = np.array([[0.9, 0.1], [0.2, 0.8]])
+        with pytest.raises(NumericError,
+                           match=rf"start state {start} outside \[0, 2\)"):
+            mr.reduced_chain_marginals(p, start, 3)
 
     def test_two_state_stationary_limit(self):
         a, b = 0.1, 0.2
