@@ -67,8 +67,12 @@ class DeterministicMapModel:
         return np.linalg.inv(self.cov), np.linalg.cholesky(self.cov)
 
     def rate(self, d):
-        """d^T C^{-1} d / 2 for each row of d, shape (..., d) -> (...)."""
-        return 0.5 * np.einsum("...k,kl,...l->...", d, self._factors[0], d)
+        """d^T C^{-1} d / 2 for each row of d, shape (..., d) -> (...), the
+        terms added k-major, einsum's order on 3+ rows, in any batch."""
+        if self.dim == 1:       # one term, and einsum is faster
+            return 0.5 * np.einsum("...k,kl,...l", d, self._factors[0], d)
+        return 0.5 * sum(d[..., k] * c * d[..., l]
+                         for (k, l), c in np.ndenumerate(self._factors[0]))
 
     def noise(self, z, out=None):
         """sigma z L^T for standard normal rows z, shape (..., d), written

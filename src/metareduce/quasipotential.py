@@ -8,6 +8,9 @@ never used, as rate(d) >= |d|^2 / (2 lambda_max(C)) grows quadratically.
 A table that writes V on every node verifies this a posteriori through
 the saturation check; one that reads only H up to a cost bound B (the
 refinement) drops beforehand the hops longer than sqrt(2 lambda_max(C) B).
+A row's edges at fixed indices on the first d - 1 axes are one run along
+the last axis, as the hop is monotone along it on either side of the image;
+bisection finds the runs' ends, and blocks of EDGE_BLOCK edges fill the CSR.
 
 Dijkstra reads a graph through two members: ``weights``, the CSR matrix of
 edge weights, and ``hops(pred, child)``, the hop lengths of the edges
@@ -30,7 +33,7 @@ PATH_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
 SATURATION_FRACTION = 0.8
 BOUND_MARGIN = 1e-3           # relative margin of the refinement's cost bound
-EDGE_BLOCK = 1 << 16          # candidate edges assembled per block
+EDGE_BLOCK = 1 << 16          # edges filled per block of rows
 
 
 @dataclass(frozen=True)
@@ -45,8 +48,7 @@ class ActionGraph:
 
     def hops(self, pred, child):
         """Lengths |points[child] - images[pred]| of the edges pred -> child."""
-        diff = self.points[child] - self.images[pred]
-        return np.sqrt((diff ** 2).sum(axis=-1))
+        return np.sqrt(((self.points[child] - self.images[pred]) ** 2).sum(-1))
 
 
 def build_action_graph(model, grid, r_hop, limit=np.inf):
@@ -59,8 +61,7 @@ def build_action_graph(model, grid, r_hop, limit=np.inf):
             f"r_hop = {r_hop} below 3 * max grid spacing = {3 * h_max}")
     pts = grid.points()
     images = model.pi(pts)
-    gap = np.linalg.norm(pts[grid.nearest_index(images)] - images, axis=1)
-    far = gap > r_hop
+    far = np.linalg.norm(pts[grid.nearest_index(images)] - images, axis=1) > r_hop
     if far.any():
         raise HopRadiusTooSmall(
             f"image of node {far.argmax()} has no grid node within r_hop")
@@ -71,46 +72,56 @@ def build_action_graph(model, grid, r_hop, limit=np.inf):
 
 def _weights(grid, images, rate, r_hop):
     """CSR of the one-step rates ``rate(d)``, d = node - image, over the nodes
-    within r_hop of each image.  A row's candidates are the box of grid
-    indices around its image, one index wider each side so rounding drops
-    no node, padded to one shape with nodes at infinity and listed last
-    axis fastest, so columns ascend; blocks hold ~EDGE_BLOCK candidates.
-    A first pass counts each row's edges, so the second fills the CSR
-    arrays in place and no block's edges are held twice."""
+    whose hop sqrt(sum_k d_k^2), summed in axis order, is at most r_hop, in
+    the box of grid indices around the image, one index wider each side so
+    rounding drops no node.  At fixed indices on the first d - 1 axes, each
+    step of the hop (fl(a[j] - img), square, sum, sqrt) is monotone in the
+    last index j on either side of searchsorted(a, img): the kept j form one
+    run, whose ends bisection finds.  Pass 1 keeps the runs' starts and
+    lengths, pass 2 fills the CSR; blocks hold <= EDGE_BLOCK runs or edges."""
     from scipy.sparse import csr_matrix
     origin, h = np.array([a[0] for a in grid.axes]), grid.spacings
     lo = np.maximum(np.ceil((images - r_hop - origin) / h) - 1, 0).astype(int)
-    hi = np.minimum(np.floor((images + r_hop - origin) / h) + 1,
-                    np.array(grid.shape) - 1).astype(int)
-    width = np.maximum(hi - lo + 1, 1).max(axis=0)
-    step = max(1, EDGE_BLOCK // int(width.prod()))
+    wide = np.maximum(np.minimum(np.floor((images + r_hop - origin) / h) + 2,
+                                 grid.shape) - lo, 0).astype(int)
+    ptr = np.concatenate([[0], np.cumsum(wide[:, :-1].prod(axis=1))])
+    a, start, n = grid.axes[-1], np.empty(ptr[-1], int), np.empty(ptr[-1], int)
 
-    def block(b):
-        diffs = []          # per axis (rows, width): node - image
-        for k, a in enumerate(grid.axes):
-            idx = lo[b:b + step, k, None] + np.arange(width[k])
-            diffs.append(np.where(idx <= hi[b:b + step, k, None],
-                                  a[np.minimum(idx, a.size - 1)], np.inf)
-                         - images[b:b + step, k, None])
-        sq = sum(np.expand_dims(dk ** 2, tuple(j + 1 for j in range(grid.dim)
-                                               if j != k))
-                 for k, dk in enumerate(diffs))
-        return diffs, np.sqrt(sq) <= r_hop      # and the edges
+    def blocks(c):      # rows [b, e) with <= EDGE_BLOCK items of c, or one
+        b = 0
+        while b < grid.n_nodes:
+            e = max(b + 1, np.searchsorted(c, c[b] + EDGE_BLOCK + 1) - 1)
+            row = np.repeat(np.arange(b, e), np.diff(ptr[b:e + 1]))
+            q, idx, pre = np.arange(ptr[b], ptr[e]) - ptr[row], [0 * row], []
+            for k in reversed(range(grid.dim - 1)):     # q: a run's rank
+                q, i = np.divmod(q, wide[row, k])
+                idx.insert(0, lo[row, k] + i)           # the run's indices
+                pre.insert(0, grid.axes[k][idx[0]] - images[row, k])
+            yield slice(c[b], c[e]), slice(ptr[b], ptr[e]), row, idx, pre
+            b = e
 
-    starts, axes = range(0, grid.n_nodes, step), tuple(range(1, grid.dim + 1))
-    indptr = np.cumsum(np.concatenate(
-        [[0]] + [np.count_nonzero(block(b)[1], axis=axes) for b in starts]))
+    def bisect(j0, j1, want):       # the first j in [j0, j1) kept == want
+        while (on := j0 < j1).any():    # or j1, where the range has shut
+            mid = np.minimum((j0 + j1) // 2, a.size - 1)
+            hit = on & ((np.sqrt(sq + (a[mid] - img) ** 2) <= r_hop) == want)
+            j0, j1 = np.where(hit, j0, mid + 1), np.where(hit, mid, j1)
+        return j1
+
+    for p, _, row, _, pre in blocks(ptr):
+        sq = sum((dk ** 2 for dk in pre), np.zeros(row.size))
+        img, first = images[row, -1], lo[row, -1]
+        split = np.clip(np.searchsorted(a, img), first, first + wide[row, -1])
+        start[p] = bisect(first, split, True)
+        n[p] = bisect(split, first + wide[row, -1], False) - start[p]
+    indptr = np.concatenate([[0], np.cumsum(n)])[ptr]
     data, cols = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-    for b in starts:
-        diffs, edge = block(b)
-        u, *off = np.nonzero(edge)
-        at = slice(indptr[b], indptr[b + len(edge)])
-        data[at] = rate(np.stack([dk[u, o] for dk, o in zip(diffs, off)],
-                                 axis=-1))
-        cols[at] = np.ravel_multi_index(tuple(
-            (lo[b + u] + np.stack(off, axis=-1)).T), grid.shape)
-    return csr_matrix((data, cols, indptr),
-                      shape=(grid.n_nodes, grid.n_nodes))
+    for at, p, row, idx, pre in blocks(indptr):
+        j = np.repeat(start[p] + n[p] - np.cumsum(n[p]), n[p]) \
+            + np.arange(at.stop - at.start)          # each edge's last index
+        cols[at] = np.repeat(np.ravel_multi_index(idx, grid.shape), n[p]) + j
+        data[at] = rate(np.stack([np.repeat(x, n[p]) for x in pre] + [
+            a[j] - np.repeat(images[row, -1], n[p])], axis=-1))
+    return csr_matrix((data, cols, indptr), shape=(grid.n_nodes,) * 2)
 
 
 def quasipotential_from(graph, source_set):
@@ -129,12 +140,9 @@ def quasipotential_from(graph, source_set):
                              limit=getattr(graph, "limit", np.inf))
     # max hop to the root of the shortest-path tree by pointer doubling: it
     # follows predecessors, since zero-weight edges tie distances
-    n = dist.size
-    child = np.where(pred >= 0)[0]
-    maxhop = np.zeros(n)
-    maxhop[child] = graph.hops(pred[child], child)
-    up = np.arange(n)
-    up[child] = pred[child]
+    child = np.flatnonzero(pred >= 0)
+    maxhop, up = np.zeros(dist.size), np.arange(dist.size)
+    maxhop[child], up[child] = graph.hops(pred[child], child), pred[child]
     while (up[up] != up).any():
         maxhop, up = np.maximum(maxhop, maxhop[up]), up[up]
     return dist, maxhop
@@ -169,15 +177,12 @@ def compute_h_matrix(model, grid, structure, r_hop, limit=np.inf):
     reads inf beyond it), and an H above it makes the result None.
     """
     graph = build_action_graph(model, grid, r_hop, limit)
-    n = structure.n_balls
-    centers = grid.nearest_index(structure.centers)
-    v_surfaces = np.empty((n, grid.n_nodes))
-    h = np.zeros((n, n))
+    n, centers = structure.n_balls, grid.nearest_index(structure.centers)
+    v_surfaces, h = np.empty((n, grid.n_nodes)), np.zeros((n, n))
     for i in range(n):
-        dist, maxhop = quasipotential_from(graph, [centers[i]])
-        v_surfaces[i] = dist
+        v_surfaces[i], maxhop = quasipotential_from(graph, [centers[i]])
         for j in [k for k in range(n) if k != i]:
-            val = dist[centers[j]]
+            val = v_surfaces[i, centers[j]]
             if val > limit:
                 return None
             if not np.isfinite(val):
@@ -189,10 +194,7 @@ def compute_h_matrix(model, grid, structure, r_hop, limit=np.inf):
                     f"{SATURATION_FRACTION} * r_hop; increase r_hop")
     _check_triangle(h, "triangle inequality")
     h0 = float(h[~np.eye(n, dtype=bool)].min(initial=np.inf))
-
-    optimal = {}
-    longest = np.zeros((n, n), dtype=int)
-    h0_hat = np.inf
+    optimal, longest, h0_hat = {}, np.zeros((n, n), dtype=int), np.inf
     for i, j in itertools.permutations(range(n), 2):
         paths = []
         for gamma in _simple_paths(i, j, n):
@@ -222,8 +224,7 @@ def _check_triangle(h, what):
     bad = np.argwhere(h[:, :, None] + h[None, :, :]
                       < h[:, None, :] - TRIANGLE_TOL)
     if bad.size:
-        i, ell, j = bad[0]
-        raise NumericError(f"{what} violated at ({i},{ell},{j})")
+        raise NumericError(f"{what} violated at ({','.join(map(str, bad[0]))})")
 
 
 def h_theta(table, theta):
@@ -232,8 +233,7 @@ def h_theta(table, theta):
     (N - 2) theta <= H0_hat."""
     if not (0.0 < theta < table.h0):
         raise ThetaTooLarge(f"theta = {theta} not in (0, H0 = {table.h0})")
-    n = table.n_balls
-    out = table.h_matrix - table.longest_optimal * theta
+    n, out = table.n_balls, table.h_matrix - table.longest_optimal * theta
     np.fill_diagonal(out, 0.0)
     if (n - 2) * theta <= table.h0_hat:
         _check_triangle(out, "adjusted triangle inequality")
@@ -250,9 +250,7 @@ def ldp_transition_bounds(table, i, j, n, sigma, eta):
     """
     if i == j:
         raise NumericError("transition bounds need i != j")
-    h = table.h_matrix[i, j]
-    s2 = sigma ** 2
-    nballs = table.n_balls
+    h, s2, nballs = table.h_matrix[i, j], sigma ** 2, table.n_balls
     lower = upper = 0.0
     for gamma in table.optimal_paths[(i, j)]:
         p = len(gamma) - 1
@@ -288,14 +286,11 @@ def refinement_check(model, grid, structure, r_hop, tol=0.05, coarse=None):
     r_hop either way.  A failure is reported, never raised: grid error at
     the requested resolution is a diagnostic, not a contract violation.
     """
-    from .grid import Grid
-    fine = Grid.from_box(model.box, [2 * (s - 1) + 1 for s in grid.shape])
-    coarse_t = coarse if coarse is not None else compute_h_matrix(
-        model, grid, structure, r_hop)
+    fine = type(grid).from_box(model.box, [2 * s - 1 for s in grid.shape])
+    coarse_t = coarse or compute_h_matrix(model, grid, structure, r_hop)
     bound = (1 + BOUND_MARGIN) * float(coarse_t.h_matrix.max())
-    fine_t = compute_h_matrix(model, fine, structure, r_hop, bound)
-    if fine_t is None:
-        fine_t = compute_h_matrix(model, fine, structure, r_hop)
+    fine_t = (compute_h_matrix(model, fine, structure, r_hop, bound)
+              or compute_h_matrix(model, fine, structure, r_hop))
     mask = ~np.eye(structure.n_balls, dtype=bool)
     c, f = coarse_t.h_matrix[mask], fine_t.h_matrix[mask]
     rel = float(np.max(np.abs(c - f) / np.maximum(np.abs(f), 1e-300))) \

@@ -227,8 +227,9 @@ def check_uniform_positivity(kernel, l_target, n_cap=200):
     """
     if not (1.0 < l_target < 2.0):
         raise NumericError("l_target must lie in (1, 2)")
-    K = kernel.matrix
-    P = K.copy()
+    if n_cap < 1:
+        raise NumericError(f"n_cap = {n_cap} tests no power")
+    P = K = kernel.matrix       # each power is a new array; K is not written
     ratios, best = [], np.inf
     for n in range(1, n_cap + 1):
         lo, hi = P.min(axis=0), P.max(axis=0)
@@ -247,5 +248,5 @@ def check_uniform_positivity(kernel, l_target, n_cap=200):
 
 
 def positivity_cap(sigma):
-    """Power-search cap 10 ceil(log(1/sigma)/log 2) + 50."""
-    return 10 * int(np.ceil(np.log(1.0 / sigma) / np.log(2.0))) + 50
+    """Power-search cap 10 ceil(log(1/sigma)/log 2) + 50, at least 1."""
+    return max(1, 10 * int(np.ceil(np.log(1.0 / sigma) / np.log(2.0))) + 50)

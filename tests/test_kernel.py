@@ -51,6 +51,24 @@ class TestGaussianRate:
         np.testing.assert_allclose(model.rate(model.noise(z) / 0.4),
                                    0.5 * (z ** 2).sum(axis=1), rtol=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_row_bits_do_not_depend_on_the_batch(self, dim):
+        # a row's rate in a call of 1, 2 or 3 rows, or in a (rows, nodes, d)
+        # block as the kernel passes it, is its rate in one call of all the
+        # rows, bit for bit; einsum sums one or two 2D rows in another order
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim))
+        model = DeterministicMapModel(dim, None, None, [[-1, 1]] * dim,
+                                      a @ a.T + 0.5 * np.eye(dim), 0.3)
+        d = rng.normal(size=(12, dim))
+        full = model.rate(d).view(np.int64)
+        for n in (1, 2, 3):
+            part = np.concatenate([model.rate(d[i:i + n])
+                                   for i in range(0, 12, n)])
+            np.testing.assert_array_equal(part.view(np.int64), full)
+        np.testing.assert_array_equal(
+            model.rate(d.reshape(3, 4, dim)).ravel().view(np.int64), full)
+
 
 class TestDiscretizeKernel:
     def test_rows_sum_to_one(self, cache):

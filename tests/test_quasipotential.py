@@ -286,6 +286,112 @@ def test_action_graph_matches_brute_force_edges(case):
     np.testing.assert_array_equal(graph.hops(u, v), hop[u, v])
 
 
+def image_model(grid, images, cov):
+    """A model on the grid's box whose map sends node u to images[u]."""
+    box = [[a[0], a[-1]] for a in grid.axes]
+    return DeterministicMapModel(grid.dim, lambda x: images, None, box, cov,
+                                 1.0)
+
+
+def csr_bits(w):
+    return w.indptr, w.indices, w.data.view(np.int64)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(grids_with_images())
+def test_action_graph_weights_are_the_rates_bit_for_bit(case):
+    # the weight of u -> v is rate(points[v] - images[u]), every bit of it
+    grid, r_hop, cov, images = case
+    model = image_model(grid, images, cov)
+    w = mr.build_action_graph(model, grid, r_hop).weights
+    u = np.repeat(np.arange(grid.n_nodes), np.diff(w.indptr))
+    expected = model.rate(grid.points()[w.indices] - images[u])
+    np.testing.assert_array_equal(w.data.view(np.int64),
+                                  expected.view(np.int64))
+
+
+class TestHopBoundary:
+    """A node exactly r_hop from its image is an edge; at the next float
+    below r_hop it is not.  Every hop here is exact in binary."""
+
+    def kept(self, grid, image, r_hop):
+        images = np.tile(image, (grid.n_nodes, 1))
+        w = metareduce.quasipotential._weights(
+            grid, images, lambda d: 0.5 * (d ** 2).sum(axis=-1), r_hop)
+        assert (np.diff(w.indptr) == np.diff(w.indptr)[0]).all()
+        return {tuple(p) for p in grid.points()[w.indices[w.indptr[0]:
+                                                          w.indptr[1]]]}
+
+    @pytest.mark.parametrize("image, ends", [(2.0, (0.0, 5.0)),
+                                             (5.0, (2.0, 8.0))])
+    def test_1d(self, image, ends):
+        # box [0, 8] with 9 nodes, r_hop 3: an end is kept at 3.0 exactly
+        grid = Grid.from_box([[0.0, 8.0]], 9)
+        lo, hi = ends
+        assert self.kept(grid, [image], 3.0) == {
+            (x,) for x in np.arange(lo, hi + 1)}
+        below = self.kept(grid, [image], np.nextafter(3.0, 0.0))
+        assert below == {(x,) for x in np.arange(lo, hi + 1)
+                         if abs(x - image) < 3.0}
+
+    def test_2d(self):
+        # image (4, 4), r_hop 5: (1, 0), (7, 8), (0, 1), (8, 7) and the
+        # others with |dx|, |dy| in {3, 4} lie exactly on the circle
+        grid = Grid.from_box([[0.0, 8.0]] * 2, 9)
+        on = {(4.0 + sx * dx, 4.0 + sy * dy) for dx, dy in [(3, 4), (4, 3)]
+              for sx in (-1, 1) for sy in (-1, 1)}
+        inside = {(x, y) for x in range(9) for y in range(9)
+                  if (x - 4) ** 2 + (y - 4) ** 2 < 25}
+        assert self.kept(grid, [4.0, 4.0], 5.0) == inside | on
+        assert self.kept(grid, [4.0, 4.0], np.nextafter(5.0, 0.0)) == inside
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_action_graph_matches_brute_force_in_3d(seed):
+    # three axes, so each run is found for a pair of first two indices
+    rng = np.random.default_rng(seed)
+    grid = Grid.from_box([[0.0, 1.0], [-1.0, 0.5], [0.0, 2.0]],
+                         rng.integers(4, 9, size=3))
+    h = grid.spacings.max()
+    r_hop = rng.uniform(3.0, 6.0) * h
+    a = rng.normal(size=(3, 3))
+    cov = a @ a.T + 0.5 * np.eye(3)
+    lo, hi = np.array([[ax[0], ax[-1]] for ax in grid.axes]).T
+    images = rng.uniform(lo - h, hi + h, size=(grid.n_nodes, 3))
+    model = image_model(grid, images, cov)
+    w = mr.build_action_graph(model, grid, r_hop).weights
+    diff = grid.points()[None, :, :] - images[:, None, :]
+    u, v = np.nonzero(np.sqrt((diff ** 2).sum(axis=-1)) <= r_hop)
+    np.testing.assert_array_equal(
+        w.indptr, np.cumsum([0, *np.bincount(u, minlength=grid.n_nodes)]))
+    np.testing.assert_array_equal(w.indices, v)
+    np.testing.assert_array_equal(w.data.view(np.int64),
+                                  model.rate(diff[u, v]).view(np.int64))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 16])
+def test_edge_blocks_give_the_same_csr(block, monkeypatch):
+    # blocks of one row each, blocks that split the rows unevenly, and one
+    # block for the whole graph; the graphs cut at cost 0.002 hold rows of
+    # no edge and of one edge
+    dim, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+    model = DeterministicMapModel(2, pi, jac, [[-2.0, 2.0]] * 2,
+                                  [[1.0, 0.3], [0.3, 0.5]], 0.35, "tanh2d")
+    cases = [(m, g, limit) for m, g in [
+        (model, Grid.from_box(model.box, [17, 13])),
+        (make_ref_model(0.35), Grid.from_box([[-2.0, 2.0]], 41))]
+        for limit in (np.inf, 0.002)]
+    before = [mr.build_action_graph(m, g, 1.0, limit).weights
+              for m, g, limit in cases]
+    degrees = np.concatenate([np.diff(w.indptr) for w in before])
+    assert (degrees == 0).any() and (degrees == 1).any()
+    monkeypatch.setattr(metareduce.quasipotential, "EDGE_BLOCK", block)
+    for (m, g, limit), want in zip(cases, before):
+        got = mr.build_action_graph(m, g, 1.0, limit).weights
+        for x, y in zip(csr_bits(got), csr_bits(want)):
+            np.testing.assert_array_equal(x, y)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(grids_with_images(), st.floats(0.0, 2.0))
 def test_cut_graph_keeps_the_hops_up_to_r_star(case, limit):

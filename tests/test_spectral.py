@@ -276,3 +276,19 @@ class TestUniformPositivity:
     def test_cap_formula(self):
         assert positivity_cap(0.5) == 60
         assert positivity_cap(0.3) == 70
+
+    @pytest.mark.parametrize("sigma", [32.0, 1000.0])
+    def test_cap_floored_at_one(self, sigma):
+        # the formula gives 0 at sigma = 32 and -40 at sigma = 1000; a cap
+        # of 1 still tests K itself, which a uniform kernel passes
+        assert positivity_cap(sigma) == 1
+        flat = kernel_from_matrix(np.full((3, 3), 0.2), kind="substochastic")
+        res = check_uniform_positivity(flat, 1.5, n_cap=positivity_cap(sigma))
+        assert res.achieved and res.n0 == 1 and res.achieved_ratio == 1.0
+        assert res.ratios == (1.0,)
+
+    @pytest.mark.parametrize("n_cap", [0, -40])
+    def test_cap_below_one_raises(self, n_cap):
+        flat = kernel_from_matrix(np.full((3, 3), 0.2), kind="substochastic")
+        with pytest.raises(NumericError, match="tests no power"):
+            check_uniform_positivity(flat, 1.5, n_cap=n_cap)
