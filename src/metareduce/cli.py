@@ -132,9 +132,9 @@ class Pipeline:
         return float(self.cfg.theta)
 
     def reduction(self, sigma):
-        """Trace on M, reduced chain from its top N eigenpairs (one dense
-        solve of the |M| x |M| trace, binormalized as one block), and the
-        projectors."""
+        """Trace on M, reduced chain from its top N eigenpairs (the dense
+        eigenvalues of the |M| x |M| trace and their vectors by inverse
+        iteration, binormalized as one block), and the projectors."""
         balls, _, _ = self.membership
         trace = self.trace_on_m(sigma)
         decomp = eigendecompose(trace, n_modes=len(balls))

@@ -64,7 +64,10 @@ class DeterministicMapModel:
 
     @functools.cached_property
     def _factors(self):
-        return np.linalg.inv(self.cov), np.linalg.cholesky(self.cov)
+        """C^{-1} and L, or None for an L that is exactly I."""
+        chol = np.linalg.cholesky(self.cov)
+        unit = (chol == np.eye(self.dim)).all()
+        return np.linalg.inv(self.cov), None if unit else chol
 
     def rate(self, d):
         """d^T C^{-1} d / 2 for each row of d, shape (..., d) -> (...), the
@@ -77,8 +80,11 @@ class DeterministicMapModel:
     def noise(self, z, out=None):
         """sigma z L^T for standard normal rows z, shape (..., d), written
         to ``out`` if given (C-contiguous, of z's shape)."""
+        chol = self._factors[1]
+        if chol is None:    # z 1 + z' 0 is z, bar a normal of exactly -0.0
+            return np.multiply(z, self.sigma, out=out)
         # np.dot gives the bits of z @ L^T, without matmul's overhead
-        d = np.dot(z, self._factors[1].T, out=out)
+        d = np.dot(z, chol.T, out=out)
         return np.multiply(d, self.sigma, out=d)
 
     @property

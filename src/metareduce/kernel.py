@@ -147,8 +147,9 @@ def trace_kernel(kernel, subset):
     K = kernel.matrix
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
     a = np.empty((comp.size, comp.size), order="F")    # LAPACK works in place
-    for j in range(0, comp.size, GATHER_COLS):
-        a[:, j:j + GATHER_COLS] = K[np.ix_(comp, comp[j:j + GATHER_COLS])]
+    for j in range(0, comp.size, GATHER_COLS):    # two takes beat np.ix_
+        a[:, j:j + GATHER_COLS] = K.take(comp[j:j + GATHER_COLS],
+                                         axis=1).take(comp, axis=0)
     np.negative(a, out=a)
     a[np.diag_indices(comp.size)] += 1.0    # a = Id - K_CC
     with warnings.catch_warnings():     # a singular matrix only warns

@@ -295,12 +295,12 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     then maps all active runs at once into buffers of its own.  ``seed``
     is an int or a ``Normals`` tape, which replays each stream to every
     call; each block keeps its position on its stream.
-    ``retire(step, x, idx, *state)`` gets the new positions of the active
-    runs (a buffer the next step overwrites), their indices among all
-    runs and their per-run state arrays (which it may update in place),
-    and returns the positions, among the active runs, of those that stop;
-    on steps where some do, each array is compacted by one ``take`` of
-    the indices a keep mask leaves.
+    ``retire(step, x, *state)`` gets the new positions of the active runs
+    (a buffer the next step overwrites) and their per-run state arrays
+    (which it may update in place), and returns the sorted positions,
+    among the active runs, of those that stop; on steps where some do,
+    each array is compacted by one ``take`` of the indices a keep mask
+    leaves, and each block's read shrinks by its stopped runs.
     """
     tape = seed if isinstance(seed, Normals) else Normals(seed)
     streams, counts, x = [], [], []
@@ -315,9 +315,8 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
     x = np.concatenate(x)
     z = np.empty_like(x)        # the normals of a step, block by block
     w, y = np.empty_like(x), np.empty_like(x)   # a step's noise, its sums
-    idx = np.arange(x.shape[0])
-    # block edges among all runs; normals each block reads a step
-    bounds, reads = np.cumsum([0] + counts), [x.shape[1] * c for c in counts]
+    # each block's end among the active runs; normals it reads a step
+    ends, reads = np.cumsum(counts), [x.shape[1] * c for c in counts]
     at = [0] * len(streams)     # each block's position on its stream
     read = tape.read
     step = 0
@@ -331,14 +330,15 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
                 at[b] = read(streams[b], at[b], size, parts)
         np.concatenate(parts, out=z.reshape(-1)[:x.size])
         x = np.add(model.pi(x), model.noise(z[:n], out=w[:n]), out=y[:n])
-        gone = retire(step, x, idx, *state)
+        gone = retire(step, x, *state)
         if gone.size:
             keep = np.ones(n, bool)
             keep[gone] = False
             keep = np.flatnonzero(keep)     # then take: x[mask] is slow
-            x, idx = x.take(keep, axis=0), idx.take(keep)
+            x = x.take(keep, axis=0)
             state = [a.take(keep) for a in state]
-            edges = np.searchsorted(idx, bounds).tolist()
+            ends -= np.searchsorted(gone, ends)     # gone is sorted
+            edges = [0] + ends.tolist()
             reads = [x.shape[1] * (hi - lo)
                      for lo, hi in zip(edges, edges[1:])]
 
@@ -400,7 +400,7 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
         return np.flatnonzero(reached | home)
 
     _run(model, [(c[i], n_runs, 0) for i in pairs[:, 0]], seed, workers,
-         step_cap, "committor", retire)
+         step_cap, "committor", retire, np.arange(len(pairs) * n_runs))
     hits = hit.reshape(-1, n_runs).sum(axis=1)
     if not hits.all():
         i, j = pairs[hits.argmin()]       # the first pair with no hit
@@ -453,7 +453,7 @@ def estimate_ex(model, structure, grid, n_starts, seed, fixed_points=None,
 
     _run(model, [(x0, n_reps, s_idx * workers)
                  for s_idx, x0 in enumerate(starts)],
-         seed, workers, step_cap, "hit", retire)
+         seed, workers, step_cap, "hit", retire, np.arange(times.size))
     runs = times.reshape(-1, n_reps)
     t = runs[runs.mean(axis=1).argmax()]    # first start of largest mean
     se = float(t.std(ddof=1) / np.sqrt(n_reps))
@@ -477,7 +477,7 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
     counts = np.zeros(n_balls * (n_blocks + 1), dtype=np.int64)
     counts[i * (n_blocks + 1)] = n_runs    # visit 0 is the start, in ball i
 
-    def retire(step, x, idx, left, block):
+    def retire(step, x, left, block):
         # block n is recorded at visit n m: only the runs due now are tallied
         rows, in_m = _ball_rows(structure, x)
         left -= in_m.view(np.uint8)

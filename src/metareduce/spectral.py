@@ -2,9 +2,12 @@
 
 Each consumer gets one route.  ``eigenvalues`` computes no eigenvectors: a
 dense solve of the full spectrum, or ARPACK for the top k of a large kernel.
-``eigendecompose`` is one dense solve of a small kernel (the trace on M) that
-keeps the top pairs, binormalized as one block.  scipy is imported inside
-the solves that use it, so set-up and ``spectrum`` never load it."""
+``eigendecompose`` keeps the top pairs of a small kernel (the trace on M),
+binormalized as one block: when they are few, the dense eigenvalues and
+their vectors by inverse iteration, else one dense solve of all pairs.
+``solve_qsd`` takes the dense eigenvalues of the killed kernel and its
+Perron vector by the same inverse iteration.  scipy is imported inside the
+solves that use it, so set-up and ``spectrum`` never load it."""
 
 from __future__ import annotations
 
@@ -17,6 +20,8 @@ from .kernel import KernelMatrix, killed_with_escape
 
 RESIDUAL_TOL = 1e-8
 CLUSTER_COND_CAP = 1e8
+SWEEPS = 3                  # inverse-iteration solves per vector
+CLUSTER_ULPS = 8            # eigenvalues this many eps ||K|| apart are one
 
 
 def _descending(lam):
@@ -52,7 +57,7 @@ def eigenvalues(kernel, k=None):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """The top ``n_modes`` binormalized eigenpairs of a dense solve.
+    """The top ``n_modes`` binormalized eigenpairs of ``eigendecompose``.
 
     ``right`` has eigenvectors as columns, ``left`` as rows, ordered as by
     ``_descending``, with left[i] . right[:, j] = delta_ij.  ``eigenvalues``
@@ -67,15 +72,54 @@ class SpectralDecomposition:
     max_residual: float = 0.0
 
 
-def eigendecompose(kernel, n_modes=None):
-    """Top ``n_modes`` eigenpairs (all n by default) of one dense solve.
+def _inverse_iteration(K, lam):
+    """Unit right (columns) and left (rows) eigenvectors of K for the
+    eigenvalues ``lam``, ordered as by ``_descending``, by inverse iteration.
 
-    Meant for small kernels such as the trace on M.  The left vectors of the
-    top block are binormalized together, L <- (L R)^{-1} L; a Gram matrix
-    with a singular value below 1e-8 of the largest raises NumericError.
-    The sign/phase convention makes the largest-modulus entry of each right
-    eigenvector real and equal to 1; left vectors absorb the inverse factor
-    so products are preserved.
+    One LU of K - lam_j I serves both sides, an exact eigenvalue's zero
+    pivot raised to eps ||K||; each vector is SWEEPS solves from a fixed
+    start.  An eigenvalue within CLUSTER_ULPS eps ||K|| of the one before
+    joins its cluster, whose vectors start apart and are orthogonalized
+    against the cluster's earlier ones after every solve.
+    """
+    from scipy.linalg import get_lapack_funcs
+    n, k = K.shape[0], lam.size
+    floor = np.finfo(float).eps * np.abs(K).sum(axis=1).max()
+    starts = np.random.default_rng(0).standard_normal((k, n))
+    vecs = np.empty((2, k, n), complex)     # right, then left
+    first = 0                               # the current cluster's first
+    for j in range(k):
+        if j and abs(lam[j] - lam[j - 1]) > CLUSTER_ULPS * floor:
+            first = j
+        a = K - (lam[j] if lam[j].imag else lam[j].real) * np.eye(n)
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
+        lu, piv, _ = getrf(a, overwrite_a=True)     # info > 0: a zero pivot
+        low = np.flatnonzero(np.abs(lu.diagonal()) < floor)
+        lu[low, low] = floor
+        for trans, out in enumerate(vecs):  # getrs's trans=1 solves A^T
+            v, earlier = starts[j], out[first:j]
+            if lu.dtype.kind == "f":     # a real LU keeps them real
+                earlier = earlier.real
+            for _ in range(SWEEPS):
+                v = getrs(lu, piv, v, trans=trans)[0]
+                v = v - (earlier.conj() @ v) @ earlier
+                v /= np.linalg.norm(v)
+            out[j] = v
+    return vecs[0].T, vecs[1]
+
+
+def eigendecompose(kernel, n_modes=None):
+    """Top ``n_modes`` eigenpairs (all n by default), binormalized.
+
+    Meant for small kernels such as the trace on M.  When 4 n_modes <= n,
+    the eigenvalues are those of the dense values-only solve, and the
+    pairs come from ``_inverse_iteration``; otherwise one dense solve gives
+    all pairs.  The left vectors of the top block are binormalized
+    together, L <- (L R)^{-1} L; a Gram matrix with a singular value below
+    1e-8 of the largest raises NumericError.  The sign/phase convention
+    makes the largest-modulus entry of each right eigenvector real and
+    equal to 1; left vectors absorb the inverse factor so products are
+    preserved.
     """
     K = kernel.matrix
     n = K.shape[0]
@@ -83,12 +127,17 @@ def eigendecompose(kernel, n_modes=None):
         n_modes = n
     if not (1 <= n_modes <= n):
         raise NumericError("n_modes must lie in [1, dimension]")
-    from scipy.linalg import eig
-    lam, vl, vr = eig(K, left=True, right=True)
-    order = _descending(lam)
-    lam = lam[order].astype(complex)
-    R = vr[:, order[:n_modes]].astype(complex)
-    L = vl[:, order[:n_modes]].conj().T.astype(complex)
+    if 4 * n_modes <= n:
+        lam = np.linalg.eigvals(K)
+        lam = lam[_descending(lam)].astype(complex)
+        R, L = _inverse_iteration(K, lam[:n_modes])
+    else:
+        from scipy.linalg import eig
+        lam, vl, vr = eig(K, left=True, right=True)
+        order = _descending(lam)
+        lam = lam[order].astype(complex)
+        R = vr[:, order[:n_modes]].astype(complex)
+        L = vl[:, order[:n_modes]].conj().T.astype(complex)
 
     G = L @ R
     # solver vectors are unit norm, so a healthy block has a Gram matrix
@@ -173,7 +222,9 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
 
     Returns the principal left eigenpair of the killed sub-kernel, with the
     QSD normalized to a probability vector over the ball's grid indices,
-    and the killed kernel and row masses it was solved from.
+    and the killed kernel and row masses it was solved from.  The order and
+    ``next_modulus`` come from the dense values-only solve, the Perron
+    vector from ``_inverse_iteration``.
     lambda0 = 1 - escape, escape = QSD . (row masses leaving the ball): the
     eigenvalue itself rounds to 1 once escape falls below machine epsilon.
     """
@@ -181,10 +232,8 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
         raise NumericError(f"ball {ball_index} is all of M: one metastable "
                            "state, nothing to reduce")
     killed, rows = killed_with_escape(trace_on_m, ball_indices)
-    from scipy.linalg import eig
-    lam, vl = eig(killed.matrix.T)
-    order = _descending(lam)
-    lam, vl = lam[order], vl[:, order]
+    lam = np.linalg.eigvals(killed.matrix.T)
+    lam = lam[_descending(lam)]
     lam0 = lam[0]
     if abs(lam0.imag) > 1e-12 or not lam0.real > 0.0:
         raise NumericError(f"principal eigenvalue {lam0} is not positive")
@@ -193,7 +242,7 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
     if next_mod / lam0 > 1.0 - 1e-10:
         raise PrincipalNotSimple(
             f"|lambda1|/lambda0 = {next_mod / lam0} too close to 1")
-    q = vl[:, 0].real
+    q = _inverse_iteration(killed.matrix, np.array([lam0]))[1][0].real
     if q.sum() < 0:
         q = -q
     if q.min() < -1e-10:

@@ -321,6 +321,21 @@ class TestNoiseLaw:
             want = 0.37 * (z @ np.linalg.cholesky(cov).T)
             np.testing.assert_array_equal(bits(model.noise(z)), bits(want))
 
+    @pytest.mark.parametrize("cov", [np.eye(2), np.diag([1.0, 0.25]),
+                                     [[1.0, 0.6], [0.6, 0.5]]])
+    def test_noise_is_the_dot_route_bit_for_bit(self, cov):
+        # L = I takes one multiply: z 1 + z' 0 is z for every normal but
+        # an exact -0.0, which a draw of 4,097 rows does not hold
+        model = DeterministicMapModel(2, None, None, [[-1.0, 1.0]] * 2,
+                                      cov, 0.37)
+        z = np.random.default_rng(5).standard_normal((4097, 2))
+        assert not (z == 0.0).any()
+        want = bits(np.multiply(np.dot(z, np.linalg.cholesky(cov).T), 0.37))
+        np.testing.assert_array_equal(bits(model.noise(z)), want)
+        out = np.empty_like(z)
+        assert model.noise(z, out=out) is out
+        np.testing.assert_array_equal(bits(out), want)
+
 
 def exact_rim(radius):
     """(r, x): a radius near ``radius`` and x > 0 with x^2 = r^2 + 1e-15

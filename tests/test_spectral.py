@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgWarning, eig, lu_factor
 
 import metareduce as mr
 from metareduce.dynamics import DeterministicMapModel
@@ -11,7 +12,10 @@ from metareduce.errors import NumericError, PrincipalNotSimple, ZeroColumn
 from metareduce.grid import Grid
 from metareduce.kernel import killed_kernel
 from metareduce.maps import build_map
-from metareduce.spectral import check_uniform_positivity, positivity_cap
+from metareduce.reduction import build_reduced_chain
+from metareduce.spectral import (RESIDUAL_TOL, _descending,
+                                 _inverse_iteration,
+                                 check_uniform_positivity, positivity_cap)
 
 from conftest import kernel_from_matrix, stochastic_matrices
 
@@ -102,6 +106,98 @@ class TestEigendecompose:
                                     kind="substochastic")
         with pytest.raises(NumericError):
             mr.eigendecompose(jordan)
+
+
+def _dense_pairs(K, n):
+    """The top n pairs of one dense scipy solve, binormalized, each right
+    vector scaled to 1 at its largest-modulus entry: (lam, R, L, at)."""
+    lam, vl, vr = eig(K, left=True, right=True)
+    order = _descending(lam)
+    R = vr[:, order[:n]].astype(complex)
+    L = vl[:, order[:n]].conj().T.astype(complex)
+    L = np.linalg.solve(L @ R, L)
+    at = np.argmax(np.abs(R), axis=0)
+    c = R[at, np.arange(n)]
+    return lam[order].astype(complex), R / c, L * c[:, None], at
+
+
+class TestInverseIteration:
+    """``eigendecompose`` with few modes: the dense values-only solve and
+    inverse iteration, against one dense solve of all pairs."""
+
+    @pytest.fixture(scope="class")
+    def well2d(self):
+        # four wells: the kernel is K1 (x) K1, so lambda_1 and lambda_2
+        # tie, exactly or within a few ulps as the BLAS threads add
+        dim, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+        model = DeterministicMapModel(2, pi, jac, [[-2.0, 2.0]] * 2,
+                                      np.eye(2), 0.35, "tanh2d")
+        structure = mr.build_metastable_structure(
+            model, mr.find_fixed_points(model), 0.2)
+        grid = Grid.from_box(model.box, 51)
+        balls, m_set, _ = grid.membership(structure)
+        return mr.trace_kernel(mr.discretize_kernel(model, grid), m_set), balls
+
+    @pytest.mark.parametrize("sigma", [0.5, 0.3])
+    def test_reference_trace_matches_dense_solve(self, cache, sigma):
+        trace = cache.trace(sigma)
+        d = mr.eigendecompose(trace, n_modes=2)
+        lam, R, L, at = _dense_pairs(trace.matrix, 2)
+        assert d.eigenvalues.tobytes() == lam[:3].tobytes()
+        # scaled at the dense solve's entry: the two mirror entries of the
+        # odd mode tie to rounding, and either may be the largest
+        c = d.right[at, [0, 1]]
+        np.testing.assert_allclose(d.right / c, R, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d.left * c[:, None], L, rtol=0,
+                                   atol=1e-12)
+
+    def test_four_wells_with_tied_modes(self, well2d):
+        trace, balls = well2d
+        d = mr.eigendecompose(trace, n_modes=4)
+        lam = d.eigenvalues
+        assert abs(lam[1] - lam[2]) <= 8 * np.finfo(float).eps
+        assert np.abs(d.left @ d.right - np.eye(4)).max() <= 1e-12
+        assert d.max_residual <= RESIDUAL_TOL
+        full = mr.eigendecompose(trace)
+        assert lam.tobytes() == full.eigenvalues[:5].tobytes()
+        # m = 11, where lambda_1^m = 0.18 and lambda_3^m = 0.05: P reads
+        # every mode
+        theta = 0.35 ** 2 * np.log(10.0)
+        p, dense_p = (build_reduced_chain(trace, dec, balls, 0.35, theta)[0].p
+                      for dec in (d, full))
+        np.testing.assert_allclose(p, dense_p, rtol=0, atol=1e-10)
+
+    def test_exact_eigenvalue_zero_pivot(self):
+        # K - I has the exact LU pivots -0.4 and 0: the zero pivot is raised
+        # to eps ||K||, and the iteration still gives the Perron pair
+        K = np.array(HAND_2)
+        with pytest.warns(LinAlgWarning, match="exactly zero"):
+            assert lu_factor(K - np.eye(2))[0][1, 1] == 0.0
+        right, left = _inverse_iteration(K, np.array([1.0]))
+        np.testing.assert_allclose(right[:, 0] / right[0, 0], [1.0, 1.0],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(left[0] / left[0].sum(), [3 / 7, 4 / 7],
+                                   rtol=0, atol=1e-12)
+
+    def test_complex_conjugate_top_pair(self):
+        # a biased walk on a 12-cycle: eigenvalues 0.5 + 0.4 w^k + 0.1 w^-k,
+        # w = exp(2 pi i / 12), so 1 and then the pair k = 1, 11
+        row = np.zeros(12)
+        row[[0, 1, -1]] = 0.5, 0.4, 0.1
+        kernel = kernel_from_matrix([np.roll(row, i) for i in range(12)])
+        d = mr.eigendecompose(kernel, n_modes=3)
+        lam, R, L, _ = _dense_pairs(kernel.matrix, 3)
+        w = np.exp(2j * np.pi / 12)
+        np.testing.assert_allclose(d.eigenvalues[1:3],
+                                   [0.5 + 0.4 * w + 0.1 / w,
+                                    0.5 + 0.4 / w + 0.1 * w], atol=1e-14)
+        np.testing.assert_allclose(d.eigenvalues, lam[:4], rtol=0,
+                                   atol=1e-14)
+        assert np.abs(d.left @ d.right - np.eye(3)).max() <= 1e-12
+        # every entry of a Fourier mode has the same modulus, so compare
+        # the spectral projector, which no phase convention touches
+        np.testing.assert_allclose(d.right @ d.left, R @ L, rtol=0,
+                                   atol=1e-12)
 
 
 def _check_top_modes(kernel, k):
