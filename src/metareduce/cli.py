@@ -1,10 +1,11 @@
 """Command line driver: analyze | spectrum | qsd | quasipotential | reduce
 | simulate | validate.
 
-Every command is a pure function of (config, cache): reruns with the same
-inputs produce byte-identical outputs.  Exit codes: 0 pass, 1 check failure,
-2 config error or a file that cannot be read or written ("io"), 3 numeric
-error; errors are mirrored as one JSON line on stderr.
+Every command is a pure function of (config, cache): reruns produce
+byte-identical outputs, whether or not earlier runs cached the kernels,
+traces on M and H tables (see ``kernel``).  Exit codes: 0 pass, 1 check
+failure, 2 config error or a file that cannot be read or written ("io"),
+3 numeric error; errors are mirrored as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from .dynamics import (DriftViolated, build_metastable_structure,
                        check_lyapunov_drift, find_fixed_points)
 from .errors import ConfigError, NumericError, SimulationTimeout, ZeroHits
 from .grid import Grid
-from .kernel import discretize_kernel, load_kernel, save_kernel, trace_kernel
+from .kernel import (KernelMatrix, discretize_kernel, kernel_metadata,
+                     load_entry, load_kernel, save_entry, save_kernel,
+                     trace_kernel)
 from .montecarlo import (Normals, empirical_diluted_trace,
                          estimate_committor, simulate_chain)
-from .quasipotential import compute_h_matrix, refinement_check
+from .quasipotential import (RefinementReport, compute_h_matrix,
+                             refinement_check, table_from_costs)
 from .reduction import (build_reduced_chain, default_theta,
                         diluted_marginal_deviation, reduced_chain_marginals,
                         solve_all_qsds)
@@ -112,19 +116,47 @@ class Pipeline:
 
     def trace_on_m(self, sigma):
         _, m_set, _ = self.membership
-        return trace_kernel(self.kernel(sigma), m_set)
+        meta = dict(kernel_metadata(self.model(sigma), self.grid),
+                    m_set=m_set.tolist())
+        data = load_entry(self.cache_dir, "trace", meta, m_set.size ** 2)
+        if data is None:
+            trace = trace_kernel(self.kernel(sigma), m_set)
+            save_entry(self.cache_dir, "trace", meta, trace.matrix)
+            return trace
+        return KernelMatrix(data.reshape(m_set.size, -1), "stochastic", m_set)
+
+    @functools.cached_property
+    def _table_meta(self):
+        s = self.structure
+        meta = kernel_metadata(self.model(self.cfg.sigmas[0]), self.grid)
+        del meta["sigma"]
+        return dict(meta, r_hop=self.cfg.r_hop, centers=s.centers.tolist(),
+                    radii=s.radii.tolist())
 
     @functools.cached_property
     def table(self):
-        return compute_h_matrix(self.model(self.cfg.sigmas[0]), self.grid,
-                                self.structure, self.cfg.r_hop)
+        b = self.structure.n_balls
+        data = load_entry(self.cache_dir, "table", self._table_meta,
+                          b * (self.grid.n_nodes + b))
+        if data is not None:         # V, then H
+            return table_from_costs(data[:-b * b].reshape(b, -1),
+                                    data[-b * b:].reshape(b, b), self.cfg.r_hop)
+        table = compute_h_matrix(self.model(self.cfg.sigmas[0]), self.grid,
+                                 self.structure, self.cfg.r_hop)
+        save_entry(self.cache_dir, "table", self._table_meta, np.concatenate(
+            [table.v_surfaces.ravel(), table.h_matrix.ravel()]))
+        return table
 
     @functools.cached_property
     def refinement(self):
         """H on the grid against its twofold refinement; H is sigma-free."""
-        return refinement_check(
-            self.model(self.cfg.sigmas[0]), self.grid, self.structure,
-            self.cfg.r_hop, tol=self.cfg.tol_refine, coarse=self.table)
+        rel = load_entry(self.cache_dir, "refinement", self._table_meta, 1)
+        if rel is None:
+            rel = [refinement_check(
+                self.model(self.cfg.sigmas[0]), self.grid, self.structure,
+                self.cfg.r_hop, coarse=self.table).max_relative_change]
+            save_entry(self.cache_dir, "refinement", self._table_meta, rel)
+        return RefinementReport(float(rel[0]), self.cfg.tol_refine)
 
     def theta(self, sigma):
         if self.cfg.theta == "auto":

@@ -7,6 +7,14 @@ is exp(-I(x,y)/sigma^2): the constant N and the cell volume cancel in the row
 normalization, the finite-volume surrogate for conditioning the chain on
 staying in the box.
 ``trace_kernel`` imports scipy.linalg itself, so kernel set-up never loads it.
+
+The cache keeps kernels as ``<key>.kern`` data and ``<key>.meta.json``, keyed
+on ``kernel_metadata``.  Under ``derived/``: the trace on M, keyed also on M's
+grid indices; the H table and its refinement check's largest relative change,
+keyed on the kernel's metadata less sigma, plus r_hop and the balls' centres
+and radii.  No entry records a seed, theta, MC budget or path.  A save makes
+every derived folder, so a kernels-only cache keeps its top-level listing.
+Bump ``CACHE_SCHEMA`` whenever the bits an entry holds for its metadata change.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .errors import DegenerateRow, NonRecurrentComplement, NumericError
 ROW_SUM_TOL = 1e-12
 TRACE_ROW_TOL = 1e-10
 RAW_ROW_FLOOR = 1e-300          # least sum of a row's exp(-rate/sigma^2)
-CACHE_SCHEMA = 3                # bump when the cached kernel's bits change
+CACHE_SCHEMA = 3                # bump when a cached entry's bits change
 ROW_CHUNK = 256                 # kernel rows assembled per block
 GATHER_COLS = 64                # columns of Id - K_CC gathered per block
 
@@ -195,19 +203,13 @@ def invariant_measure(kernel):
     return pi
 
 
-# --- kernel cache -----------------------------------------------------------
+# --- cache ------------------------------------------------------------------
 
 def kernel_metadata(model, grid):
-    return {
-        "cache_schema": CACHE_SCHEMA,
-        "map_id": model.map_id,
-        "map_params": model.map_params,
-        "dim": model.dim,
-        "box": model.box.tolist(),
-        "nodes": list(grid.shape),
-        "sigma": model.sigma,
-        "cov": model.cov.tolist(),
-    }
+    return {"cache_schema": CACHE_SCHEMA, "map_id": model.map_id,
+            "map_params": model.map_params, "dim": model.dim,
+            "box": model.box.tolist(), "nodes": list(grid.shape),
+            "sigma": model.sigma, "cov": model.cov.tolist()}
 
 
 def cache_key(meta):
@@ -215,40 +217,49 @@ def cache_key(meta):
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _entry(cache_dir, kind, meta):
+    """Data path, metadata path and metadata bytes of an entry."""
+    key, d = cache_key(meta), Path(cache_dir)
+    text = json.dumps(dict(meta, hash=key), sort_keys=True, indent=1).encode()
+    if kind == "kernel":
+        return d / f"{key}.kern", d / f"{key}.meta.json", text
+    d = d / "derived" / kind
+    return d / f"{key}.bin", d / f"{key}.json", text
+
+
+def save_entry(cache_dir, kind, meta, data):
+    """Write the float64 data, then the metadata, each through a temporary
+    file and a rename, so a reader never sees a partial pair."""
+    for sub in ("trace", "table", "refinement"):
+        (Path(cache_dir) / "derived" / sub).mkdir(parents=True, exist_ok=True)
+    data_path, meta_path, text = _entry(cache_dir, kind, meta)
+    for path, blob in ((data_path, np.ascontiguousarray(data, "<f8").tobytes()),
+                       (meta_path, text)):
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    return cache_key(meta)
+
+
+def load_entry(cache_dir, kind, meta, size):
+    """The entry's ``size`` float64 values on an exact metadata match, else
+    None: a missing, garbled or mismatched file is a miss, then rewritten."""
+    data_path, meta_path, text = _entry(cache_dir, kind, meta)
+    if (meta_path.exists() and data_path.exists()
+            and meta_path.read_bytes() == text
+            and data_path.stat().st_size == 8 * size):
+        return np.fromfile(data_path, dtype="<f8")
+    return None
+
+
 def save_kernel(cache_dir, model, grid, kernel):
-    """Write the <hash>.kern data, then its <hash>.meta.json, each through a
-    temporary file and a rename, so a reader never sees a partial pair."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    meta = kernel_metadata(model, grid)
-    key = cache_key(meta)
-    meta["hash"] = key
-    payload = np.ascontiguousarray(kernel.matrix, dtype="<f8")
-    for name, data in ((f"{key}.kern", payload.tobytes()),
-                       (f"{key}.meta.json",
-                        json.dumps(meta, sort_keys=True, indent=1).encode())):
-        tmp = cache_dir / f"{name}.{os.getpid()}.tmp"
-        tmp.write_bytes(data)
-        os.replace(tmp, cache_dir / name)
-    return key
+    return save_entry(cache_dir, "kernel", kernel_metadata(model, grid),
+                      kernel.matrix)
 
 
 def load_kernel(cache_dir, model, grid):
     """Return the cached kernel on an exact metadata match, else None."""
-    cache_dir = Path(cache_dir)
-    meta = kernel_metadata(model, grid)
-    key = cache_key(meta)
-    meta_path = cache_dir / f"{key}.meta.json"
-    data_path = cache_dir / f"{key}.kern"
-    if not (meta_path.exists() and data_path.exists()):
-        return None
-    try:
-        stored = json.loads(meta_path.read_text())
-    except ValueError:          # a garbled file is a miss, then rewritten
-        return None
-    meta["hash"] = key          # as save_kernel writes it
     n = grid.n_nodes
-    if stored != meta or data_path.stat().st_size != 8 * n * n:
-        return None
-    k = np.fromfile(data_path, dtype="<f8").reshape(n, n)
-    return KernelMatrix(k, "stochastic", np.arange(n))
+    k = load_entry(cache_dir, "kernel", kernel_metadata(model, grid), n * n)
+    return None if k is None else KernelMatrix(k.reshape(n, n), "stochastic",
+                                               np.arange(n))

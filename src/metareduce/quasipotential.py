@@ -192,6 +192,12 @@ def compute_h_matrix(model, grid, structure, r_hop, limit=np.inf):
                 raise RHopSaturated(
                     f"optimal path {i}->{j} uses a hop above "
                     f"{SATURATION_FRACTION} * r_hop; increase r_hop")
+    return table_from_costs(v_surfaces, h, r_hop)
+
+
+def table_from_costs(v_surfaces, h, r_hop):
+    """The table of V and H; H0, H0_hat and the paths depend on H alone."""
+    n = h.shape[0]
     _check_triangle(h, "triangle inequality")
     h0 = float(h[~np.eye(n, dtype=bool)].min(initial=np.inf))
     optimal, longest, h0_hat = {}, np.zeros((n, n), dtype=int), np.inf

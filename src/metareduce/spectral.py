@@ -116,10 +116,10 @@ def eigendecompose(kernel, n_modes=None):
     pairs come from ``_inverse_iteration``; otherwise one dense solve gives
     all pairs.  The left vectors of the top block are binormalized
     together, L <- (L R)^{-1} L; a Gram matrix with a singular value below
-    1e-8 of the largest raises NumericError.  The sign/phase convention
-    makes the largest-modulus entry of each right eigenvector real and
-    equal to 1; left vectors absorb the inverse factor so products are
-    preserved.
+    1e-8 of the largest raises NumericError.  Each right vector is scaled
+    to largest modulus 1 and phased so its first entry of modulus >= 1/2
+    is real positive (the largest may tie its mirror entry to rounding);
+    left vectors absorb the inverse factor so products are preserved.
     """
     K = kernel.matrix
     n = K.shape[0]
@@ -149,9 +149,10 @@ def eigendecompose(kernel, n_modes=None):
                            "right spaces are near-parallel")
     L = np.linalg.solve(G, L)
 
-    # phase fixing: top entry of each right vector becomes 1 (real positive);
-    # the vectors are unit norm, so that entry is nonzero
-    c = R[np.argmax(np.abs(R), axis=0), np.arange(n_modes)]
+    # the phase's parts divided apart, so a real entry's phase is exactly +-1
+    mod = np.abs(R)
+    at = np.argmax(mod >= mod.max(axis=0) / 2, axis=0), np.arange(n_modes)
+    c = mod.max(axis=0) * (R[at].real / mod[at] + 1j * (R[at].imag / mod[at]))
     R, L = R / c[None, :], L * c[:, None]
 
     top = lam[:n_modes]

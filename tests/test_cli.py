@@ -13,6 +13,7 @@ import pytest
 
 import metareduce
 import metareduce.cli
+import metareduce.kernel
 import metareduce.montecarlo
 import metareduce.quasipotential
 from metareduce.cli import Pipeline, main
@@ -245,6 +246,151 @@ class TestIoErrors:
         assert len(calls) == 1
         assert meta.read_bytes() == good
         assert (tmp_path / "out" / "spectrum_0.35.csv").read_bytes() == first
+
+
+def cache_entries(cache):
+    """File names of the cache's entries, per kind."""
+    entries = {"kernel": {p.name for p in cache.glob("*.kern")}}
+    for kind in ("trace", "table", "refinement"):
+        entries[kind] = {p.name for p in (cache / "derived" / kind).glob("*")}
+    return entries
+
+
+def outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
+
+
+ALL_KINDS = {"kernel", "trace", "table", "refinement"}
+# what each entry is built from, so changing it must make a new entry
+KEYED = [
+    ("sigma", 0.4, {"kernel", "trace"}),
+    ("box", [[-2.2, 2.2]], ALL_KINDS),
+    ("cov", [[0.8]], ALL_KINDS),
+    ("grid_nodes", 121, ALL_KINDS),
+    ("map", {"name": "tanh", "params": {"beta": 2.2}}, ALL_KINDS),
+    ("delta", 0.25, {"trace", "table", "refinement"}),
+    ("r_hop", 1.2, {"table", "refinement"}),
+]
+BUILDERS = ((metareduce.cli, "discretize_kernel"),
+            (metareduce.cli, "trace_kernel"),
+            (metareduce.quasipotential, "compute_h_matrix"),
+            (metareduce.cli, "refinement_check"))
+SMALL_MC = {"committor_runs": 200, "trace_runs": 1000, "sim_steps": 0}
+
+
+class TestDerivedCache:
+    """The trace on M, the H table and its refinement check are cached
+    beside the kernels, keyed on exactly what they are built from."""
+
+    COMMANDS = ("reduce", "qsd", "quasipotential", "validate")
+
+    @pytest.mark.parametrize("field,value,kinds", KEYED,
+                             ids=[k[0] for k in KEYED])
+    def test_keyed_input_makes_new_entries(self, tmp_path, field, value,
+                                           kinds):
+        cache = tmp_path / "cache"
+        base = write_config(tmp_path, out_dir=str(tmp_path / "base-out"))
+        assert run(base, "validate") in (0, 1)
+        before = cache_entries(cache)
+        assert all(before.values())
+        assert run(write_config(tmp_path, **{field: value}), "validate") \
+            in (0, 1)
+        after = cache_entries(cache)
+        assert {k for k in after if after[k] != before[k]} == kinds
+        assert all(len(after[k]) == 2 * len(before[k]) for k in kinds)
+        cold = write_config(tmp_path, **{field: value},
+                            out_dir=str(tmp_path / "cold-out"),
+                            cache_dir=str(tmp_path / "cold-cache"))
+        assert run(cold, "validate") in (0, 1)
+        assert outputs(tmp_path / "cold-out") == outputs(tmp_path / "out")
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", 12), ("theta", 0.05), ("mc", SMALL_MC), ("out_dir", "other")])
+    def test_unkeyed_input_reuses_every_entry(self, tmp_path, monkeypatch,
+                                              field, value):
+        if field == "out_dir":
+            value = str(tmp_path / value)
+        cache = tmp_path / "cache"
+        assert run(write_config(tmp_path), "validate") in (0, 1)
+        before = cache_entries(cache)
+        calls = {name: count_calls(monkeypatch, module, name)
+                 for module, name in BUILDERS}
+        assert run(write_config(tmp_path, **{field: value}), "validate") \
+            in (0, 1)
+        assert {name: len(c) for name, c in calls.items()} == {
+            name: 0 for _, name in BUILDERS}
+        assert cache_entries(cache) == before
+
+    @pytest.fixture(scope="class")
+    def cold(self, tmp_path_factory):
+        """Each command's outputs, each from an empty cache."""
+        outs = {}
+        for command in self.COMMANDS:
+            tmp = tmp_path_factory.mktemp(command)
+            path = write_config(tmp, sigma=None, sigmas=[0.4, 0.35],
+                                mc=SMALL_MC)
+            assert run(path, command) in (0, 1)
+            outs[command] = outputs(tmp / "out")
+        return outs
+
+    def test_warm_from_another_commands_cache(self, tmp_path, monkeypatch,
+                                              cold):
+        # reduce fills the kernels, traces and table; validate adds the
+        # refinement check; the rest read them
+        for k, command in enumerate(("reduce", "validate", "qsd",
+                                     "quasipotential", "reduce")):
+            if k == 4:
+                loads = count_calls(monkeypatch, metareduce.kernel,
+                                    "load_kernel")
+            out = tmp_path / f"out{k}"
+            path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
+                                mc=SMALL_MC, out_dir=str(out))
+            assert run(path, command) in (0, 1)
+            assert outputs(out) == cold[command]
+        assert loads == []
+        assert not list((tmp_path / "cache").rglob("*.tmp"))
+
+    def test_kernels_only_cache_keeps_its_listing(self, tmp_path):
+        # a cache seeded with kernels alone (as a set-up step fills it)
+        # shows no new, grown or touched top-level entry once a command
+        # adds its derived entries
+        path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35])
+        cfg = load_config(path)
+        pipe = Pipeline(cfg)
+        for sigma in cfg.sigmas:
+            model = pipe.model(sigma)
+            metareduce.kernel.save_kernel(
+                cfg.cache_dir, model, pipe.grid,
+                metareduce.kernel.discretize_kernel(model, pipe.grid))
+        cache = tmp_path / "cache"
+
+        def listing():
+            return {p.name: (p.stat().st_size, p.stat().st_mtime_ns)
+                    for p in cache.iterdir()}
+
+        before = listing()
+        assert run(path, "validate") == 0
+        assert listing() == before
+        assert all(cache_entries(cache).values())
+
+    @pytest.mark.parametrize("kind", ["trace", "table", "refinement"])
+    @pytest.mark.parametrize("damage", ["garble-meta", "truncate-data"])
+    def test_damaged_entry_is_a_miss(self, tmp_path, cold, kind, damage):
+        path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
+                            mc=SMALL_MC)
+        assert run(path, "validate") in (0, 1)
+        derived = tmp_path / "cache" / "derived"
+        good = {p: p.read_bytes() for p in derived.rglob("*") if p.is_file()}
+        damaged = list((derived / kind).glob(
+            "*.json" if damage == "garble-meta" else "*.bin"))
+        assert damaged
+        for p in damaged:
+            p.write_bytes(b'{"cache_schema": 3' if damage == "garble-meta"
+                          else p.read_bytes()[:-8])
+        assert run(path, "validate") in (0, 1)
+        assert outputs(tmp_path / "out") == cold["validate"]
+        assert {p: p.read_bytes() for p in good} == good
+        assert not list((tmp_path / "cache").rglob("*.tmp"))
 
 
 class TestAnalyze:

@@ -1,5 +1,11 @@
 """Eigendecomposition, gap reports, QSDs, uniform positivity."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,9 +83,27 @@ class TestEigendecompose:
         a = mr.eigendecompose(cache.trace(0.5))
         b = mr.eigendecompose(cache.trace(0.5))
         np.testing.assert_array_equal(a.right, b.right)
-        k = int(np.argmax(np.abs(a.right[:, 1])))
-        assert a.right[k, 1].real == pytest.approx(1.0)
-        assert abs(a.right[k, 1].imag) < 1e-14
+        mod = np.abs(a.right[:, 1])
+        assert mod.max() == pytest.approx(1.0)
+        k = int(np.argmax(mod >= 0.5))      # the first entry of modulus >= 1/2
+        assert a.right[k, 1].real > 0.0
+        assert a.right[k, 1].imag == 0.0
+
+    def test_phase_free_of_ties(self):
+        # the odd mode's two mirror entries tie to rounding, so a phase set
+        # at the largest entry flips right[:, 1] and left[1] between the
+        # routes and between BLAS thread counts
+        vecs = [json.loads(line) for threads in (1, 2)
+                for line in _in_subprocess(PHASE_SCRIPT, threads)]
+        assert len(vecs) == 8       # 2 threads x 2 sigmas x 2 routes
+        for sigma in (0.35, 0.4):
+            runs = [v for v in vecs if v["sigma"] == sigma]
+            assert {v["route"] for v in runs} == {"inverse", "dense"}
+            for v in runs:
+                np.testing.assert_allclose(v["right"], runs[0]["right"],
+                                           rtol=0, atol=1e-8)
+                np.testing.assert_allclose(v["left"], runs[0]["left"],
+                                           rtol=0, atol=1e-8)
 
     @pytest.mark.parametrize("sigma", [0.5, 0.3])
     def test_top_modes_match_dense_solve(self, cache, sigma):
@@ -106,6 +130,41 @@ class TestEigendecompose:
                                     kind="substochastic")
         with pytest.raises(NumericError):
             mr.eigendecompose(jordan)
+
+
+# the 401-node reference trace's mode 1 on the inverse-iteration route
+# (2 modes) and on the dense route (all |M| modes), one JSON line each
+PHASE_SCRIPT = """
+import json
+import numpy as np
+import metareduce as mr
+from metareduce.dynamics import DeterministicMapModel
+from metareduce.maps import build_map
+dim, pi, jac = build_map("tanh", {"beta": 2.0})
+grid = mr.Grid.from_box(np.array([[-2.0, 2.0]]), 401)
+for sigma in (0.35, 0.4):
+    model = DeterministicMapModel(1, pi, jac, [[-2.0, 2.0]], [[1.0]], sigma,
+                                  "tanh")
+    structure = mr.build_metastable_structure(
+        model, mr.find_fixed_points(model), 0.2)
+    _, m_set, _ = grid.membership(structure)
+    trace = mr.trace_kernel(mr.discretize_kernel(model, grid), m_set)
+    for route, n_modes in (("inverse", 2), ("dense", trace.size)):
+        d = mr.eigendecompose(trace, n_modes=n_modes)
+        print(json.dumps({"sigma": sigma, "route": route,
+                          "right": d.right[:, 1].real.tolist(),
+                          "left": d.left[1].real.tolist()}))
+"""
+
+
+def _in_subprocess(code, threads):
+    """Stdout lines of ``code`` run in a fresh interpreter with
+    OPENBLAS_NUM_THREADS set before numpy loads."""
+    src = str(Path(mr.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=300).stdout.splitlines()
 
 
 def _dense_pairs(K, n):
