@@ -10,9 +10,10 @@ staying in the box.
 
 The cache keeps kernels as ``<key>.kern`` data and ``<key>.meta.json``, keyed
 on ``kernel_metadata``.  Under ``derived/``: the trace on M, keyed also on M's
-grid indices; the H table and its refinement check's largest relative change,
-keyed on the kernel's metadata less sigma, plus r_hop and the balls' centres
-and radii.  No entry records a seed, theta, MC budget or path.  A save makes
+grid indices; the H table and the largest relative change of H under grid
+refinement (one float), keyed on the kernel's metadata less sigma, plus r_hop
+and the balls' centres and radii.  No entry records a seed, theta, MC budget,
+refinement tolerance (``validate`` judges the float) or path.  A save makes
 every derived folder, so a kernels-only cache keeps its top-level listing.
 Bump ``CACHE_SCHEMA`` whenever the bits an entry holds for its metadata change.
 """

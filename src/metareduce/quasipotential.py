@@ -269,18 +269,9 @@ def ldp_transition_bounds(table, i, j, n, sigma, eta):
     return lower, upper
 
 
-@dataclass(frozen=True)
-class RefinementReport:
-    max_relative_change: float
-    tolerance: float
-
-    @property
-    def passed(self):
-        return self.max_relative_change <= self.tolerance
-
-
-def refinement_check(model, grid, structure, r_hop, tol=0.05, coarse=None):
-    """Compare H entries on the grid and its twofold refinement.
+def refinement_check(model, grid, structure, r_hop, coarse=None):
+    """The largest relative change of an off-diagonal H entry from the grid
+    to its twofold refinement, 0.0 when there is none.
 
     ``coarse`` is the table already built on ``grid``, if any.  The fine
     graph is cut at a cost B, BOUND_MARGIN above the coarse table's
@@ -289,8 +280,9 @@ def refinement_check(model, grid, structure, r_hop, tol=0.05, coarse=None):
     A path of cost at most B uses only kept edges, so a fine H at most B
     is the full graph's, bit for bit; if some fine H exceeds B, the table
     is rebuilt on the full r_hop graph.  Saturation is judged against
-    r_hop either way.  A failure is reported, never raised: grid error at
-    the requested resolution is a diagnostic, not a contract violation.
+    r_hop either way.  The caller judges the change against its tolerance:
+    grid error at the requested resolution is a diagnostic, not a contract
+    violation.
     """
     fine = type(grid).from_box(model.box, [2 * s - 1 for s in grid.shape])
     coarse_t = coarse or compute_h_matrix(model, grid, structure, r_hop)
@@ -299,6 +291,5 @@ def refinement_check(model, grid, structure, r_hop, tol=0.05, coarse=None):
               or compute_h_matrix(model, fine, structure, r_hop))
     mask = ~np.eye(structure.n_balls, dtype=bool)
     c, f = coarse_t.h_matrix[mask], fine_t.h_matrix[mask]
-    rel = float(np.max(np.abs(c - f) / np.maximum(np.abs(f), 1e-300))) \
+    return float(np.max(np.abs(c - f) / np.maximum(np.abs(f), 1e-300))) \
         if c.size else 0.0
-    return RefinementReport(rel, tol)

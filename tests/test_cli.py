@@ -305,7 +305,8 @@ class TestDerivedCache:
         assert outputs(tmp_path / "cold-out") == outputs(tmp_path / "out")
 
     @pytest.mark.parametrize("field,value", [
-        ("seed", 12), ("theta", 0.05), ("mc", SMALL_MC), ("out_dir", "other")])
+        ("seed", 12), ("theta", 0.05), ("mc", SMALL_MC), ("out_dir", "other"),
+        ("tol_refine", 0.001)])
     def test_unkeyed_input_reuses_every_entry(self, tmp_path, monkeypatch,
                                               field, value):
         if field == "out_dir":
@@ -320,6 +321,14 @@ class TestDerivedCache:
         assert {name: len(c) for name, c in calls.items()} == {
             name: 0 for _, name in BUILDERS}
         assert cache_entries(cache) == before
+        if field == "tol_refine":     # the cached change, judged afresh
+            doc = json.loads(
+                (tmp_path / "out" / "validate_0.35.json").read_text())
+            detail, = [c["detail"] for c in doc["checks"]
+                       if c["name"] == "grid_refinement_stability"]
+            assert detail["tolerance"] == 0.001
+            assert detail["warning"] == (
+                detail["max_relative_change"] > 0.001)
 
     @pytest.fixture(scope="class")
     def cold(self, tmp_path_factory):
@@ -896,6 +905,22 @@ class TestValidate:
                 if check["name"] not in ("committor_ldp",
                                          "reduction_monte_carlo"):
                     assert not check["skipped"]
+
+    def test_unresolved_gap_fails_eyring_kramers(self, tmp_path):
+        # 101 nodes at sigma = 0.09: lambda0 - lambda1 of the trace is
+        # 6.5 eps, inside the inverse iteration's cluster rule (8 eps), so
+        # 1 - lambda1 is rounding and its log is no gap (sigma^2 log of it
+        # read -0.2976, within 5% of -H0, and passed)
+        path = write_config(tmp_path, sigma=0.09)
+        assert run(path, "validate") == 1
+        doc = json.loads((tmp_path / "out" / "validate_0.09.json").read_text())
+        check, = [c for c in doc["checks"]
+                  if c["name"] == "eyring_kramers_log_asymptotics"]
+        assert not check["passed"] and not check["skipped"]
+        detail = check["detail"]
+        assert set(detail) == {"gap", "floor", "reason"}
+        assert 0.0 <= detail["gap"] <= detail["floor"]
+        assert detail["floor"] == pytest.approx(8 * np.finfo(float).eps)
 
     def test_reference_reduces_at_sigma_015_and_012(self, tmp_path):
         # 1 - lambda_1 = 4.4e-7 at sigma = 0.15 and 1.7e-10 at 0.12: the top

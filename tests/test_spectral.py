@@ -447,3 +447,97 @@ class TestUniformPositivity:
         flat = kernel_from_matrix(np.full((3, 3), 0.2), kind="substochastic")
         with pytest.raises(NumericError, match="tests no power"):
             check_uniform_positivity(flat, 1.5, n_cap=n_cap)
+
+
+class TestGuards:
+    """Each raise of the eigen layer, reached by a hand-built kernel; where
+    no well-formed input reaches it, a solver is replaced by a broken one."""
+
+    def test_eigenvalues_k_out_of_range(self):
+        for k in (0, 3):
+            with pytest.raises(NumericError, match=r"k must lie in \[1, "):
+                mr.eigenvalues(kernel_from_matrix(HAND_2), k=k)
+
+    def test_arnoldi_no_convergence(self):
+        # a 100-cycle: all eigenvalues on the unit circle, and the start,
+        # the ones vector, spans an invariant subspace; ARPACK gives up
+        cycle = kernel_from_matrix(np.roll(np.eye(100), 1, axis=1))
+        with pytest.raises(NumericError, match="Arnoldi did not converge"):
+            mr.eigenvalues(cycle, k=3)
+
+    def test_eigendecompose_n_modes_out_of_range(self):
+        for n_modes in (0, 3):
+            with pytest.raises(NumericError,
+                               match=r"n_modes must lie in \[1, "):
+                mr.eigendecompose(kernel_from_matrix(HAND_2), n_modes=n_modes)
+
+    def test_eigen_residual(self, monkeypatch):
+        # inverse iteration is backward stable, so its pairs always pass:
+        # a solver whose right vectors are off by 1e-4 trips the check
+        solve = mr.spectral._inverse_iteration
+
+        def off(K, lam):
+            R, L = solve(K, lam)
+            return R + 1e-4, L
+
+        monkeypatch.setattr(mr.spectral, "_inverse_iteration", off)
+        k = np.full((8, 8), 0.1) + 0.2 * np.eye(8)
+        with pytest.raises(NumericError, match=r"eigen residual .* exceeds "
+                                               "tolerance"):
+            mr.eigendecompose(kernel_from_matrix(k), n_modes=2)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, -0.5, 1.5])
+    def test_rho_threshold_out_of_range(self, rho):
+        with pytest.raises(NumericError, match=r"rho_threshold must lie in"):
+            mr.verify_spectral_gap(np.array([1.0, 0.3]), 1, rho)
+
+    def test_ball_is_all_of_m(self):
+        with pytest.raises(NumericError, match="ball 0 is all of M"):
+            mr.solve_qsd(kernel_from_matrix(HAND_2), [0, 1], ball_index=0)
+
+    def test_principal_eigenvalue_not_positive(self):
+        # the killed block [[0, .5], [0, 0]] is nilpotent: both eigenvalues 0
+        trace = kernel_from_matrix(
+            [[0.0, 0.5, 0.5], [0.0, 0.0, 1.0], [0.3, 0.3, 0.4]])
+        with pytest.raises(NumericError,
+                           match=r"principal eigenvalue .* is not positive"):
+            mr.solve_qsd(trace, [0, 1])
+
+    def test_left_vector_not_nonnegative(self, monkeypatch):
+        # the Perron vector of a simple principal eigenvalue of a
+        # nonnegative block is nonnegative: a solver returning a mixed-sign
+        # vector trips the check
+        monkeypatch.setattr(
+            mr.spectral, "_inverse_iteration",
+            lambda K, lam: (None, np.array([[0.7, -0.3]], complex)))
+        trace = kernel_from_matrix(
+            [[0.5, 0.2, 0.3], [0.3, 0.4, 0.3], [0.2, 0.2, 0.6]])
+        with pytest.raises(NumericError, match="principal left eigenvector "
+                                               "is not nonnegative"):
+            mr.solve_qsd(trace, [0, 1])
+
+    def test_no_mass_escapes(self):
+        # state 0 is absorbing and no row of the ball reaches state 2 (the
+        # trace is substochastic), so the escape mass is 0 exactly; a
+        # stochastic row leaking 0.3 would give escape ~ eps, not 0
+        trace = kernel_from_matrix(
+            [[1.0, 0.0, 0.0], [0.3, 0.4, 0.0], [0.2, 0.2, 0.6]],
+            kind="substochastic")
+        with pytest.raises(NumericError, match="no mass escapes the ball "
+                                               "under its QSD"):
+            mr.solve_qsd(trace, [0, 1])
+
+    def test_qsd_residual(self):
+        # a substochastic trace: the ball's QSD (0.6, 0.4) has lambda0 =
+        # 0.7, but only 0.2 leaves the ball for M, so 1 - escape = 0.8
+        trace = kernel_from_matrix(
+            [[0.5, 0.2, 0.2], [0.3, 0.4, 0.2], [0.2, 0.2, 0.5]],
+            kind="substochastic")
+        with pytest.raises(NumericError, match=r"QSD residual .* above 1e-8"):
+            mr.solve_qsd(trace, [0, 1])
+
+    @pytest.mark.parametrize("target", [1.0, 2.0, 0.5])
+    def test_l_target_out_of_range(self, target):
+        flat = kernel_from_matrix(np.full((3, 3), 0.2), kind="substochastic")
+        with pytest.raises(NumericError, match=r"l_target must lie in"):
+            check_uniform_positivity(flat, target)
