@@ -165,9 +165,9 @@ class Pipeline:
         return float(self.cfg.theta)
 
     def reduction(self, sigma):
-        """Trace on M, reduced chain from its top N eigenpairs (the dense
-        eigenvalues of the |M| x |M| trace and their vectors by inverse
-        iteration, binormalized as one block), and the projectors."""
+        """Trace on M, its reduced chain and the projectors: Pi0 from the
+        top N eigenpairs (dense eigenvalues, vectors by inverse iteration,
+        binormalized as one block), P from (Id - eps)^{-1} QSD K0^m psi."""
         balls, _, _ = self.membership
         trace = self.trace_on_m(sigma)
         decomp = eigendecompose(trace, n_modes=len(balls))

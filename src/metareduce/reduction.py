@@ -4,9 +4,9 @@ Everything here lives on the index set of the metastable union M.  Measures
 are row vectors, test functions column vectors.  Each ball B_i is two (N, |M|)
 rows, built once per sigma from its QSD: 1_{B_i} and QSD_i extended by zeros;
 P*, the projectors and P read only these, and no |M| x |M| projector is kept.
-The top-N spectral projector comes from the binormalized eigenpairs, and the
-(mu_i, psi_j) basis makes the reduced matrix an exact N x N compression of
-the truncated kernel.
+The top-N spectral projector Pi0 comes from the binormalized eigenpairs;
+P, the exact N x N compression of the truncated kernel in the (mu_i, psi_j)
+basis, is read off (K0)^m through the QSD and psi rows, not off eigenvalues.
 """
 
 from __future__ import annotations
@@ -117,25 +117,17 @@ def build_projectors(decomp, indicators, qsd_rows):
     return Projectors(mu, psi, eps, indicators, qsd_rows)
 
 
-def build_p(km, decomp, projectors, m):
-    """Reduced matrix P_ij = <mu_i, (trunc K0)^m psi_j> via eigencoordinates.
+def build_p(km, projectors):
+    """Reduced matrix P_ij = <mu_i, (trunc K0)^m psi_j>, read off ``km`` =
+    (K0)^m with no eigenvalue power: Pi0 commutes with K0 and fixes psi, and
+    mu = (Id - eps)^{-1} QSD Pi0, so P = (Id - eps)^{-1} <QSD_i, km psi_j>.
 
     Also reports the per-entry multiplicative deviation from the watched-chain
-    probability <QSD_i, (K0)^m 1_{B_j}> predicted to be exponentially small;
-    ``km`` is (K0)^m as a matrix.
+    probability <QSD_i, (K0)^m 1_{B_j}> predicted to be exponentially small.
     """
-    if m < 1:
-        raise NumericError("m must be >= 1")
-    n = projectors.mu.shape[0]
-    lam = decomp.eigenvalues[:n]
-    R = decomp.right[:, :n]
-    L = decomp.left[:n, :]
-    a = projectors.mu @ R                 # (N, N) <mu_i, phi_k>
-    b = L @ projectors.psi.T              # (N, N) <pi_k, psi_j>
-    p = (a * lam[None, :] ** m) @ b
-    if np.abs(p.imag).max() > 1e-12:
-        raise NumericError("reduced matrix has a nonreal part")
-    p = p.real
+    n = projectors.eps.shape[0]
+    qkm = projectors.qsd_rows @ km
+    p = np.linalg.solve(np.eye(n) - projectors.eps, qkm @ projectors.psi.T)
     if p.min() < CLAMP_FLOOR:
         raise NegativeEntry(
             f"P entry {p.min():.3g} below {CLAMP_FLOOR}; sigma too large "
@@ -148,7 +140,7 @@ def build_p(km, decomp, projectors, m):
     p = p / sums[:, None]
 
     # multiplicative comparison against the exact watched-chain hop
-    exact = (projectors.qsd_rows @ km) @ projectors.indicators.T
+    exact = qkm @ projectors.indicators.T
     rel = p / exact - 1.0
     return p, rel, clamped
 
@@ -240,7 +232,7 @@ def build_reduced_chain(trace_on_m, decomp, ball_grid_indices, sigma, theta,
     projectors = build_projectors(decomp, indicators, qsd_rows)
     m = choose_m(sigma, theta, h0=h0)
     km = stochastic_power(trace_on_m.matrix, m)
-    p, rel, _ = build_p(km, decomp, projectors, m)
+    p, rel, _ = build_p(km, projectors)
     mods = np.abs(decomp.eigenvalues)
     rho = float(mods[n]) if mods.size > n else 0.0
     model = ReducedChainModel(n, m, float(theta), p, pstar,

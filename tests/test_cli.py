@@ -938,6 +938,17 @@ class TestValidate:
                 (tmp_path / "out" / f"validate_{tag}.json").read_text())
             assert doc["passed"]
 
+    def test_reduces_below_eigenvalue_resolution(self, tmp_path):
+        # 101 nodes at sigma <= 0.1: 1 - lambda_1 of the float trace is
+        # rounding, so P must come from K0^m, not from lambda^m, to match
+        # the watched chain
+        path = write_config(tmp_path, sigma=None, sigmas=[0.1, 0.09, 0.08])
+        assert run(path, "reduce") == 0
+        for tag in ("0.1", "0.09", "0.08"):
+            doc = json.loads(
+                (tmp_path / "out" / f"reduced_{tag}.json").read_text())
+            assert np.abs(doc["multiplicative_error"]).max() <= 1e-6
+
     def test_reference_sigma_015_with_monte_carlo(self, tmp_path):
         # default budgets: no committor run from ball 0 reaches ball 1, so
         # that check is skipped with the estimator's message; P_01 = 7e-6,

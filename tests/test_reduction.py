@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metareduce as mr
+from metareduce.dynamics import DeterministicMapModel
 from metareduce.errors import (BasisDegenerate, NegativeEntry, NumericError,
                                Overflow, ThetaTooLarge)
+from metareduce.maps import build_map
 from metareduce.reduction import (Projectors, ball_rows, build_reduced_chain,
                                   choose_m, default_theta,
                                   diluted_marginal_deviation, solve_all_qsds,
@@ -59,13 +61,12 @@ def rank_one_block_kernel():
     return kernel_from_matrix(k), p, q
 
 
-def hand_decomp(right, left, eigenvalues=None):
+def hand_decomp(right, left):
     """The modes given as columns of ``right`` and rows of ``left``, with
-    eigenvalues 1 unless given."""
+    eigenvalues 1."""
     right, left = np.asarray(right, complex), np.asarray(left, complex)
     n = right.shape[1]
-    lam = np.ones(n) if eigenvalues is None else eigenvalues
-    return SpectralDecomposition(np.asarray(lam, complex), right, left, n)
+    return SpectralDecomposition(np.ones(n, complex), right, left, n)
 
 
 def hand_projectors(indicators, mu=None):
@@ -228,6 +229,34 @@ class TestBuildP:
         model, _, _, _ = reduced35
         assert np.abs(model.multiplicative_error).max() <= 1e-2
 
+    def test_p_is_the_eigencoordinate_form(self, reduced35):
+        # P read off K0^m equals (mu R) Lambda^m (L psi^T), the paper's
+        # <mu_i, (trunc K0)^m psi_j> in the top-N eigenpairs, where the
+        # float eigenvalues resolve it
+        model, proj, _, decomp = reduced35
+        lam = decomp.eigenvalues[:2]
+        want = ((proj.mu @ decomp.right[:, :2]) * lam ** model.m) \
+            @ (decomp.left[:2] @ proj.psi.T)
+        np.testing.assert_allclose(model.p, want.real, rtol=0, atol=1e-12)
+
+    def test_large_dilution_on_2d_trace(self):
+        # 31^2 tanh2d at sigma = 0.35 with m = 1e6: lambda_0 of the float
+        # trace is 1 - a few ulps, and m (1 - lambda_0) = 1.1e-10 would
+        # break P's row sums if P read lambda^m
+        _, pi, jac = build_map("tanh2d", {"beta": [2.0, 2.0]})
+        model = DeterministicMapModel(2, pi, jac, [[-2.0, 2.0]] * 2,
+                                      np.eye(2), 0.35, "tanh2d")
+        structure = mr.build_metastable_structure(
+            model, mr.find_fixed_points(model), 0.2)
+        grid = mr.Grid.from_box(np.array([[-2.0, 2.0]] * 2), 31)
+        balls, m_set, _ = grid.membership(structure)
+        trace = mr.trace_kernel(mr.discretize_kernel(model, grid), m_set)
+        chain, _ = build_reduced_chain(
+            trace, mr.eigendecompose(trace, n_modes=len(balls)), balls, 0.35,
+            0.35 ** 2 * np.log(1e6))
+        assert chain.m >= 10 ** 6
+        assert np.abs(chain.multiplicative_error).max() <= 1e-12
+
     def test_serialization_roundtrip(self, reduced35):
         model, _, _, _ = reduced35
         doc = model.to_dict()
@@ -347,21 +376,14 @@ class TestGuards:
         with pytest.raises(NumericError, match="differs from Pi0 by 1"):
             mr.build_projectors(decomp, rows, rows)
 
-    def test_p_needs_positive_m(self):
-        with pytest.raises(NumericError, match="m must be >= 1"):
-            mr.build_p(np.eye(1), hand_decomp([[1.0]], [[1.0]]),
-                       hand_projectors([[1.0]]), 0)
-
-    @pytest.mark.parametrize("lam,error,match", [
-        (1j, NumericError, "nonreal part"),
+    @pytest.mark.parametrize("km,error,match", [
         (-0.5, NegativeEntry, "below"),
         (0.5, NumericError, "row sums off by 0.5"),
     ])
-    def test_p_of_one_state(self, lam, error, match):
-        # P = lambda^m with m = 1 for one ball of one state
-        decomp = hand_decomp([[1.0]], [[1.0]], [lam])
+    def test_p_of_one_state(self, km, error, match):
+        # P = km for one ball of one state, whose QSD and psi are 1
         with pytest.raises(error, match=match):
-            mr.build_p(np.eye(1), decomp, hand_projectors([[1.0]]), 1)
+            mr.build_p(np.array([[km]]), hand_projectors([[1.0]]))
 
     def test_negative_power_rejected(self):
         with pytest.raises(NumericError, match="nonnegative"):
