@@ -11,6 +11,7 @@ failure, 2 config error or a file that cannot be read or written ("io"),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -35,8 +36,9 @@ from .quasipotential import (compute_h_matrix, refinement_check,
 from .reduction import (build_reduced_chain, default_theta,
                         diluted_marginal_deviation, reduced_chain_marginals,
                         solve_all_qsds)
-from .spectral import (CLUSTER_ULPS, check_uniform_positivity, eigendecompose,
-                       eigenvalues, positivity_cap, verify_spectral_gap)
+from .spectral import (CLUSTER_ULPS, check_uniform_positivity, checked_pairs,
+                       eigendecompose, eigenvalues, positivity_cap,
+                       verify_spectral_gap)
 
 RHO_THRESHOLD = 0.9
 UPC_TARGET = 1.9
@@ -69,7 +71,11 @@ def _sig_tag(sigma):
 
 
 class Pipeline:
-    """Shared per-config state, lazily built and cached in memory."""
+    """Shared per-config state, lazily built and cached in memory.  What no
+    seed, theta or MC budget enters (the kernel's top eigenvalues, the trace
+    on M, its top eigenpairs, the QSDs, the H table and its refinement) is
+    loaded from the derived cache or built and saved there, and only when
+    a command reads it."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -79,7 +85,6 @@ class Pipeline:
         self.out_dir = Path(cfg.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._models = {}
-        self._kernel = (None, None)   # the last sigma's; commands walk sigma
         self.normals = Normals(cfg.seed)    # shared by every estimator
 
     def model(self, sigma):
@@ -104,26 +109,63 @@ class Pipeline:
         return self.grid.membership(self.structure)
 
     def kernel(self, sigma):
-        if self._kernel[0] != sigma:
-            self._kernel = (None, None)     # free the old one first
-            model = self.model(sigma)
-            k = load_kernel(self.cache_dir, model, self.grid)
-            if k is None:
-                k = discretize_kernel(model, self.grid)
-                save_kernel(self.cache_dir, model, self.grid, k)
-            self._kernel = (sigma, k)
-        return self._kernel[1]
+        """K, read only to build a missing derived entry or the spectrum."""
+        model = self.model(sigma)
+        k = load_kernel(self.cache_dir, model, self.grid)
+        if k is None:
+            k = discretize_kernel(model, self.grid)
+            save_kernel(self.cache_dir, model, self.grid, k)
+        return k
+
+    def _derived(self, kind, meta, size, build, flat, read):
+        """Entry ``kind`` of ``meta``: ``read`` of its floats, unless that
+        fails a built value's checks (NumericError); else ``build()``, saved."""
+        data = load_entry(self.cache_dir, kind, meta, size)
+        if data is not None:
+            with contextlib.suppress(NumericError):
+                return read(data)
+        value = build()
+        save_entry(self.cache_dir, kind, meta, flat(value))
+        return value
+
+    def _meta(self, sigma, **keys):
+        return dict(kernel_metadata(self.model(sigma), self.grid), **keys)
+
+    def top_eigenvalues(self, sigma, k):
+        return self._derived(
+            "spectrum", self._meta(sigma, k=k), 2 * k,
+            lambda: eigenvalues(self.kernel(sigma), k=k),
+            lambda lam: lam.view(float), lambda data: data.view(complex))
 
     def trace_on_m(self, sigma):
         _, m_set, _ = self.membership
-        meta = dict(kernel_metadata(self.model(sigma), self.grid),
-                    m_set=m_set.tolist())
-        data = load_entry(self.cache_dir, "trace", meta, m_set.size ** 2)
-        if data is None:
-            trace = trace_kernel(self.kernel(sigma), m_set)
-            save_entry(self.cache_dir, "trace", meta, trace.matrix)
-            return trace
-        return KernelMatrix(data.reshape(m_set.size, -1), "stochastic", m_set)
+        return self._derived(
+            "trace", self._meta(sigma, m_set=m_set.tolist()), m_set.size ** 2,
+            lambda: trace_kernel(self.kernel(sigma), m_set),
+            lambda trace: trace.matrix, lambda data: KernelMatrix(
+                data.reshape(m_set.size, -1), "stochastic", m_set))
+
+    def decomposition(self, sigma, trace):
+        balls, n, m = self.membership[0], self.structure.n_balls, trace.size
+        cut = np.cumsum([min(n + 1, m), m * n, m * n])    # values, R, L
+        return self._derived(
+            "eigen", self._meta(sigma, balls=[b.tolist() for b in balls]),
+            2 * cut[-1], lambda: eigendecompose(trace, n_modes=n),
+            lambda d: np.concatenate(
+                [d.eigenvalues, d.right.ravel(), d.left.ravel()]).view(float),
+            lambda data: checked_pairs(trace, *np.split(data.view(complex),
+                                                        cut[:-1])))
+
+    def qsds(self, sigma, trace):
+        balls, _, _ = self.membership
+        cut = np.cumsum([b.size for b in balls])    # QSDs, next moduli
+        return self._derived(
+            "qsd", self._meta(sigma, balls=[b.tolist() for b in balls]),
+            cut[-1] + len(balls), lambda: solve_all_qsds(trace, balls),
+            lambda sols: np.concatenate([s.qsd for s in sols]
+                                        + [[s.next_modulus for s in sols]]),
+            lambda data: solve_all_qsds(trace, balls, zip(
+                np.split(data, cut), data[cut[-1]:])))
 
     @functools.cached_property
     def _table_meta(self):
@@ -136,28 +178,26 @@ class Pipeline:
     @functools.cached_property
     def table(self):
         b = self.structure.n_balls
-        data = load_entry(self.cache_dir, "table", self._table_meta,
-                          b * (self.grid.n_nodes + b))
-        if data is not None:         # V, then H
-            return table_from_costs(data[:-b * b].reshape(b, -1),
-                                    data[-b * b:].reshape(b, b), self.cfg.r_hop)
-        table = compute_h_matrix(self.model(self.cfg.sigmas[0]), self.grid,
-                                 self.structure, self.cfg.r_hop)
-        save_entry(self.cache_dir, "table", self._table_meta, np.concatenate(
-            [table.v_surfaces.ravel(), table.h_matrix.ravel()]))
-        return table
+        return self._derived(       # V, then H
+            "table", self._table_meta, b * (self.grid.n_nodes + b),
+            lambda: compute_h_matrix(self.model(self.cfg.sigmas[0]),
+                                     self.grid, self.structure, self.cfg.r_hop),
+            lambda t: np.concatenate([t.v_surfaces.ravel(),
+                                      t.h_matrix.ravel()]),
+            lambda data: table_from_costs(data[:-b * b].reshape(b, -1),
+                                          data[-b * b:].reshape(b, b),
+                                          self.cfg.r_hop))
 
     @functools.cached_property
     def refinement(self):
         """The largest relative change of H, which is sigma-free, from the
         grid to its twofold refinement; ``validate`` reads the tolerance."""
-        rel = load_entry(self.cache_dir, "refinement", self._table_meta, 1)
-        if rel is None:
-            rel = [refinement_check(
+        return self._derived(
+            "refinement", self._table_meta, 1,
+            lambda: refinement_check(
                 self.model(self.cfg.sigmas[0]), self.grid, self.structure,
-                self.cfg.r_hop, coarse=self.table)]
-            save_entry(self.cache_dir, "refinement", self._table_meta, rel)
-        return float(rel[0])
+                self.cfg.r_hop, coarse=self.table),
+            lambda rel: [rel], lambda data: float(data[0]))
 
     def theta(self, sigma):
         if self.cfg.theta == "auto":
@@ -168,12 +208,10 @@ class Pipeline:
         """Trace on M, its reduced chain and the projectors: Pi0 from the
         top N eigenpairs (dense eigenvalues, vectors by inverse iteration,
         binormalized as one block), P from (Id - eps)^{-1} QSD K0^m psi."""
-        balls, _, _ = self.membership
         trace = self.trace_on_m(sigma)
-        decomp = eigendecompose(trace, n_modes=len(balls))
-        return (trace, *build_reduced_chain(trace, decomp, balls, sigma,
-                                            self.theta(sigma),
-                                            h0=self.table.h0))
+        return (trace, *build_reduced_chain(
+            trace, self.decomposition(sigma, trace), self.qsds(sigma, trace),
+            sigma, self.theta(sigma), h0=self.table.h0))
 
 
 # --- commands ----------------------------------------------------------------
@@ -234,11 +272,10 @@ def cmd_spectrum(pipe: Pipeline):
 
 
 def cmd_qsd(pipe: Pipeline):
-    balls, _, _ = pipe.membership
     pts = pipe.grid.points()
     for sigma in pipe.cfg.sigmas:
         summary = []
-        for i, sol in enumerate(solve_all_qsds(pipe.trace_on_m(sigma), balls)):
+        for i, sol in enumerate(pipe.qsds(sigma, pipe.trace_on_m(sigma))):
             rows = [(int(gi), *map(float, pts[gi]), float(wi))
                     for gi, wi in zip(sol.domain, sol.qsd)]
             coords = [f"x{k}" for k in range(pipe.cfg.dim)]
@@ -353,8 +390,8 @@ def cmd_validate(pipe: Pipeline):
             checks.append({"name": name, "passed": bool(passed),
                            "skipped": bool(skipped), "detail": detail})
 
-        top = eigenvalues(pipe.kernel(sigma), k=n + 1)
-        gap = verify_spectral_gap(top, n, RHO_THRESHOLD)
+        gap = verify_spectral_gap(pipe.top_eigenvalues(sigma, n + 1), n,
+                                  RHO_THRESHOLD)
         add("spectral_gap", gap.passed, {
             "leading_moduli": gap.leading_moduli.tolist(),
             "next_modulus": gap.next_modulus})

@@ -155,6 +155,8 @@ def parse_config(doc):
         raise ConfigError("missing required field 'sigma' (or 'sigmas')")
     if not sigmas:
         raise ConfigError("field 'sigmas' must not be empty")
+    if len(set(sigmas)) < len(sigmas):    # each sigma names its own files
+        raise ConfigError(f"field 'sigmas' repeats a value: {sigmas}")
 
     nodes = _require(doc, "grid_nodes")
     nodes = nodes if isinstance(nodes, list) else [nodes] * dim

@@ -9,12 +9,15 @@ staying in the box.
 ``trace_kernel`` imports scipy.linalg itself, so kernel set-up never loads it.
 
 The cache keeps kernels as ``<key>.kern`` data and ``<key>.meta.json``, keyed
-on ``kernel_metadata``.  Under ``derived/``: the trace on M, keyed also on M's
-grid indices; the H table and the largest relative change of H under grid
-refinement (one float), keyed on the kernel's metadata less sigma, plus r_hop
-and the balls' centres and radii.  No entry records a seed, theta, MC budget,
-refinement tolerance (``validate`` judges the float) or path.  A save makes
-every derived folder, so a kernels-only cache keeps its top-level listing.
+on ``kernel_metadata``.  Under ``derived/<kind>``, per ``DERIVED`` kind, keyed
+also on: the kernel's top k eigenvalues, on k; the trace on M, on M's grid
+indices; its top-N eigenpairs and each ball's QSD and next modulus, on the
+balls' grid indices (M is their union); the H table and the largest relative
+change of H under grid refinement (one float), on r_hop and the balls'
+centres and radii, but not on sigma.  No entry records a seed, theta, MC
+budget, refinement tolerance (``validate`` judges the float) or path.  A save
+makes every derived folder, so a kernels-only cache keeps its top-level
+listing.
 Bump ``CACHE_SCHEMA`` whenever the bits an entry holds for its metadata change.
 """
 
@@ -37,6 +40,7 @@ RAW_ROW_FLOOR = 1e-300          # least sum of a row's exp(-rate/sigma^2)
 CACHE_SCHEMA = 3                # bump when a cached entry's bits change
 ROW_CHUNK = 256                 # kernel rows assembled per block
 GATHER_COLS = 64                # columns of Id - K_CC gathered per block
+DERIVED = ("spectrum", "trace", "eigen", "qsd", "table", "refinement")
 
 
 @dataclass(frozen=True)
@@ -231,7 +235,7 @@ def _entry(cache_dir, kind, meta):
 def save_entry(cache_dir, kind, meta, data):
     """Write the float64 data, then the metadata, each through a temporary
     file and a rename, so a reader never sees a partial pair."""
-    for sub in ("trace", "table", "refinement"):
+    for sub in DERIVED:
         (Path(cache_dir) / "derived" / sub).mkdir(parents=True, exist_ok=True)
     data_path, meta_path, text = _entry(cache_dir, kind, meta)
     for path, blob in ((data_path, np.ascontiguousarray(data, "<f8").tobytes()),

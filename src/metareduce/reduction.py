@@ -44,9 +44,10 @@ def default_theta(h0, sigma):
     return min(h0 / 4.0, sigma ** 2 * math.log(1e6))
 
 
-def solve_all_qsds(trace_on_m, ball_grid_indices):
-    return [solve_qsd(trace_on_m, b, ball_index=i)
-            for i, b in enumerate(ball_grid_indices)]
+def solve_all_qsds(trace_on_m, ball_grid_indices, known=None):
+    known = known or [None] * len(ball_grid_indices)    # see solve_qsd
+    return [solve_qsd(trace_on_m, b, ball_index=i, known=k)
+            for i, (b, k) in enumerate(zip(ball_grid_indices, known))]
 
 
 def ball_rows(trace_on_m, qsds):
@@ -221,11 +222,9 @@ class ReducedChainModel:
         }
 
 
-def build_reduced_chain(trace_on_m, decomp, ball_grid_indices, sigma, theta,
-                        h0=None):
-    """Full reduction: QSDs and their ball rows, P*, projectors, m, (K0)^m
-    and the reduced matrix P."""
-    qsds = solve_all_qsds(trace_on_m, ball_grid_indices)
+def build_reduced_chain(trace_on_m, decomp, qsds, sigma, theta, h0=None):
+    """Full reduction from the top eigenpairs and the balls' QSDs: their
+    ball rows, P*, projectors, m, (K0)^m and the reduced matrix P."""
     n = len(qsds)
     indicators, qsd_rows = ball_rows(trace_on_m, qsds)
     pstar = build_pstar(trace_on_m, indicators, qsd_rows)

@@ -6,7 +6,8 @@ dense solve of the full spectrum, or ARPACK for the top k of a large kernel.
 binormalized as one block: when they are few, the dense eigenvalues and
 their vectors by inverse iteration, else one dense solve of all pairs.
 ``solve_qsd`` takes the dense eigenvalues of the killed kernel and its
-Perron vector by the same inverse iteration.  scipy is imported inside the
+Perron vector by the same inverse iteration.  ``checked_pairs`` and ``known``
+pass cached outputs through the same checks.  scipy is imported inside the
 solves that use it, so set-up and ``spectrum`` never load it."""
 
 from __future__ import annotations
@@ -139,32 +140,42 @@ def eigendecompose(kernel, n_modes=None):
         R = vr[:, order[:n_modes]].astype(complex)
         L = vl[:, order[:n_modes]].conj().T.astype(complex)
 
-    G = L @ R
-    # solver vectors are unit norm, so a healthy block has a Gram matrix
-    # with smallest singular value of order 1; near-parallel left/right
-    # spaces (a defective eigenvalue) drive it to zero
-    sv = np.linalg.svd(G, compute_uv=False)
-    if sv[-1] < max(1.0, sv[0]) / CLUSTER_COND_CAP:
-        raise NumericError("top eigenpairs are defective: their left and "
-                           "right spaces are near-parallel")
-    L = np.linalg.solve(G, L)
+    L = np.linalg.solve(_independent(L @ R), L)
 
     # the phase's parts divided apart, so a real entry's phase is exactly +-1
     mod = np.abs(R)
     at = np.argmax(mod >= mod.max(axis=0) / 2, axis=0), np.arange(n_modes)
     c = mod.max(axis=0) * (R[at].real / mod[at] + 1j * (R[at].imag / mod[at]))
-    R, L = R / c[None, :], L * c[:, None]
+    return checked_pairs(kernel, lam[:n_modes + 1].copy(), R / c[None, :],
+                         L * c[:, None])
 
-    top = lam[:n_modes]
+
+def _independent(G):
+    # unit solver vectors give a healthy block a Gram matrix with smallest
+    # singular value of order 1; near-parallel left/right spaces (a
+    # defective eigenvalue) or a damaged cache entry drive it to zero
+    sv = np.linalg.svd(G, compute_uv=False)
+    if sv[-1] < max(1.0, sv[0]) / CLUSTER_COND_CAP:
+        raise NumericError("top eigenpairs are defective: their left and "
+                           "right spaces are near-parallel")
+    return G
+
+
+def checked_pairs(kernel, lam, R, L):
+    """The decomposition of binormalized right (columns) and left (rows)
+    vectors R and L, either flat, of the leading values ``lam``, if they
+    pass the Gram-matrix and residual tests; how a cached one is read."""
+    K, m = kernel.matrix, kernel.size
+    R, L = R.reshape(m, -1), L.reshape(-1, m)
+    _independent(L @ R)
+    top = lam[:R.shape[1]]
     norm = np.abs(K).sum(axis=1).max()
     res_r = np.abs(K @ R - R * top[None, :]).max()
     res_l = np.abs(L @ K - top[:, None] * L).max()
     max_res = float(max(res_r, res_l))
     if max_res > RESIDUAL_TOL * max(norm, 1.0):
         raise NumericError(f"eigen residual {max_res:.3g} exceeds tolerance")
-
-    return SpectralDecomposition(lam[:n_modes + 1].copy(), R, L, n_modes,
-                                 max_res)
+    return SpectralDecomposition(lam, R, L, R.shape[1], max_res)
 
 
 @dataclass(frozen=True)
@@ -218,43 +229,54 @@ class QsdSolution:
         return 1.0 / self.escape
 
 
-def solve_qsd(trace_on_m, ball_indices, ball_index=-1):
+def solve_qsd(trace_on_m, ball_indices, ball_index=-1, known=None):
     """Quasistationary distribution of the trace process killed off one ball.
 
     Returns the principal left eigenpair of the killed sub-kernel, with the
     QSD normalized to a probability vector over the ball's grid indices,
     and the killed kernel and row masses it was solved from.  The order and
     ``next_modulus`` come from the dense values-only solve, the Perron
-    vector from ``_inverse_iteration``.
-    lambda0 = 1 - escape, escape = QSD . (row masses leaving the ball): the
-    eigenvalue itself rounds to 1 once escape falls below machine epsilon.
+    vector from ``_inverse_iteration``; a cached ``known`` (QSD, next
+    modulus) skips both, not the checks.  lambda0 = 1 - escape, escape =
+    QSD . (row masses leaving the ball): the eigenvalue itself rounds to 1
+    once escape falls below machine epsilon.  A closed class in the ball
+    would leave only a rounding residue as the escape, so it raises.
     """
     if len(ball_indices) == trace_on_m.size:
         raise NumericError(f"ball {ball_index} is all of M: one metastable "
                            "state, nothing to reduce")
     killed, rows = killed_with_escape(trace_on_m, ball_indices)
-    lam = np.linalg.eigvals(killed.matrix.T)
-    lam = lam[_descending(lam)]
-    lam0 = lam[0]
-    if abs(lam0.imag) > 1e-12 or not lam0.real > 0.0:
-        raise NumericError(f"principal eigenvalue {lam0} is not positive")
-    lam0 = float(lam0.real)
-    next_mod = float(np.abs(lam[1])) if lam.size > 1 else 0.0
-    if next_mod / lam0 > 1.0 - 1e-10:
-        raise PrincipalNotSimple(
-            f"|lambda1|/lambda0 = {next_mod / lam0} too close to 1")
-    q = _inverse_iteration(killed.matrix, np.array([lam0]))[1][0].real
-    if q.sum() < 0:
-        q = -q
-    if q.min() < -1e-10:
-        raise NumericError("principal left eigenvector is not nonnegative")
-    q = np.clip(q, 0.0, None)
-    q /= q.sum()
+    reach, edges = rows > 0.0, killed.matrix > 0.0
+    # the leaking states, grown by every state with an edge into them
+    while (more := reach | (edges & reach).any(axis=1)).sum() > reach.sum():
+        reach = more
+    if not reach.all():
+        raise NumericError("no mass escapes the ball under its QSD")
+    if known is not None:
+        q, next_mod = known[0], float(known[1])
+    else:
+        lam = np.linalg.eigvals(killed.matrix.T)
+        lam = lam[_descending(lam)]
+        lam0 = lam[0]
+        if abs(lam0.imag) > 1e-12 or not lam0.real > 0.0:
+            raise NumericError(f"principal eigenvalue {lam0} is not positive")
+        lam0 = float(lam0.real)
+        next_mod = float(np.abs(lam[1])) if lam.size > 1 else 0.0
+        if next_mod / lam0 > 1.0 - 1e-10:
+            raise PrincipalNotSimple(
+                f"|lambda1|/lambda0 = {next_mod / lam0} too close to 1")
+        q = _inverse_iteration(killed.matrix, np.array([lam0]))[1][0].real
+        if q.sum() < 0:
+            q = -q
+        if q.min() < -1e-10:
+            raise NumericError("principal left eigenvector is not nonnegative")
+        q = np.clip(q, 0.0, None)
+        q /= q.sum()
     escape = float(q @ rows)
     if not escape > 0.0:
         raise NumericError("no mass escapes the ball under its QSD")
     resid = np.abs(q @ killed.matrix - (1.0 - escape) * q).sum()
-    if resid > 1e-8:
+    if resid > 1e-8 or abs(q.sum() - 1.0) > 1e-12:    # the sum: a cached q
         raise NumericError(f"QSD residual {resid:.3g} above 1e-8")
     return QsdSolution(killed.domain.copy(), 1.0 - escape, q,
                        next_mod, escape, killed, rows)

@@ -14,7 +14,7 @@ import metareduce as mr
 from metareduce.kernel import killed_kernel
 from metareduce.montecarlo import fit_log_scaling
 from metareduce.reduction import (build_reduced_chain,
-                                  diluted_marginal_deviation)
+                                  diluted_marginal_deviation, solve_all_qsds)
 from metareduce.spectral import check_uniform_positivity, positivity_cap
 
 from conftest import (HAND_K3, MASTER_SEED, exact_committor,
@@ -43,8 +43,9 @@ def reduced(cache, ref, table):
     for sigma in (0.35, 0.3):
         trace = cache.trace(sigma)
         decomp = cache.trace_decomp(sigma)
-        model, proj = build_reduced_chain(trace, decomp, ref["balls"], sigma,
-                                          table.h0 / 4.0, h0=table.h0)
+        model, proj = build_reduced_chain(
+            trace, decomp, solve_all_qsds(trace, ref["balls"]), sigma,
+            table.h0 / 4.0, h0=table.h0)
         start = trace.local_indices(np.array(
             [ref["grid"].nearest_index(ref["structure"].centers[0])]))[0]
         devs = diluted_marginal_deviation(model.km, proj, model.p, start, 50)

@@ -16,6 +16,7 @@ import metareduce.cli
 import metareduce.kernel
 import metareduce.montecarlo
 import metareduce.quasipotential
+import metareduce.spectral
 from metareduce.cli import Pipeline, main
 from metareduce.config import load_config
 from metareduce.dynamics import DeterministicMapModel
@@ -150,7 +151,10 @@ class TestConfigErrors:
         ({"cov": [[-1.0]]}, "positive definite"),
         ({"map": {"name": "tanh2d", "params": {"beta": [2.0, 2.0]}},
           "dim": 2, "box": [[-2, 2], [-2, 2]], "cov": [[1, 0.5], [0, 1]]},
-         "symmetric")])
+         "symmetric"),
+        # the second run of a sigma would overwrite the first's files
+        ({"sigma": None, "sigmas": [0.5, 0.4, 0.5]},
+         "'sigmas' repeats a value: [0.5, 0.4, 0.5]")])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides,
                                          field):
         if isinstance(overrides, str):
@@ -251,7 +255,7 @@ class TestIoErrors:
 def cache_entries(cache):
     """File names of the cache's entries, per kind."""
     entries = {"kernel": {p.name for p in cache.glob("*.kern")}}
-    for kind in ("trace", "table", "refinement"):
+    for kind in metareduce.kernel.DERIVED:
         entries[kind] = {p.name for p in (cache / "derived" / kind).glob("*")}
     return entries
 
@@ -260,27 +264,32 @@ def outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
 
 
-ALL_KINDS = {"kernel", "trace", "table", "refinement"}
-# what each entry is built from, so changing it must make a new entry
+ALL_KINDS = {"kernel", *metareduce.kernel.DERIVED}
+# what each entry is built from, so changing it must make a new entry; the
+# balls (delta) key the eigenpairs and QSDs but not the kernel's spectrum
 KEYED = [
-    ("sigma", 0.4, {"kernel", "trace"}),
+    ("sigma", 0.4, {"kernel", "trace", "spectrum", "eigen", "qsd"}),
     ("box", [[-2.2, 2.2]], ALL_KINDS),
     ("cov", [[0.8]], ALL_KINDS),
     ("grid_nodes", 121, ALL_KINDS),
     ("map", {"name": "tanh", "params": {"beta": 2.2}}, ALL_KINDS),
-    ("delta", 0.25, {"trace", "table", "refinement"}),
+    ("delta", 0.25, {"trace", "eigen", "qsd", "table", "refinement"}),
     ("r_hop", 1.2, {"table", "refinement"}),
 ]
 BUILDERS = ((metareduce.cli, "discretize_kernel"),
             (metareduce.cli, "trace_kernel"),
             (metareduce.quasipotential, "compute_h_matrix"),
-            (metareduce.cli, "refinement_check"))
+            (metareduce.cli, "refinement_check"),
+            (metareduce.cli, "eigenvalues"),
+            (metareduce.cli, "eigendecompose"),
+            (metareduce.spectral, "_inverse_iteration"))
 SMALL_MC = {"committor_runs": 200, "trace_runs": 1000, "sim_steps": 0}
 
 
 class TestDerivedCache:
-    """The trace on M, the H table and its refinement check are cached
-    beside the kernels, keyed on exactly what they are built from."""
+    """The kernel's top eigenvalues, the trace on M, its top eigenpairs, the
+    QSDs, the H table and its refinement check are cached beside the
+    kernels, keyed on exactly what they are built from."""
 
     COMMANDS = ("reduce", "qsd", "quasipotential", "validate")
 
@@ -344,8 +353,9 @@ class TestDerivedCache:
 
     def test_warm_from_another_commands_cache(self, tmp_path, monkeypatch,
                                               cold):
-        # reduce fills the kernels, traces and table; validate adds the
-        # refinement check; the rest read them
+        # reduce fills the kernels, traces, eigenpairs, QSDs and table;
+        # validate adds the kernels' spectra and the refinement check; the
+        # rest read them
         for k, command in enumerate(("reduce", "validate", "qsd",
                                      "quasipotential", "reduce")):
             if k == 4:
@@ -382,7 +392,7 @@ class TestDerivedCache:
         assert listing() == before
         assert all(cache_entries(cache).values())
 
-    @pytest.mark.parametrize("kind", ["trace", "table", "refinement"])
+    @pytest.mark.parametrize("kind", metareduce.kernel.DERIVED)
     @pytest.mark.parametrize("damage", ["garble-meta", "truncate-data"])
     def test_damaged_entry_is_a_miss(self, tmp_path, cold, kind, damage):
         path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
@@ -400,6 +410,66 @@ class TestDerivedCache:
         assert outputs(tmp_path / "out") == cold["validate"]
         assert {p: p.read_bytes() for p in good} == good
         assert not list((tmp_path / "cache").rglob("*.tmp"))
+
+    @pytest.mark.parametrize("kind", ["eigen", "qsd"])
+    def test_permuted_entry_is_a_miss(self, tmp_path, cold, kind):
+        # the right length, so only the Gram, residual and QSD checks a
+        # computed entry passes can tell it is wrong
+        path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
+                            mc=SMALL_MC)
+        assert run(path, "validate") in (0, 1)
+        bins = list((tmp_path / "cache" / "derived" / kind).glob("*.bin"))
+        good = {p: p.read_bytes() for p in bins}
+        assert len(good) == 2
+        rng = np.random.default_rng(0)
+        for p in bins:
+            p.write_bytes(rng.permutation(np.fromfile(p)).tobytes())
+            assert p.read_bytes() != good[p]
+        assert run(path, "validate") in (0, 1)
+        assert outputs(tmp_path / "out") == cold["validate"]
+        assert {p: p.read_bytes() for p in bins} == good
+
+    def test_warm_commands_solve_no_eigenproblem(self, tmp_path, monkeypatch,
+                                                 cold):
+        path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
+                            mc=SMALL_MC)
+        assert run(path, "validate") in (0, 1)
+        eigvals = np.linalg.eigvals
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a warm run solved an eigenproblem")
+
+        def map_eigvals(a):     # the fixed points' Jacobians may use it
+            if sys._getframe(1).f_globals["__name__"] == "metareduce.spectral":
+                refused()
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", map_eigvals)
+        monkeypatch.setattr("scipy.sparse.linalg.eigs", refused)
+        monkeypatch.setattr("scipy.linalg.eig", refused)
+        monkeypatch.setattr(metareduce.spectral, "_inverse_iteration", refused)
+        for module in (metareduce.cli, metareduce.kernel):
+            monkeypatch.setattr(module, "load_kernel", refused)
+        for command in ("validate", "reduce", "qsd"):
+            out = tmp_path / f"out-{command}"
+            assert run(path, command, "--out", str(out)) in (0, 1)
+            assert outputs(out) == cold[command]
+
+    def test_cold_commands_solve_only_what_they_read(self, tmp_path,
+                                                     monkeypatch):
+        # reduce reads no full-kernel spectrum, qsd no trace eigenpairs
+        def refused(*args, **kwargs):
+            raise AssertionError("eigs called")
+
+        monkeypatch.setattr("scipy.sparse.linalg.eigs", refused)
+        calls = count_calls(monkeypatch, metareduce.cli, "eigendecompose")
+        path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35])
+        assert run(path, "qsd") == 0
+        assert calls == []
+        assert run(path, "reduce") == 0
+        entries = cache_entries(tmp_path / "cache")
+        assert not entries["spectrum"]
+        assert len(entries["eigen"]) == len(entries["qsd"]) == 2 * 2
 
 
 class TestAnalyze:

@@ -45,8 +45,9 @@ def reduced35(cache, ref, table):
     trace = cache.trace(0.35)
     decomp = cache.trace_decomp(0.35)
     theta = table.h0 / 4.0
-    model, projectors = build_reduced_chain(trace, decomp, ref["balls"],
-                                            0.35, theta, h0=table.h0)
+    model, projectors = build_reduced_chain(
+        trace, decomp, solve_all_qsds(trace, ref["balls"]), 0.35, theta,
+        h0=table.h0)
     return model, projectors, trace, decomp
 
 
@@ -252,8 +253,8 @@ class TestBuildP:
         balls, m_set, _ = grid.membership(structure)
         trace = mr.trace_kernel(mr.discretize_kernel(model, grid), m_set)
         chain, _ = build_reduced_chain(
-            trace, mr.eigendecompose(trace, n_modes=len(balls)), balls, 0.35,
-            0.35 ** 2 * np.log(1e6))
+            trace, mr.eigendecompose(trace, n_modes=len(balls)),
+            solve_all_qsds(trace, balls), 0.35, 0.35 ** 2 * np.log(1e6))
         assert chain.m >= 10 ** 6
         assert np.abs(chain.multiplicative_error).max() <= 1e-12
 
@@ -310,8 +311,9 @@ class TestExtendedPrecisionP:
         trace = mr.trace_kernel(
             mr.discretize_kernel(make_ref_model(sigma), grid), m_set)
         model, proj = build_reduced_chain(
-            trace, mr.eigendecompose(trace, n_modes=2), balls, sigma,
-            default_theta(h0, sigma), h0=h0)
+            trace, mr.eigendecompose(trace, n_modes=2),
+            solve_all_qsds(trace, balls), sigma, default_theta(h0, sigma),
+            h0=h0)
         exact = (proj.qsd_rows @ model.km) @ proj.indicators.T  # P_hat
         with mpmath.workdps(60):
             want = mp_reduced_p(trace.matrix, proj.qsd_rows,
