@@ -13,10 +13,12 @@ import numpy as np
 from . import maps
 from .dynamics import DeterministicMapModel
 from .errors import ConfigError
-from .montecarlo import DEFAULT_STEP_CAP, MIN_COMMITTOR_RUNS, MIN_TRACE_RUNS
 
 SCHEMA_VERSION = 1
 MIN_GRID_NODES = 51
+DEFAULT_STEP_CAP = 100_000_000     # MC budgets: parsing loads no montecarlo
+MIN_COMMITTOR_RUNS = 100
+MIN_TRACE_RUNS = 1000
 
 _MC_DEFAULTS = {
     "committor_runs": 10_000,

@@ -17,7 +17,7 @@ change of H under grid refinement (one float), on r_hop and the balls'
 centres and radii, but not on sigma.  No entry records a seed, theta, MC
 budget, refinement tolerance (``validate`` judges the float) or path.  A save
 makes every derived folder, so a kernels-only cache keeps its top-level
-listing.
+listing.  Metadata records its data's CRC-32, so damaged data is a miss.
 Bump ``CACHE_SCHEMA`` whenever the bits an entry holds for its metadata change.
 """
 
@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -223,13 +224,18 @@ def cache_key(meta):
 
 
 def _entry(cache_dir, kind, meta):
-    """Data path, metadata path and metadata bytes of an entry."""
+    """Data path and metadata path of an entry."""
     key, d = cache_key(meta), Path(cache_dir)
-    text = json.dumps(dict(meta, hash=key), sort_keys=True, indent=1).encode()
     if kind == "kernel":
-        return d / f"{key}.kern", d / f"{key}.meta.json", text
+        return d / f"{key}.kern", d / f"{key}.meta.json"
     d = d / "derived" / kind
-    return d / f"{key}.bin", d / f"{key}.json", text
+    return d / f"{key}.bin", d / f"{key}.json"
+
+
+def _text(meta, data):
+    """Metadata bytes of an entry holding ``data``: its key and CRC-32."""
+    return json.dumps(dict(meta, hash=cache_key(meta), crc32=zlib.crc32(data)),
+                      sort_keys=True, indent=1).encode()
 
 
 def save_entry(cache_dir, kind, meta, data):
@@ -237,9 +243,9 @@ def save_entry(cache_dir, kind, meta, data):
     file and a rename, so a reader never sees a partial pair."""
     for sub in DERIVED:
         (Path(cache_dir) / "derived" / sub).mkdir(parents=True, exist_ok=True)
-    data_path, meta_path, text = _entry(cache_dir, kind, meta)
-    for path, blob in ((data_path, np.ascontiguousarray(data, "<f8").tobytes()),
-                       (meta_path, text)):
+    data = np.ascontiguousarray(data, "<f8").tobytes()
+    data_path, meta_path = _entry(cache_dir, kind, meta)
+    for path, blob in ((data_path, data), (meta_path, _text(meta, data))):
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_bytes(blob)
         os.replace(tmp, path)
@@ -247,13 +253,14 @@ def save_entry(cache_dir, kind, meta, data):
 
 
 def load_entry(cache_dir, kind, meta, size):
-    """The entry's ``size`` float64 values on an exact metadata match, else
-    None: a missing, garbled or mismatched file is a miss, then rewritten."""
-    data_path, meta_path, text = _entry(cache_dir, kind, meta)
+    """The entry's ``size`` float64 values on an exact metadata and CRC-32
+    match, else None: a missing, garbled or damaged file is a miss."""
+    data_path, meta_path = _entry(cache_dir, kind, meta)
     if (meta_path.exists() and data_path.exists()
-            and meta_path.read_bytes() == text
             and data_path.stat().st_size == 8 * size):
-        return np.fromfile(data_path, dtype="<f8")
+        data = np.fromfile(data_path, dtype="<f8")
+        if meta_path.read_bytes() == _text(meta, data):
+            return data
     return None
 
 

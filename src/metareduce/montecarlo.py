@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_STEP_CAP, MIN_COMMITTOR_RUNS, MIN_TRACE_RUNS
 from .dynamics import _in_closed_ball
 from .errors import NumericError, Runaway, SimulationTimeout, ZeroHits
 
 RUNAWAY_FACTOR = 100.0
-DEFAULT_STEP_CAP = 100_000_000
-MIN_COMMITTOR_RUNS = 100
-MIN_TRACE_RUNS = 1000
 SEGMENT = 256               # steps per segment of the parallel-in-time sweep
 CHUNK = 1 << 16             # steps of the chain drawn and swept at a time
 CHECK_EVERY = 16            # plain steps between two coalescence checks
@@ -313,10 +311,10 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
                    for w in range(workers)]
         x.append(np.tile(x0, (n_runs, 1)))
     x = np.concatenate(x)
-    z = np.empty_like(x)        # the normals of a step, block by block
-    w, y = np.empty_like(x), np.empty_like(x)   # a step's noise, its sums
-    # each block's end among the active runs; normals it reads a step
-    ends, reads = np.cumsum(counts), [x.shape[1] * c for c in counts]
+    w, y, z = np.empty((3,) + x.shape)  # a step's noise, sums and normals
+    flat = z.reshape(-1)        # the normals of a step, block by block
+    # 0, then each block's end among the active runs; normals it reads a step
+    ends, reads = np.cumsum([0] + counts), [x.shape[1] * c for c in counts]
     at = [0] * len(streams)     # each block's position on its stream
     read = tape.read
     step = 0
@@ -328,19 +326,17 @@ def _run(model, groups, seed, workers, step_cap, what, retire, *state):
         for b, size in enumerate(reads):
             if size:
                 at[b] = read(streams[b], at[b], size, parts)
-        np.concatenate(parts, out=z.reshape(-1)[:x.size])
+        np.concatenate(parts, out=flat[:x.size])
         x = np.add(model.pi(x), model.noise(z[:n], out=w[:n]), out=y[:n])
         gone = retire(step, x, *state)
         if gone.size:
             keep = np.ones(n, bool)
             keep[gone] = False
-            keep = np.flatnonzero(keep)     # then take: x[mask] is slow
+            keep = keep.nonzero()[0]    # then take: x[mask] is slow
             x = x.take(keep, axis=0)
             state = [a.take(keep) for a in state]
-            ends -= np.searchsorted(gone, ends)     # gone is sorted
-            edges = [0] + ends.tolist()
-            reads = [x.shape[1] * (hi - lo)
-                     for lo, hi in zip(edges, edges[1:])]
+            ends -= gone.searchsorted(ends)     # gone is sorted
+            reads = (x.shape[1] * (ends[1:] - ends[:-1])).tolist()
 
 
 def _ball_rows(structure, x):
@@ -387,17 +383,18 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
         raise NumericError(f"n_runs must be >= {MIN_COMMITTOR_RUNS}")
     hit = np.zeros(len(pairs) * n_runs, bool)
     c, b = structure.centers, structure.bounds
-    balls = [(c[k], b[k]) for k in pairs.T]     # home and target per pair
+    (hc, hb), (tc, tb) = [(c[k], b[k]) for k in pairs.T]    # home, target
     ends = np.arange(len(pairs) + 1) * n_runs   # each pair's runs
 
     def retire(step, x, idx):
         # each run tests only its own two balls: a pair's active runs stay
         # contiguous, so its centres and thresholds are repeated per run
-        n = np.diff(np.searchsorted(idx, ends))
-        home, reached = (_in_closed_ball(x, cs.repeat(n, axis=0),
-                                         bs.repeat(n)) for cs, bs in balls)
+        n = idx.searchsorted(ends)
+        n = n[1:] - n[:-1]
+        home = _in_closed_ball(x, hc.repeat(n, axis=0), hb.repeat(n))
+        reached = _in_closed_ball(x, tc.repeat(n, axis=0), tb.repeat(n))
         hit[idx[reached]] = True    # a point in both balls counts as a hit
-        return np.flatnonzero(reached | home)
+        return (reached | home).nonzero()[0]
 
     _run(model, [(c[i], n_runs, 0) for i in pairs[:, 0]], seed, workers,
          step_cap, "committor", retire, np.arange(len(pairs) * n_runs))
@@ -481,7 +478,7 @@ def empirical_diluted_trace(model, structure, i, m, n_blocks, n_runs, seed,
         # block n is recorded at visit n m: only the runs due now are tallied
         rows, in_m = _ball_rows(structure, x)
         left -= in_m.view(np.uint8)
-        due = np.flatnonzero(left == 0)
+        due = (left == 0).nonzero()[0]
         done = block.take(due)  # the blocks recorded now
         # a due run is in M, so its first ball, as ball_of, is the number
         # of leading balls it is not in; counts has rows of n_blocks + 1

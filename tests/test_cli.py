@@ -286,6 +286,26 @@ BUILDERS = ((metareduce.cli, "discretize_kernel"),
 SMALL_MC = {"committor_runs": 200, "trace_runs": 1000, "sim_steps": 0}
 
 
+def _scaled(blob):
+    """The float64 bytes with their largest finite value scaled by 10."""
+    values = np.frombuffer(blob).copy()
+    values[np.abs(np.nan_to_num(values, posinf=0, neginf=0)).argmax()] *= 10
+    return values.tobytes()
+
+
+DAMAGE = {
+    "garble-meta": lambda blob: b'{"cache_schema": 3',
+    "truncate-data": lambda blob: blob[:-8],
+    "reverse-data": lambda blob: np.frombuffer(blob)[::-1].tobytes(),
+    "scale-data": _scaled,
+}
+# every damage to every kind of entry, but reversing the one float of a
+# refinement entry, which leaves it as it was
+DAMAGED = [(damage, kind) for damage in DAMAGE
+           for kind in [*metareduce.kernel.DERIVED, "kernel"]
+           if (damage, kind) != ("reverse-data", "refinement")]
+
+
 class TestDerivedCache:
     """The kernel's top eigenvalues, the trace on M, its top eigenpairs, the
     QSDs, the H table and its refinement check are cached beside the
@@ -392,39 +412,61 @@ class TestDerivedCache:
         assert listing() == before
         assert all(cache_entries(cache).values())
 
-    @pytest.mark.parametrize("kind", metareduce.kernel.DERIVED)
-    @pytest.mark.parametrize("damage", ["garble-meta", "truncate-data"])
+    @pytest.mark.parametrize("damage,kind", DAMAGED,
+                             ids=[f"{d}-{k}" for d, k in DAMAGED])
     def test_damaged_entry_is_a_miss(self, tmp_path, cold, kind, damage):
+        # reversed or scaled data keeps its length: only the checksum in
+        # the metadata tells it from the entry that was saved
         path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
                             mc=SMALL_MC)
         assert run(path, "validate") in (0, 1)
-        derived = tmp_path / "cache" / "derived"
-        good = {p: p.read_bytes() for p in derived.rglob("*") if p.is_file()}
-        damaged = list((derived / kind).glob(
-            "*.json" if damage == "garble-meta" else "*.bin"))
+        cache = tmp_path / "cache"
+        good = {p: p.read_bytes() for p in cache.rglob("*") if p.is_file()}
+        folder, meta, data = ((cache, "*.meta.json", "*.kern")
+                              if kind == "kernel" else
+                              (cache / "derived" / kind, "*.json", "*.bin"))
+        damaged = list(folder.glob(meta if damage == "garble-meta" else data))
         assert damaged
         for p in damaged:
-            p.write_bytes(b'{"cache_schema": 3' if damage == "garble-meta"
-                          else p.read_bytes()[:-8])
+            p.write_bytes(DAMAGE[damage](p.read_bytes()))
+            assert p.read_bytes() != good[p]
+        if kind == "kernel":    # a warm validate reads K only to build
+            for p in (cache / "derived").rglob("*"):
+                if p.is_file():
+                    p.unlink()
         assert run(path, "validate") in (0, 1)
         assert outputs(tmp_path / "out") == cold["validate"]
         assert {p: p.read_bytes() for p in good} == good
+        for p in folder.glob(meta):     # each rewritten entry loads again
+            doc = json.loads(p.read_text())
+            del doc["hash"], doc["crc32"]
+            size = p.with_name(p.name.split(".")[0] + data[1:]).stat().st_size
+            assert metareduce.kernel.load_entry(cache, kind, doc,
+                                                size // 8) is not None
         assert not list((tmp_path / "cache").rglob("*.tmp"))
 
     @pytest.mark.parametrize("kind", ["eigen", "qsd"])
     def test_permuted_entry_is_a_miss(self, tmp_path, cold, kind):
-        # the right length, so only the Gram, residual and QSD checks a
-        # computed entry passes can tell it is wrong
+        # saved with its own checksum and of the right length, so only the
+        # Gram, residual and QSD checks a computed entry passes can tell it
+        # is wrong
         path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
                             mc=SMALL_MC)
         assert run(path, "validate") in (0, 1)
-        bins = list((tmp_path / "cache" / "derived" / kind).glob("*.bin"))
+        cache = tmp_path / "cache"
+        bins = list((cache / "derived" / kind).glob("*.bin"))
         good = {p: p.read_bytes() for p in bins}
         assert len(good) == 2
         rng = np.random.default_rng(0)
         for p in bins:
-            p.write_bytes(rng.permutation(np.fromfile(p)).tobytes())
+            meta = json.loads(p.with_suffix(".json").read_text())
+            del meta["hash"], meta["crc32"]
+            permuted = rng.permutation(np.fromfile(p))
+            assert metareduce.kernel.save_entry(cache, kind, meta,
+                                                permuted) == p.stem
             assert p.read_bytes() != good[p]
+            assert np.array_equal(metareduce.kernel.load_entry(
+                cache, kind, meta, permuted.size), permuted)
         assert run(path, "validate") in (0, 1)
         assert outputs(tmp_path / "out") == cold["validate"]
         assert {p: p.read_bytes() for p in bins} == good
@@ -1073,16 +1115,66 @@ def test_import_leaves_sparse_solvers_unloaded():
     assert out.strip() == "[]"
 
 
-def scipy_loaded_after(code):
-    """Sorted names of the scipy modules in ``sys.modules`` once ``code`` has
-    run in a fresh interpreter."""
+def fresh_run(code):
+    """The last line ``code`` prints, run in a fresh interpreter on src."""
     src = str(Path(metareduce.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    code += ("\nimport sys; print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     return out.splitlines()[-1]
+
+
+LOADED = ("\nimport sys; print(sorted(m for m in sys.modules "
+          "if m.startswith(('metareduce', 'scipy'))))")
+
+
+class TestLazyImport:
+    """``import metareduce`` loads no submodule; each public name loads its
+    own module on first access, so set-up loads only what it runs."""
+
+    def test_package_alone(self):
+        assert fresh_run("import metareduce" + LOADED) == "['metareduce']"
+
+    def test_cache_fill_loads_seven_modules(self):
+        # what a kernel-cache fill imports: no Monte Carlo, spectral,
+        # reduction or quasipotential module, and no scipy
+        assert fresh_run("import metareduce.config, metareduce.grid, "
+                         "metareduce.kernel" + LOADED) == str(sorted(
+            ["metareduce"] + [f"metareduce.{m}" for m in (
+                "config", "dynamics", "errors", "grid", "kernel", "maps")]))
+
+    def test_each_name_is_its_modules_object(self):
+        assert len(metareduce.__all__) == 46
+        assert fresh_run("""
+import importlib, metareduce
+bad = [name for name in metareduce.__all__
+       if name in vars(metareduce) or name not in dir(metareduce)]
+for name in metareduce.__all__:
+    value = getattr(metareduce, name)
+    module = importlib.import_module(value.__module__)
+    if getattr(module, name) is not value or vars(metareduce)[name] is not value:
+        bad.append(name)
+print(bad)""") == "[]"
+
+    def test_star_import_binds_every_name(self):
+        assert fresh_run("""
+import metareduce
+ns = {}
+exec("from metareduce import *", ns)
+print(sorted(set(ns) - {"__builtins__"}) == sorted(metareduce.__all__))
+""") == "True"
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            metareduce.no_such_name
+        assert "no_such_name" not in dir(metareduce)
+
+
+def scipy_loaded_after(code):
+    """Sorted names of the scipy modules in ``sys.modules`` once ``code`` has
+    run in a fresh interpreter."""
+    return fresh_run(code + "\nimport sys; print(sorted(m for m in "
+                     "sys.modules if m.startswith('scipy')))")
 
 
 class TestColdStartWithoutScipy:
