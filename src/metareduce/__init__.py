@@ -15,7 +15,7 @@ _HOME = {name: module for module, names in (    # module, the names it exports
     ("montecarlo", "EstimateWithError SimulationTrace empirical_diluted_trace "
      "estimate_committor estimate_ex rng_stream simulate_chain"),
     ("quasipotential", "ActionGraph QuasipotentialTable build_action_graph "
-     "compute_h_matrix h_theta ldp_transition_bounds quasipotential_from"),
+     "compute_h_matrix quasipotential_from"),
     ("reduction", "Projectors ReducedChainModel ball_rows build_p "
      "build_projectors build_pstar build_reduced_chain choose_m "
      "reduced_chain_marginals stochastic_power"),

@@ -70,10 +70,9 @@ class DeterministicMapModel:
         return np.linalg.inv(self.cov), None if unit else chol
 
     def rate(self, d):
-        """d^T C^{-1} d / 2 for each row of d, shape (..., d) -> (...), the
-        terms added k-major, einsum's order on 3+ rows, in any batch."""
-        if self.dim == 1:       # one term, and einsum is faster
-            return 0.5 * np.einsum("...k,kl,...l", d, self._factors[0], d)
+        """d^T C^{-1} d / 2 for each row of d, shape (..., d) -> (...): the
+        terms d_k C^{-1}_kl d_l added k-major, so a row's bits do not depend
+        on the batch it is in."""
         return 0.5 * sum(d[..., k] * c * d[..., l]
                          for (k, l), c in np.ndenumerate(self._factors[0]))
 

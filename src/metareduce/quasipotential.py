@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HopRadiusTooSmall, InfiniteH, NumericError, RHopSaturated,
-                     ThetaTooLarge)
+from .errors import HopRadiusTooSmall, InfiniteH, NumericError, RHopSaturated
 
 PATH_TOL = 1e-9
 TRIANGLE_TOL = 1e-9
@@ -157,7 +156,7 @@ class QuasipotentialTable:
     h0: float
     h0_hat: float                   # +inf sentinel when no non-optimal path
     optimal_paths: dict             # (i, j) -> tuple of index tuples
-    longest_optimal: np.ndarray     # (N, N) path length p used by H_theta
+    longest_optimal: np.ndarray     # (N, N) edges of the longest optimal path
     r_hop: float
     path_tol: float = PATH_TOL
 
@@ -198,7 +197,7 @@ def compute_h_matrix(model, grid, structure, r_hop, limit=np.inf):
 def table_from_costs(v_surfaces, h, r_hop):
     """The table of V and H; H0, H0_hat and the paths depend on H alone."""
     n = h.shape[0]
-    _check_triangle(h, "triangle inequality")
+    _check_triangle(h)
     h0 = float(h[~np.eye(n, dtype=bool)].min(initial=np.inf))
     optimal, longest, h0_hat = {}, np.zeros((n, n), dtype=int), np.inf
     for i, j in itertools.permutations(range(n), 2):
@@ -224,49 +223,14 @@ def _simple_paths(i, j, n):
             yield (i, *mids, j)
 
 
-def _check_triangle(h, what):
+def _check_triangle(h):
     """Raise at the first (i, l, j), in lexicographic order, where
     h[i, l] + h[l, j] < h[i, j] - TRIANGLE_TOL."""
     bad = np.argwhere(h[:, :, None] + h[None, :, :]
                       < h[:, None, :] - TRIANGLE_TOL)
     if bad.size:
-        raise NumericError(f"{what} violated at ({','.join(map(str, bad[0]))})")
-
-
-def h_theta(table, theta):
-    """Dilution-adjusted costs H(i,j) - p * theta with p the longest optimal
-    path length.  Asserts the adjusted triangle inequality in the regime
-    (N - 2) theta <= H0_hat."""
-    if not (0.0 < theta < table.h0):
-        raise ThetaTooLarge(f"theta = {theta} not in (0, H0 = {table.h0})")
-    n, out = table.n_balls, table.h_matrix - table.longest_optimal * theta
-    np.fill_diagonal(out, 0.0)
-    if (n - 2) * theta <= table.h0_hat:
-        _check_triangle(out, "adjusted triangle inequality")
-    return out
-
-
-def ldp_transition_bounds(table, i, j, n, sigma, eta):
-    """Diagnostic envelopes for the probability of the n-th watched step
-    landing in ball j when starting in ball i.
-
-    upper = sum over optimal paths of C(n,|g|) e^{-[H - |g| eta]/s^2}
-            + N^N e^{-[H + H0_hat - N eta]/s^2},
-    lower = sum over optimal paths of C(n,|g|) e^{-[H + |g| eta]/s^2}.
-    """
-    if i == j:
-        raise NumericError("transition bounds need i != j")
-    h, s2, nballs = table.h_matrix[i, j], sigma ** 2, table.n_balls
-    lower = upper = 0.0
-    for gamma in table.optimal_paths[(i, j)]:
-        p = len(gamma) - 1
-        c = math.comb(n, p) if p <= n else 0
-        upper += c * math.exp(-(h - p * eta) / s2)
-        lower += c * math.exp(-(h + p * eta) / s2)
-    if np.isfinite(table.h0_hat):
-        upper += nballs ** nballs * math.exp(
-            -(h + table.h0_hat - nballs * eta) / s2)
-    return lower, upper
+        raise NumericError("triangle inequality violated at "
+                           f"({','.join(map(str, bad[0]))})")
 
 
 def refinement_check(model, grid, structure, r_hop, coarse=None):

@@ -95,7 +95,10 @@ def build_projectors(decomp, indicators, qsd_rows):
     L = decomp.left[:n, :]
     if np.abs(L @ R - np.eye(n)).max() > BIORTH_TOL:
         raise NumericError("top-N modes are not binormalized")
-    pi0 = (R @ L).real
+    pi0 = R @ L     # real, unless the top N split a complex conjugate pair
+    why = ("; the top-N modes split a complex conjugate pair"
+           if np.abs(pi0.imag).max() > BIORTH_TOL else "")
+    pi0 = pi0.real
 
     psi = (pi0 @ indicators.T).T
     eps = np.eye(n) - qsd_rows @ psi.T
@@ -110,11 +113,11 @@ def build_projectors(decomp, indicators, qsd_rows):
         raise BasisDegenerate(f"Id - eps is singular: {exc}") from exc
 
     if np.abs(mu @ psi.T - np.eye(n)).max() > BIORTH_TOL:
-        raise NumericError("<mu_i, psi_j> = delta_ij failed")
+        raise NumericError("<mu_i, psi_j> = delta_ij failed" + why)
     completeness = np.abs(psi.T @ mu - pi0).sum(axis=1).max()
     if completeness > COMPLETENESS_TOL:
         raise NumericError(
-            f"sum_i psi_i x mu_i differs from Pi0 by {completeness:.3g}")
+            f"sum_i psi_i x mu_i differs from Pi0 by {completeness:.3g}{why}")
     return Projectors(mu, psi, eps, indicators, qsd_rows)
 
 

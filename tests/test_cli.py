@@ -1144,7 +1144,7 @@ class TestLazyImport:
                 "config", "dynamics", "errors", "grid", "kernel", "maps")]))
 
     def test_each_name_is_its_modules_object(self):
-        assert len(metareduce.__all__) == 46
+        assert len(metareduce.__all__) == 44
         assert fresh_run("""
 import importlib, metareduce
 bad = [name for name in metareduce.__all__

@@ -1,4 +1,4 @@
-"""Action graphs, Dijkstra costs, H matrices, index paths, LDP envelopes."""
+"""Action graphs, Dijkstra costs, H matrices and index paths."""
 
 import itertools
 import math
@@ -18,13 +18,11 @@ from scipy.sparse import csr_matrix
 import metareduce as mr
 import metareduce.quasipotential
 from metareduce.dynamics import DeterministicMapModel
-from metareduce.errors import (HopRadiusTooSmall, NumericError, RHopSaturated,
-                               ThetaTooLarge)
+from metareduce.errors import HopRadiusTooSmall, NumericError, RHopSaturated
 from metareduce.grid import Grid
 from metareduce.maps import build_map
-from metareduce.quasipotential import (QuasipotentialTable, _check_triangle,
-                                       h_theta, ldp_transition_bounds,
-                                       quasipotential_from, refinement_check)
+from metareduce.quasipotential import (_check_triangle, quasipotential_from,
+                                       refinement_check)
 
 from conftest import REF_RHOP, make_ref_model
 
@@ -469,47 +467,6 @@ def _ref_structure(model):
                                          0.2)
 
 
-def three_well_table():
-    h = np.array([[0.0, 1.0, 2.0],
-                  [1.0, 0.0, 1.0],
-                  [2.0, 1.0, 0.0]])
-    paths = {(0, 1): ((0, 1),), (1, 0): ((1, 0),),
-             (1, 2): ((1, 2),), (2, 1): ((2, 1),),
-             (0, 2): ((0, 2), (0, 1, 2)), (2, 0): ((2, 0), (2, 1, 0))}
-    longest = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    return QuasipotentialTable(np.zeros((3, 1)), h, 1.0, 0.5, paths, longest,
-                               1.0)
-
-
-class TestHTheta:
-    def test_theta_to_zero_limit(self, table):
-        out = h_theta(table, 1e-12)
-        np.testing.assert_allclose(out, table.h_matrix, atol=1e-11)
-
-    def test_two_well_direct_formula(self, table):
-        theta = 0.1 * table.h0
-        out = h_theta(table, theta)
-        assert out[0, 1] == pytest.approx(table.h_matrix[0, 1] - theta)
-
-    def test_length_two_path_drops_twice(self):
-        t = three_well_table()
-        out = h_theta(t, 0.2)
-        assert out[0, 2] == pytest.approx(2.0 - 0.4)
-        assert out[0, 1] == pytest.approx(1.0 - 0.2)
-
-    def test_triangle_asserted_in_regime(self):
-        # (N - 2) theta <= H0_hat = 0.5 holds at theta = 0.4, and the
-        # adjusted triangle inequality survives
-        t = three_well_table()
-        out = h_theta(t, 0.4)
-        for i, l, j in itertools.product(range(3), repeat=3):
-            assert out[i, l] + out[l, j] >= out[i, j] - 1e-9
-
-    def test_theta_too_large(self, table):
-        with pytest.raises(ThetaTooLarge):
-            h_theta(table, table.h0)
-
-
 # H with two triangle violations, (0, 1, 2) and (2, 1, 0): the first in
 # lexicographic order (i, l, j) is the one reported
 BAD_H = np.array([[0.0, 1.0, 5.0],
@@ -551,16 +508,6 @@ class TestTriangleCheck:
             mr.compute_h_matrix(model, grid, structure, REF_RHOP)
         assert sources == [0, 1, 2]
 
-    def test_h_theta_reports_first_violation(self):
-        longest = 1 - np.eye(3, dtype=int)
-        t = QuasipotentialTable(np.zeros((3, 1)), BAD_H, 1.0, np.inf, {},
-                                longest, 1.0)
-        # H - 0.1 off the diagonal: 0.9 + 0.9 < 4.9 first at (0, 1, 2)
-        assert first_triangle_violation(BAD_H - 0.1 * longest) == (0, 1, 2)
-        with pytest.raises(NumericError, match=r"^adjusted triangle "
-                           r"inequality violated at \(0,1,2\)$"):
-            h_theta(t, 0.1)
-
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
@@ -571,46 +518,13 @@ def test_triangle_check_matches_triple_loop(values):
     np.fill_diagonal(h, 0.0)
     first = first_triangle_violation(h)
     if first is None:
-        _check_triangle(h, "triangle inequality")
+        _check_triangle(h)
     else:
         with pytest.raises(NumericError,
                            match=re.escape("triangle inequality violated at "
                                            f"({first[0]},{first[1]},"
                                            f"{first[2]})")):
-            _check_triangle(h, "triangle inequality")
-
-
-class TestLdpBounds:
-    def test_single_path_collapse(self):
-        t = three_well_table()
-        sigma, eta = 0.5, 0.05
-        lower, upper = ldp_transition_bounds(t, 0, 1, 1, sigma, eta)
-        s2 = sigma ** 2
-        assert lower == pytest.approx(math.exp(-(1.0 + eta) / s2))
-        assert upper == pytest.approx(
-            math.exp(-(1.0 - eta) / s2)
-            + 27 * math.exp(-(1.0 + 0.5 - 3 * eta) / s2))
-
-    def test_sentinel_drops_correction(self, table):
-        lower, upper = ldp_transition_bounds(table, 0, 1, 1, 0.35, 0.05)
-        s2 = 0.35 ** 2
-        h = table.h_matrix[0, 1]
-        assert upper == pytest.approx(math.exp(-(h - 0.05) / s2))
-        assert lower == pytest.approx(math.exp(-(h + 0.05) / s2))
-
-    @pytest.mark.parametrize("n,sigma,eta", [(1, 0.5, 0.01), (10, 0.4, 0.05),
-                                             (100, 0.35, 0.05)])
-    def test_lower_below_upper(self, table, n, sigma, eta):
-        lower, upper = ldp_transition_bounds(table, 0, 1, n, sigma, eta)
-        assert lower <= upper
-
-    def test_binomial_growth_in_n(self):
-        t = three_well_table()
-        prev = 0.0
-        for n in (1, 2, 4, 8):
-            lower, _ = ldp_transition_bounds(t, 0, 2, n, 0.5, 0.01)
-            assert lower >= prev
-            prev = lower
+            _check_triangle(h)
 
 
 class TestRefinement:

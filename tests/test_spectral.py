@@ -292,6 +292,22 @@ class TestVerifySpectralGap:
         d = mr.eigendecompose(kernel_from_matrix(HAND_2))
         assert not mr.verify_spectral_gap(d.eigenvalues, 2, 0.9).passed
 
+    def test_moduli_approach_the_linearization(self, cache, ref):
+        # below the two metastable values the kernel's moduli tend to the
+        # map's linearization: 1 / |pi'(0)| = 0.5 and its square at the
+        # saddle, pi'(x_s) = 0.1664 at each well.  Measured distances
+        # 0.0178 ... 0.0044 for lambda_2 (about 0.7 sigma^2) and at most
+        # 3.2 sigma^2 for lambda_2 ... lambda_5, each falling with sigma
+        rho = [r.spectral_radius for r in ref["fixed_points"]]
+        saddle, = [1 / r for r in rho if r > 1]
+        limits = [saddle, saddle ** 2] + [r for r in rho if r < 1]
+        sigmas = np.array([0.15, 0.12, 0.1, 0.08])
+        dist = np.array([np.abs(mr.eigenvalues(cache.kernel(s), 6)[2:])
+                         for s in sigmas]) - limits
+        assert (dist > 0).all() and (np.diff(dist, axis=0) < 0).all()
+        assert (dist <= 4 * sigmas[:, None] ** 2).all()
+        assert (dist[:, 0] <= sigmas ** 2).all()
+
 
 class TestSolveQsd:
     def test_hand_example(self):
