@@ -36,7 +36,7 @@ from .quasipotential import (compute_h_matrix, refinement_check,
 from .reduction import (build_reduced_chain, default_theta,
                         diluted_marginal_deviation, reduced_chain_marginals,
                         solve_all_qsds)
-from .spectral import (CLUSTER_ULPS, check_uniform_positivity, checked_pairs,
+from .spectral import (check_uniform_positivity, checked_pairs,
                        eigendecompose, eigenvalues, positivity_cap,
                        verify_spectral_gap)
 
@@ -47,6 +47,7 @@ COMMITTOR_ETA_FACTOR = 0.15
 QSD_LAW_RTOL = 1e-8
 REDUC_ABS_TOL = 1e-2
 REDUC_N_MAX = 50
+CLUSTER_ULPS = 8        # a gap this many eps ||K|| wide is rounding
 EVENT_BLOCK = 1024      # simulate events formatted per block
 
 
@@ -206,8 +207,8 @@ class Pipeline:
 
     def reduction(self, sigma):
         """Trace on M, its reduced chain and the projectors: Pi0 from the
-        top N eigenpairs (dense eigenvalues, vectors by inverse iteration,
-        binormalized as one block), P from (Id - eps)^{-1} QSD K0^m psi."""
+        top N eigenpairs (one dense solve, binormalized as one block), P
+        from (Id - eps)^{-1} QSD K0^m psi."""
         trace = self.trace_on_m(sigma)
         return (trace, *build_reduced_chain(
             trace, self.decomposition(sigma, trace), self.qsds(sigma, trace),
@@ -401,7 +402,7 @@ def cmd_validate(pipe: Pipeline):
         split = float(abs(lam[0] - lam[1]))
         floor = float(CLUSTER_ULPS * np.finfo(float).eps
                       * np.abs(trace.matrix).sum(axis=1).max())
-        if split <= floor:  # one cluster by _inverse_iteration's rule: no log
+        if split <= floor:  # lambda0 and lambda1 are one cluster: no log
             add("eyring_kramers_log_asymptotics", False, {
                 "gap": split, "floor": floor, "reason": "lambda0 - lambda1 "
                 "is within rounding of the trace: the gap is unresolved"})

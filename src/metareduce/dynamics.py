@@ -304,12 +304,9 @@ def build_metastable_structure(model, fixed_points, delta):
 
 def _ball_invariant(model, center, radius):
     scales = np.array([1.0, 0.5, 0.25])
-    if model.dim == 1:
-        offsets = np.concatenate([radius * scales, -radius * scales])[:, None]
-    else:
-        u = np.random.default_rng(1).standard_normal((3 * 64, model.dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        offsets = radius * np.repeat(scales, 64)[:, None] * u
+    u = np.random.default_rng(1).standard_normal((3 * 64, model.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    offsets = radius * np.repeat(scales, 64)[:, None] * u
     pts = np.vstack([center, center + offsets])
     return bool(_in_closed_ball(model.pi(pts), center,
                                 radius ** 2 + BALL_TOL).all())

@@ -38,7 +38,7 @@ from .errors import DegenerateRow, NonRecurrentComplement, NumericError
 ROW_SUM_TOL = 1e-12
 TRACE_ROW_TOL = 1e-10
 RAW_ROW_FLOOR = 1e-300          # least sum of a row's exp(-rate/sigma^2)
-CACHE_SCHEMA = 3                # bump when a cached entry's bits change
+CACHE_SCHEMA = 4                # bump when a cached entry's bits change
 ROW_CHUNK = 256                 # kernel rows assembled per block
 GATHER_COLS = 64                # columns of Id - K_CC gathered per block
 DERIVED = ("spectrum", "trace", "eigen", "qsd", "table", "refinement")

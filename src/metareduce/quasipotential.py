@@ -158,7 +158,6 @@ class QuasipotentialTable:
     optimal_paths: dict             # (i, j) -> tuple of index tuples
     longest_optimal: np.ndarray     # (N, N) edges of the longest optimal path
     r_hop: float
-    path_tol: float = PATH_TOL
 
     @property
     def n_balls(self):

@@ -2,11 +2,10 @@
 
 Each consumer gets one route.  ``eigenvalues`` computes no eigenvectors: a
 dense solve of the full spectrum, or ARPACK for the top k of a large kernel.
-``eigendecompose`` keeps the top pairs of a small kernel (the trace on M),
-binormalized as one block: when they are few, the dense eigenvalues and
-their vectors by inverse iteration, else one dense solve of all pairs.
-``solve_qsd`` takes the dense eigenvalues of the killed kernel and its
-Perron vector by the same inverse iteration.  ``checked_pairs`` and ``known``
+``eigendecompose`` keeps the top pairs of a small kernel (the trace on M)
+from one dense solve of all pairs, binormalized as one block.
+``solve_qsd`` takes the killed kernel's eigenvalues and its Perron vector
+from one dense solve of its transpose.  ``checked_pairs`` and ``known``
 pass cached outputs through the same checks.  scipy is imported inside the
 solves that use it, so set-up and ``spectrum`` never load it."""
 
@@ -21,8 +20,6 @@ from .kernel import KernelMatrix, killed_with_escape
 
 RESIDUAL_TOL = 1e-8
 CLUSTER_COND_CAP = 1e8
-SWEEPS = 3                  # inverse-iteration solves per vector
-CLUSTER_ULPS = 8            # eigenvalues this many eps ||K|| apart are one
 
 
 def _descending(lam):
@@ -73,54 +70,17 @@ class SpectralDecomposition:
     max_residual: float = 0.0
 
 
-def _inverse_iteration(K, lam):
-    """Unit right (columns) and left (rows) eigenvectors of K for the
-    eigenvalues ``lam``, ordered as by ``_descending``, by inverse iteration.
-
-    One LU of K - lam_j I serves both sides, an exact eigenvalue's zero
-    pivot raised to eps ||K||; each vector is SWEEPS solves from a fixed
-    start.  An eigenvalue within CLUSTER_ULPS eps ||K|| of the one before
-    joins its cluster, whose vectors start apart and are orthogonalized
-    against the cluster's earlier ones after every solve.
-    """
-    from scipy.linalg import get_lapack_funcs
-    n, k = K.shape[0], lam.size
-    floor = np.finfo(float).eps * np.abs(K).sum(axis=1).max()
-    starts = np.random.default_rng(0).standard_normal((k, n))
-    vecs = np.empty((2, k, n), complex)     # right, then left
-    first = 0                               # the current cluster's first
-    for j in range(k):
-        if j and abs(lam[j] - lam[j - 1]) > CLUSTER_ULPS * floor:
-            first = j
-        a = K - (lam[j] if lam[j].imag else lam[j].real) * np.eye(n)
-        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (a,))
-        lu, piv, _ = getrf(a, overwrite_a=True)     # info > 0: a zero pivot
-        low = np.flatnonzero(np.abs(lu.diagonal()) < floor)
-        lu[low, low] = floor
-        for trans, out in enumerate(vecs):  # getrs's trans=1 solves A^T
-            v, earlier = starts[j], out[first:j]
-            if lu.dtype.kind == "f":     # a real LU keeps them real
-                earlier = earlier.real
-            for _ in range(SWEEPS):
-                v = getrs(lu, piv, v, trans=trans)[0]
-                v = v - (earlier.conj() @ v) @ earlier
-                v /= np.linalg.norm(v)
-            out[j] = v
-    return vecs[0].T, vecs[1]
-
-
 def eigendecompose(kernel, n_modes=None):
     """Top ``n_modes`` eigenpairs (all n by default), binormalized.
 
-    Meant for small kernels such as the trace on M.  When 4 n_modes <= n,
-    the eigenvalues are those of the dense values-only solve, and the
-    pairs come from ``_inverse_iteration``; otherwise one dense solve gives
-    all pairs.  The left vectors of the top block are binormalized
-    together, L <- (L R)^{-1} L; a Gram matrix with a singular value below
-    1e-8 of the largest raises NumericError.  Each right vector is scaled
-    to largest modulus 1 and phased so its first entry of modulus >= 1/2
-    is real positive (the largest may tie its mirror entry to rounding);
-    left vectors absorb the inverse factor so products are preserved.
+    Meant for small kernels such as the trace on M: one dense solve gives
+    all pairs, and the top ones are kept.  Their left vectors are
+    binormalized together, L <- (L R)^{-1} L; a Gram matrix with a
+    singular value below 1e-8 of the largest raises NumericError.  Each
+    right vector is scaled to largest modulus 1 and phased so its first
+    entry of modulus >= 1/2 is real positive (the largest may tie its
+    mirror entry to rounding); left vectors absorb the inverse factor so
+    products are preserved.
     """
     K = kernel.matrix
     n = K.shape[0]
@@ -128,17 +88,12 @@ def eigendecompose(kernel, n_modes=None):
         n_modes = n
     if not (1 <= n_modes <= n):
         raise NumericError("n_modes must lie in [1, dimension]")
-    if 4 * n_modes <= n:
-        lam = np.linalg.eigvals(K)
-        lam = lam[_descending(lam)].astype(complex)
-        R, L = _inverse_iteration(K, lam[:n_modes])
-    else:
-        from scipy.linalg import eig
-        lam, vl, vr = eig(K, left=True, right=True)
-        order = _descending(lam)
-        lam = lam[order].astype(complex)
-        R = vr[:, order[:n_modes]].astype(complex)
-        L = vl[:, order[:n_modes]].conj().T.astype(complex)
+    from scipy.linalg import eig
+    lam, vl, vr = eig(K, left=True, right=True)
+    order = _descending(lam)
+    lam = lam[order].astype(complex)
+    R = vr[:, order[:n_modes]].astype(complex)
+    L = vl[:, order[:n_modes]].conj().T.astype(complex)
 
     L = np.linalg.solve(_independent(L @ R), L)
 
@@ -234,10 +189,10 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1, known=None):
 
     Returns the principal left eigenpair of the killed sub-kernel, with the
     QSD normalized to a probability vector over the ball's grid indices,
-    and the killed kernel and row masses it was solved from.  The order and
-    ``next_modulus`` come from the dense values-only solve, the Perron
-    vector from ``_inverse_iteration``; a cached ``known`` (QSD, next
-    modulus) skips both, not the checks.  lambda0 = 1 - escape, escape =
+    and the killed kernel and row masses it was solved from.  The order,
+    ``next_modulus`` and the Perron vector come from one dense solve of
+    the transposed killed kernel; a cached ``known`` (QSD, next modulus)
+    skips it, not the checks.  lambda0 = 1 - escape, escape =
     QSD . (row masses leaving the ball): the eigenvalue itself rounds to 1
     once escape falls below machine epsilon.  A closed class in the ball
     would leave only a rounding residue as the escape, so it raises.
@@ -255,8 +210,9 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1, known=None):
     if known is not None:
         q, next_mod = known[0], float(known[1])
     else:
-        lam = np.linalg.eigvals(killed.matrix.T)
-        lam = lam[_descending(lam)]
+        lam, vecs = np.linalg.eig(killed.matrix.T)
+        order = _descending(lam)
+        lam = lam[order]
         lam0 = lam[0]
         if abs(lam0.imag) > 1e-12 or not lam0.real > 0.0:
             raise NumericError(f"principal eigenvalue {lam0} is not positive")
@@ -265,7 +221,7 @@ def solve_qsd(trace_on_m, ball_indices, ball_index=-1, known=None):
         if next_mod / lam0 > 1.0 - 1e-10:
             raise PrincipalNotSimple(
                 f"|lambda1|/lambda0 = {next_mod / lam0} too close to 1")
-        q = _inverse_iteration(killed.matrix, np.array([lam0]))[1][0].real
+        q = vecs[:, order[0]].real
         if q.sum() < 0:
             q = -q
         if q.min() < -1e-10:

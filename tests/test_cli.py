@@ -281,8 +281,7 @@ BUILDERS = ((metareduce.cli, "discretize_kernel"),
             (metareduce.quasipotential, "compute_h_matrix"),
             (metareduce.cli, "refinement_check"),
             (metareduce.cli, "eigenvalues"),
-            (metareduce.cli, "eigendecompose"),
-            (metareduce.spectral, "_inverse_iteration"))
+            (metareduce.cli, "eigendecompose"))
 SMALL_MC = {"committor_runs": 200, "trace_runs": 1000, "sim_steps": 0}
 
 
@@ -476,20 +475,24 @@ class TestDerivedCache:
         path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
                             mc=SMALL_MC)
         assert run(path, "validate") in (0, 1)
-        eigvals = np.linalg.eigvals
 
         def refused(*args, **kwargs):
             raise AssertionError("a warm run solved an eigenproblem")
 
-        def map_eigvals(a):     # the fixed points' Jacobians may use it
-            if sys._getframe(1).f_globals["__name__"] == "metareduce.spectral":
-                refused()
-            return eigvals(a)
+        def outside_spectral(solve):
+            # numpy's solvers stay open to the fixed points' Jacobians
+            def checked(a):
+                if (sys._getframe(1).f_globals["__name__"]
+                        == "metareduce.spectral"):
+                    refused()
+                return solve(a)
+            return checked
 
-        monkeypatch.setattr(np.linalg, "eigvals", map_eigvals)
+        for name in ("eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name,
+                                outside_spectral(getattr(np.linalg, name)))
         monkeypatch.setattr("scipy.sparse.linalg.eigs", refused)
         monkeypatch.setattr("scipy.linalg.eig", refused)
-        monkeypatch.setattr(metareduce.spectral, "_inverse_iteration", refused)
         for module in (metareduce.cli, metareduce.kernel):
             monkeypatch.setattr(module, "load_kernel", refused)
         for command in ("validate", "reduce", "qsd"):
@@ -1020,7 +1023,7 @@ class TestValidate:
 
     def test_unresolved_gap_fails_eyring_kramers(self, tmp_path):
         # 101 nodes at sigma = 0.09: lambda0 - lambda1 of the trace is
-        # 6.5 eps, inside the inverse iteration's cluster rule (8 eps), so
+        # 6.5 eps, inside validate's cluster floor (8 eps ||K||), so
         # 1 - lambda1 is rounding and its log is no gap (sigma^2 log of it
         # read -0.2976, within 5% of -H0, and passed)
         path = write_config(tmp_path, sigma=0.09)

@@ -21,8 +21,8 @@ from metareduce.dynamics import DeterministicMapModel
 from metareduce.errors import HopRadiusTooSmall, NumericError, RHopSaturated
 from metareduce.grid import Grid
 from metareduce.maps import build_map
-from metareduce.quasipotential import (_check_triangle, quasipotential_from,
-                                       refinement_check)
+from metareduce.quasipotential import (PATH_TOL, _check_triangle,
+                                       quasipotential_from, refinement_check)
 
 from conftest import REF_RHOP, make_ref_model
 
@@ -453,7 +453,7 @@ class TestHMatrix:
             for gamma in paths:
                 cost = sum(table.h_matrix[a, b]
                            for a, b in zip(gamma[:-1], gamma[1:]))
-                assert abs(cost - table.h_matrix[i, j]) <= table.path_tol
+                assert abs(cost - table.h_matrix[i, j]) <= PATH_TOL
 
     def test_saturation_guard(self):
         model = make_ref_model(0.35)

@@ -120,6 +120,20 @@ class TestBuildPstar:
         assert abs(pstar[0, 1] - pstar[1, 0]) <= 1e-8
         np.testing.assert_allclose(pstar.sum(axis=1), [1.0, 1.0], atol=1e-10)
 
+    def test_generator_gap_tracks_the_spectral_gap(self, cache, ref):
+        # ROADMAP item 3, step 2: the Eyring-Kramers check would read the
+        # generator gap P*_01 + P*_10 in place of 1 - lambda_1.  The two
+        # differ by 4.2e-4 to 1.8e-4 relative here, far above the 1e-8 of
+        # perfbench's output check, so that step must come with
+        # regenerated reference outputs
+        excess = []
+        for sigma in (0.5, 0.4, 0.35, 0.3):
+            pstar, _ = pstar_and_qsds(cache.trace(sigma), ref["balls"])
+            lam1 = cache.trace_decomp(sigma).eigenvalues[1].real
+            excess.append((pstar[0, 1] + pstar[1, 0]) / (1.0 - lam1) - 1.0)
+        assert excess[-1] > 0.0 and excess[0] <= 1e-3
+        assert (np.diff(excess) < 0.0).all()
+
     def test_product_matches_row_loop(self, cache, ref):
         # reference: push each QSD through K and sum the image over each
         # ball; the one matrix product sums in another order

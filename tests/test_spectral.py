@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgWarning, eig, lu_factor
+from scipy.linalg import eig
 
 import metareduce as mr
 from metareduce.dynamics import DeterministicMapModel
@@ -20,7 +20,6 @@ from metareduce.kernel import killed_kernel
 from metareduce.maps import build_map
 from metareduce.reduction import build_reduced_chain, solve_all_qsds
 from metareduce.spectral import (RESIDUAL_TOL, _descending,
-                                 _inverse_iteration,
                                  check_uniform_positivity, positivity_cap)
 
 from conftest import kernel_from_matrix, stochastic_matrices
@@ -91,14 +90,14 @@ class TestEigendecompose:
 
     def test_phase_free_of_ties(self):
         # the odd mode's two mirror entries tie to rounding, so a phase set
-        # at the largest entry flips right[:, 1] and left[1] between the
-        # routes and between BLAS thread counts
+        # at the largest entry flips right[:, 1] and left[1] between mode
+        # counts and between BLAS thread counts
         vecs = [json.loads(line) for threads in (1, 2)
                 for line in _in_subprocess(PHASE_SCRIPT, threads)]
-        assert len(vecs) == 8       # 2 threads x 2 sigmas x 2 routes
+        assert len(vecs) == 8       # 2 threads x 2 sigmas x 2 mode counts
         for sigma in (0.35, 0.4):
             runs = [v for v in vecs if v["sigma"] == sigma]
-            assert {v["route"] for v in runs} == {"inverse", "dense"}
+            assert {v["route"] for v in runs} == {"two", "all"}
             for v in runs:
                 np.testing.assert_allclose(v["right"], runs[0]["right"],
                                            rtol=0, atol=1e-8)
@@ -132,8 +131,8 @@ class TestEigendecompose:
             mr.eigendecompose(jordan)
 
 
-# the 401-node reference trace's mode 1 on the inverse-iteration route
-# (2 modes) and on the dense route (all |M| modes), one JSON line each
+# the 401-node reference trace's mode 1 when 2 modes are kept and when all
+# |M| are, one JSON line each
 PHASE_SCRIPT = """
 import json
 import numpy as np
@@ -149,7 +148,7 @@ for sigma in (0.35, 0.4):
         model, mr.find_fixed_points(model), 0.2)
     _, m_set, _ = grid.membership(structure)
     trace = mr.trace_kernel(mr.discretize_kernel(model, grid), m_set)
-    for route, n_modes in (("inverse", 2), ("dense", trace.size)):
+    for route, n_modes in (("two", 2), ("all", trace.size)):
         d = mr.eigendecompose(trace, n_modes=n_modes)
         print(json.dumps({"sigma": sigma, "route": route,
                           "right": d.right[:, 1].real.tolist(),
@@ -181,8 +180,8 @@ def _dense_pairs(K, n):
 
 
 class TestInverseIteration:
-    """``eigendecompose`` with few modes: the dense values-only solve and
-    inverse iteration, against one dense solve of all pairs."""
+    """``eigendecompose`` with few modes, against closed forms and one
+    dense solve of all pairs made in the test."""
 
     @pytest.fixture(scope="class")
     def well2d(self):
@@ -226,18 +225,6 @@ class TestInverseIteration:
         p, dense_p = (build_reduced_chain(trace, dec, qsds, 0.35, theta)[0].p
                       for dec in (d, full))
         np.testing.assert_allclose(p, dense_p, rtol=0, atol=1e-10)
-
-    def test_exact_eigenvalue_zero_pivot(self):
-        # K - I has the exact LU pivots -0.4 and 0: the zero pivot is raised
-        # to eps ||K||, and the iteration still gives the Perron pair
-        K = np.array(HAND_2)
-        with pytest.warns(LinAlgWarning, match="exactly zero"):
-            assert lu_factor(K - np.eye(2))[0][1, 1] == 0.0
-        right, left = _inverse_iteration(K, np.array([1.0]))
-        np.testing.assert_allclose(right[:, 0] / right[0, 0], [1.0, 1.0],
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(left[0] / left[0].sum(), [3 / 7, 4 / 7],
-                                   rtol=0, atol=1e-12)
 
     def test_complex_conjugate_top_pair(self):
         # a biased walk on a 12-cycle: eigenvalues 0.5 + 0.4 w^k + 0.1 w^-k,
@@ -489,15 +476,13 @@ class TestGuards:
                 mr.eigendecompose(kernel_from_matrix(HAND_2), n_modes=n_modes)
 
     def test_eigen_residual(self, monkeypatch):
-        # inverse iteration is backward stable, so its pairs always pass:
-        # a solver whose right vectors are off by 1e-4 trips the check
-        solve = mr.spectral._inverse_iteration
+        # the dense solve is backward stable, so its pairs always pass: a
+        # solver whose right vectors are off by 1e-4 trips the check
+        def off(K, left, right):
+            lam, vl, vr = eig(K, left=left, right=right)
+            return lam, vl, vr + 1e-4
 
-        def off(K, lam):
-            R, L = solve(K, lam)
-            return R + 1e-4, L
-
-        monkeypatch.setattr(mr.spectral, "_inverse_iteration", off)
+        monkeypatch.setattr("scipy.linalg.eig", off)
         k = np.full((8, 8), 0.1) + 0.2 * np.eye(8)
         with pytest.raises(NumericError, match=r"eigen residual .* exceeds "
                                                "tolerance"):
@@ -523,10 +508,9 @@ class TestGuards:
     def test_left_vector_not_nonnegative(self, monkeypatch):
         # the Perron vector of a simple principal eigenvalue of a
         # nonnegative block is nonnegative: a solver returning a mixed-sign
-        # vector trips the check
-        monkeypatch.setattr(
-            mr.spectral, "_inverse_iteration",
-            lambda K, lam: (None, np.array([[0.7, -0.3]], complex)))
+        # vector for the order's first value trips the check
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (
+            np.array([0.2, 0.9]), np.array([[0.1, 0.7], [0.5, -0.3]])))
         trace = kernel_from_matrix(
             [[0.5, 0.2, 0.3], [0.3, 0.4, 0.3], [0.2, 0.2, 0.6]])
         with pytest.raises(NumericError, match="principal left eigenvector "
@@ -547,8 +531,8 @@ class TestGuards:
     def test_closed_class_escapes_nothing(self):
         # a stochastic trace: state 0 of the ball {0, 1} is absorbing, so
         # the exact QSD is (1, 0) and nothing escapes, though state 1 leaks
-        # 0.3; inverse iteration leaves ~4e-16 on state 1, a rounding
-        # residue that would read as an escape of 1.1e-16
+        # 0.3; a solver may leave a rounding residue on state 1, and ~4e-16
+        # there would read as an escape of 1.1e-16
         trace = kernel_from_matrix(
             [[1.0, 0.0, 0.0], [0.3, 0.4, 0.3], [0.2, 0.2, 0.6]])
         with pytest.raises(NumericError, match="no mass escapes the ball "
