@@ -2,10 +2,10 @@
 | simulate | validate.
 
 Every command is a pure function of (config, cache): reruns produce
-byte-identical outputs, whether or not earlier runs cached the kernels,
-traces on M and H tables (see ``kernel``).  Exit codes: 0 pass, 1 check
-failure, 2 config error or a file that cannot be read or written ("io"),
-3 numeric error; errors are mirrored as one JSON line on stderr.
+byte-identical outputs, whether or not earlier runs cached the kernels, traces
+on M, H tables and Monte Carlo normals (see ``kernel``).  Exit codes: 0 pass,
+1 check failure, 2 config error or a file that cannot be read or written
+("io"), 3 numeric error; errors are mirrored as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class Pipeline:
         self.out_dir = Path(cfg.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self._models = {}
-        self.normals = Normals(cfg.seed)    # shared by every estimator
 
     def model(self, sigma):
         if sigma not in self._models:
@@ -136,14 +135,14 @@ class Pipeline:
         return self._derived(
             "spectrum", self._meta(sigma, k=k), 2 * k,
             lambda: eigenvalues(self.kernel(sigma), k=k),
-            lambda lam: lam.view(float), lambda data: data.view(complex))
+            lambda lam: [lam.view(float)], lambda data: data.view(complex))
 
     def trace_on_m(self, sigma):
         _, m_set, _ = self.membership
         return self._derived(
             "trace", self._meta(sigma, m_set=m_set.tolist()), m_set.size ** 2,
             lambda: trace_kernel(self.kernel(sigma), m_set),
-            lambda trace: trace.matrix, lambda data: KernelMatrix(
+            lambda trace: [trace.matrix], lambda data: KernelMatrix(
                 data.reshape(m_set.size, -1), "stochastic", m_set))
 
     def decomposition(self, sigma, trace):
@@ -152,8 +151,8 @@ class Pipeline:
         return self._derived(
             "eigen", self._meta(sigma, balls=[b.tolist() for b in balls]),
             2 * cut[-1], lambda: eigendecompose(trace, n_modes=n),
-            lambda d: np.concatenate(
-                [d.eigenvalues, d.right.ravel(), d.left.ravel()]).view(float),
+            lambda d: [a.ravel().view(float)
+                       for a in (d.eigenvalues, d.right, d.left)],
             lambda data: checked_pairs(trace, *np.split(data.view(complex),
                                                         cut[:-1])))
 
@@ -163,8 +162,8 @@ class Pipeline:
         return self._derived(
             "qsd", self._meta(sigma, balls=[b.tolist() for b in balls]),
             cut[-1] + len(balls), lambda: solve_all_qsds(trace, balls),
-            lambda sols: np.concatenate([s.qsd for s in sols]
-                                        + [[s.next_modulus for s in sols]]),
+            lambda sols: [*(s.qsd for s in sols),
+                          [s.next_modulus for s in sols]],
             lambda data: solve_all_qsds(trace, balls, zip(
                 np.split(data, cut), data[cut[-1]:])))
 
@@ -183,8 +182,7 @@ class Pipeline:
             "table", self._table_meta, b * (self.grid.n_nodes + b),
             lambda: compute_h_matrix(self.model(self.cfg.sigmas[0]),
                                      self.grid, self.structure, self.cfg.r_hop),
-            lambda t: np.concatenate([t.v_surfaces.ravel(),
-                                      t.h_matrix.ravel()]),
+            lambda t: [t.v_surfaces, t.h_matrix],
             lambda data: table_from_costs(data[:-b * b].reshape(b, -1),
                                           data[-b * b:].reshape(b, b),
                                           self.cfg.r_hop))
@@ -355,7 +353,7 @@ def cmd_simulate(pipe: Pipeline):
     finite float; a runaway raises) and "step".  No events, an empty file."""
     cfg = pipe.cfg
     structure = pipe.structure
-    rows = []
+    rows, tape = [], Normals(cfg.seed)     # no kernel read: no cached tape
     for sigma in cfg.sigmas:
         model = pipe.model(sigma)
         if cfg.mc["sim_steps"] > 0:
@@ -370,7 +368,7 @@ def cmd_simulate(pipe: Pipeline):
             pairs = list(itertools.permutations(range(structure.n_balls), 2))
             ests = estimate_committor(
                 model, structure, pairs, cfg.mc["committor_runs"],
-                pipe.normals, workers=cfg.workers, step_cap=cfg.mc["step_cap"])
+                tape, workers=cfg.workers, step_cap=cfg.mc["step_cap"])
             rows += [(f"committor_{i}_to_{j}", sigma, est.estimate,
                       est.stderr, est.n_samples, cfg.seed)
                      for (i, j), est in zip(pairs, ests)]
@@ -383,7 +381,7 @@ def cmd_validate(pipe: Pipeline):
     cfg = pipe.cfg
     table = pipe.table
     n = pipe.structure.n_balls
-    overall = True
+    overall, tape = True, Normals(cfg.seed, pipe.cache_dir)
     for sigma in cfg.sigmas:
         checks = []
 
@@ -453,7 +451,7 @@ def cmd_validate(pipe: Pipeline):
             try:
                 est, = estimate_committor(
                     pipe.model(sigma), pipe.structure, [(0, 1)],
-                    cfg.mc["committor_runs"], pipe.normals,
+                    cfg.mc["committor_runs"], tape,
                     workers=cfg.workers, step_cap=cfg.mc["step_cap"])
             except (ZeroHits, SimulationTimeout) as exc:
                 add("committor_ldp", True, {"reason": str(exc)}, skipped=True)
@@ -473,7 +471,7 @@ def cmd_validate(pipe: Pipeline):
             try:
                 freqs, _ = empirical_diluted_trace(
                     pipe.model(sigma), pipe.structure, 0, model_r.m,
-                    cfg.mc["trace_blocks"], runs, pipe.normals,
+                    cfg.mc["trace_blocks"], runs, tape,
                     workers=cfg.workers, step_cap=cfg.mc["step_cap"])
             except SimulationTimeout as exc:
                 add("reduction_monte_carlo", True, {"reason": str(exc)},
@@ -497,6 +495,7 @@ def cmd_validate(pipe: Pipeline):
         write_json(pipe.out_dir / f"validate_{_sig_tag(sigma)}.json", {
             "sigma": sigma, "passed": passed, "checks": checks,
             "config_hash": cfg.config_hash})
+    tape.save()
     return 0 if overall else 1
 
 

@@ -10,15 +10,17 @@ staying in the box.
 
 The cache keeps kernels as ``<key>.kern`` data and ``<key>.meta.json``, keyed
 on ``kernel_metadata``.  Under ``derived/<kind>``, per ``DERIVED`` kind, keyed
-also on: the kernel's top k eigenvalues, on k; the trace on M, on M's grid
-indices; its top-N eigenpairs and each ball's QSD and next modulus, on the
-balls' grid indices (M is their union); the H table and the largest relative
-change of H under grid refinement (one float), on r_hop and the balls'
-centres and radii, but not on sigma.  No entry records a seed, theta, MC
-budget, refinement tolerance (``validate`` judges the float) or path.  A save
-makes every derived folder, so a kernels-only cache keeps its top-level
-listing.  Metadata records its data's CRC-32, so damaged data is a miss.
-Bump ``CACHE_SCHEMA`` whenever the bits an entry holds for its metadata change.
+also on ``CACHE_SCHEMA`` and: the kernel's top k eigenvalues, on k; the trace
+on M, on M's grid indices; its top-N eigenpairs and each ball's QSD and next
+modulus, on the balls' grid indices (M is their union); the H table and the
+largest relative change of H under grid refinement (one float), on r_hop and
+the balls' centres and radii, but not on sigma; the Monte Carlo normals, on
+the seed, the stream and numpy's version alone (``montecarlo.Normals``).  No
+entry records theta, an MC budget, the refinement tolerance (``validate``
+judges the float) or a path.  A save makes every derived folder, so a
+kernels-only cache keeps its top-level listing.  Metadata records its data's
+CRC-32, so damaged data is a miss.  Bump ``KERNEL_SCHEMA`` when a kernel's
+bits change, ``CACHE_SCHEMA`` when a derived entry's bits do.
 """
 
 from __future__ import annotations
@@ -38,10 +40,12 @@ from .errors import DegenerateRow, NonRecurrentComplement, NumericError
 ROW_SUM_TOL = 1e-12
 TRACE_ROW_TOL = 1e-10
 RAW_ROW_FLOOR = 1e-300          # least sum of a row's exp(-rate/sigma^2)
-CACHE_SCHEMA = 4                # bump when a cached entry's bits change
+KERNEL_SCHEMA = 4               # bump when a cached kernel's bits change
+CACHE_SCHEMA = 4                # bump when a derived entry's bits change
 ROW_CHUNK = 256                 # kernel rows assembled per block
 GATHER_COLS = 64                # columns of Id - K_CC gathered per block
-DERIVED = ("spectrum", "trace", "eigen", "qsd", "table", "refinement")
+DERIVED = ("spectrum", "trace", "eigen", "qsd", "table", "refinement",
+           "normals")
 
 
 @dataclass(frozen=True)
@@ -212,7 +216,7 @@ def invariant_measure(kernel):
 # --- cache ------------------------------------------------------------------
 
 def kernel_metadata(model, grid):
-    return {"cache_schema": CACHE_SCHEMA, "map_id": model.map_id,
+    return {"kernel_schema": KERNEL_SCHEMA, "map_id": model.map_id,
             "map_params": model.map_params, "dim": model.dim,
             "box": model.box.tolist(), "nodes": list(grid.shape),
             "sigma": model.sigma, "cov": model.cov.tolist()}
@@ -224,49 +228,53 @@ def cache_key(meta):
 
 
 def _entry(cache_dir, kind, meta):
-    """Data path and metadata path of an entry."""
-    key, d = cache_key(meta), Path(cache_dir)
-    if kind == "kernel":
-        return d / f"{key}.kern", d / f"{key}.meta.json"
-    d = d / "derived" / kind
-    return d / f"{key}.bin", d / f"{key}.json"
+    """Data path, metadata path and metadata, with CACHE_SCHEMA if derived."""
+    d, ext = Path(cache_dir), ("kern", "meta.json")
+    if kind != "kernel":
+        meta, d = dict(meta, cache_schema=CACHE_SCHEMA), d / "derived" / kind
+        ext = ("bin", "json")
+    key = cache_key(meta)
+    return d / f"{key}.{ext[0]}", d / f"{key}.{ext[1]}", meta
 
 
-def _text(meta, data):
-    """Metadata bytes of an entry holding ``data``: its key and CRC-32."""
-    return json.dumps(dict(meta, hash=cache_key(meta), crc32=zlib.crc32(data)),
+def _text(meta, crc):
+    """Metadata bytes of an entry whose data has CRC-32 ``crc``."""
+    return json.dumps(dict(meta, hash=cache_key(meta), crc32=crc),
                       sort_keys=True, indent=1).encode()
 
 
-def save_entry(cache_dir, kind, meta, data):
-    """Write the float64 data, then the metadata, each through a temporary
-    file and a rename, so a reader never sees a partial pair."""
+def save_entry(cache_dir, kind, meta, arrays):
+    """Write the float64 arrays in turn, never joined, then the metadata,
+    each through a temporary file and a rename: no partial pair is seen."""
     for sub in DERIVED:
         (Path(cache_dir) / "derived" / sub).mkdir(parents=True, exist_ok=True)
-    data = np.ascontiguousarray(data, "<f8").tobytes()
-    data_path, meta_path = _entry(cache_dir, kind, meta)
-    for path, blob in ((data_path, data), (meta_path, _text(meta, data))):
+    data_path, meta_path, meta = _entry(cache_dir, kind, meta)
+    data, crc = [np.ascontiguousarray(a, "<f8") for a in arrays], 0
+    for a in data:
+        crc = zlib.crc32(a, crc)
+    for path, blobs in ((data_path, data), (meta_path, [_text(meta, crc)])):
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_bytes(blob)
+        with open(tmp, "wb") as f:
+            f.writelines(blobs)
         os.replace(tmp, path)
     return cache_key(meta)
 
 
-def load_entry(cache_dir, kind, meta, size):
-    """The entry's ``size`` float64 values on an exact metadata and CRC-32
-    match, else None: a missing, garbled or damaged file is a miss."""
-    data_path, meta_path = _entry(cache_dir, kind, meta)
+def load_entry(cache_dir, kind, meta, size=None):
+    """The entry's float64 values (``size`` of them, if given) on an exact
+    metadata and CRC-32 match, else None: a damaged file is a miss."""
+    data_path, meta_path, meta = _entry(cache_dir, kind, meta)
     if (meta_path.exists() and data_path.exists()
-            and data_path.stat().st_size == 8 * size):
+            and (size is None or data_path.stat().st_size == 8 * size)):
         data = np.fromfile(data_path, dtype="<f8")
-        if meta_path.read_bytes() == _text(meta, data):
+        if meta_path.read_bytes() == _text(meta, zlib.crc32(data)):
             return data
     return None
 
 
 def save_kernel(cache_dir, model, grid, kernel):
     return save_entry(cache_dir, "kernel", kernel_metadata(model, grid),
-                      kernel.matrix)
+                      [kernel.matrix])
 
 
 def load_kernel(cache_dir, model, grid):

@@ -5,8 +5,8 @@ master seed and a worker id, so every estimate is a pure function of
 (config, master seed, worker count).  Workers own contiguous blocks of runs,
 each on its own stream; all blocks are stepped together in one process, so
 the worker count sets only this stream layout.  A command's estimators
-share one ``Normals`` tape, which draws each stream once and hands every
-read views of what it recorded; each worker block keeps its position.
+share one ``Normals`` tape, which draws each stream once (once per cache in
+``validate``) and replays it to every read; each worker block keeps its place.
 
 The single chain of ``simulate_chain`` is stepped parallel in time, and is
 bit for bit the chain stepped one step at a time: chains driven by the same
@@ -27,6 +27,7 @@ import numpy as np
 from .config import DEFAULT_STEP_CAP, MIN_COMMITTOR_RUNS, MIN_TRACE_RUNS
 from .dynamics import _in_closed_ball
 from .errors import NumericError, Runaway, SimulationTimeout, ZeroHits
+from .kernel import load_entry, save_entry
 
 RUNAWAY_FACTOR = 100.0
 SEGMENT = 256               # steps per segment of the parallel-in-time sweep
@@ -46,16 +47,48 @@ def rng_stream(master_seed, worker_id):
 
 class Normals:
     """Each stream (seed, w), drawn once in chunks (chunk c: what a read
-    asks or 2^c normals, at most TAPE_CHUNK) and replayed to every read,
-    as Philox gives the same normals however draws split.  A read hands
-    out views of the recorded chunks, which are never copied again.  Past
-    TAPE_BYTES a stream records no more; a read past its end goes on with
-    a generator restored there."""
+    asks or 2^c normals, at most TAPE_CHUNK) and replayed to every read, as
+    Philox gives the same normals however draws split.  A read hands out
+    views of the recorded chunks, never copied again.  Past TAPE_BYTES a
+    stream records no more; a read past its end goes on with a generator
+    restored there.  Given ``cache_dir``, a first read loads the stream's
+    ``derived/normals`` entry if it fits that cap: 13 uint64 words of Philox
+    state at its end (counter 4, key 2, buffer 4, buffer_pos, has_uint32,
+    uinteger), then normals.  ``save`` writes each stream recorded past its
+    entry: a seed takes at most TAPE_BYTES on disk for one worker count."""
 
-    def __init__(self, seed):
-        self.seed, self.nbytes = seed, 0
+    def __init__(self, seed, cache_dir=None):
+        self.seed, self.cache_dir, self.nbytes = seed, cache_dir, 0
+        self.meta = {"seed": int(seed), "numpy": np.__version__}
         # w -> (chunks, offsets of their starts and end, generator at the end)
-        self.streams = {}
+        self.streams, self.cached = {}, {}     # w -> normals its entry holds
+
+    def _open(self, w):
+        """Start stream w's record, from its cache entry if one fits."""
+        rng, data = rng_stream(self.seed, w), None
+        if self.cache_dir is not None:
+            data = load_entry(self.cache_dir, "normals",
+                              dict(self.meta, stream=w))
+        n = -1 if data is None else data.size - 13
+        self.streams[w], self.cached[w] = ([], [0], rng), max(n, 0)
+        if n >= 0 and self.nbytes + 8 * n <= TAPE_BYTES:
+            h = data[:13].view(np.uint64).tolist()
+            rng.bit_generator.state = {"bit_generator": "Philox", "state": {
+                "counter": h[:4], "key": h[4:6]}, "buffer": h[6:10],
+                "buffer_pos": h[10], "has_uint32": h[11], "uinteger": h[12]}
+            self.streams[w] = ([data[13:]], [0, n], rng)
+            self.nbytes += 8 * n
+
+    def save(self):
+        """Write each stream recorded past its cache entry's end."""
+        for w, (chunks, starts, rng) in self.streams.items():
+            if starts[-1] > self.cached[w]:
+                s = rng.bit_generator.state
+                h = np.array([*s["state"]["counter"], *s["state"]["key"],
+                              *s["buffer"], s["buffer_pos"], s["has_uint32"],
+                              s["uinteger"]], np.uint64)
+                save_entry(self.cache_dir, "normals",
+                           dict(self.meta, stream=w), [h.view("<f8"), *chunks])
 
     def read(self, w, at, n, parts):
         """Append stream w's normals at, ..., at + n - 1 to ``parts`` and
@@ -65,7 +98,7 @@ class Normals:
             parts.append(at.standard_normal(n))
             return at
         if w not in self.streams:
-            self.streams[w] = ([], [0], rng_stream(self.seed, w))
+            self._open(w)
         chunks, starts, rng = self.streams[w]
         end = at + n
         while starts[-1] < end:

@@ -264,17 +264,19 @@ def outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
 
 
-ALL_KINDS = {"kernel", *metareduce.kernel.DERIVED}
+# every kind but the Monte Carlo tape, which the model does not enter
+MODEL_KINDS = {"kernel", *metareduce.kernel.DERIVED} - {"normals"}
 # what each entry is built from, so changing it must make a new entry; the
 # balls (delta) key the eigenpairs and QSDs but not the kernel's spectrum
 KEYED = [
     ("sigma", 0.4, {"kernel", "trace", "spectrum", "eigen", "qsd"}),
-    ("box", [[-2.2, 2.2]], ALL_KINDS),
-    ("cov", [[0.8]], ALL_KINDS),
-    ("grid_nodes", 121, ALL_KINDS),
-    ("map", {"name": "tanh", "params": {"beta": 2.2}}, ALL_KINDS),
+    ("box", [[-2.2, 2.2]], MODEL_KINDS),
+    ("cov", [[0.8]], MODEL_KINDS),
+    ("grid_nodes", 121, MODEL_KINDS),
+    ("map", {"name": "tanh", "params": {"beta": 2.2}}, MODEL_KINDS),
     ("delta", 0.25, {"trace", "eigen", "qsd", "table", "refinement"}),
     ("r_hop", 1.2, {"table", "refinement"}),
+    ("seed", 12, {"normals"}),
 ]
 BUILDERS = ((metareduce.cli, "discretize_kernel"),
             (metareduce.cli, "trace_kernel"),
@@ -283,6 +285,8 @@ BUILDERS = ((metareduce.cli, "discretize_kernel"),
             (metareduce.cli, "eigenvalues"),
             (metareduce.cli, "eigendecompose"))
 SMALL_MC = {"committor_runs": 200, "trace_runs": 1000, "sim_steps": 0}
+# fewer committor runs and the same trace runs: no read past SMALL_MC's tape
+SMALLER_MC = {"committor_runs": 100, "trace_runs": 1000, "sim_steps": 0}
 
 
 def _scaled(blob):
@@ -317,38 +321,44 @@ class TestDerivedCache:
     def test_keyed_input_makes_new_entries(self, tmp_path, field, value,
                                            kinds):
         cache = tmp_path / "cache"
-        base = write_config(tmp_path, out_dir=str(tmp_path / "base-out"))
+        base = write_config(tmp_path, mc=SMALL_MC,
+                            out_dir=str(tmp_path / "base-out"))
         assert run(base, "validate") in (0, 1)
         before = cache_entries(cache)
         assert all(before.values())
-        assert run(write_config(tmp_path, **{field: value}), "validate") \
-            in (0, 1)
+        assert run(write_config(tmp_path, mc=SMALL_MC, **{field: value}),
+                   "validate") in (0, 1)
         after = cache_entries(cache)
         assert {k for k in after if after[k] != before[k]} == kinds
         assert all(len(after[k]) == 2 * len(before[k]) for k in kinds)
-        cold = write_config(tmp_path, **{field: value},
+        cold = write_config(tmp_path, mc=SMALL_MC, **{field: value},
                             out_dir=str(tmp_path / "cold-out"),
                             cache_dir=str(tmp_path / "cold-cache"))
         assert run(cold, "validate") in (0, 1)
         assert outputs(tmp_path / "cold-out") == outputs(tmp_path / "out")
 
     @pytest.mark.parametrize("field,value", [
-        ("seed", 12), ("theta", 0.05), ("mc", SMALL_MC), ("out_dir", "other"),
+        ("theta", 0.05), ("mc", SMALLER_MC), ("out_dir", "other"),
         ("tol_refine", 0.001)])
     def test_unkeyed_input_reuses_every_entry(self, tmp_path, monkeypatch,
                                               field, value):
         if field == "out_dir":
             value = str(tmp_path / value)
         cache = tmp_path / "cache"
-        assert run(write_config(tmp_path), "validate") in (0, 1)
+        assert run(write_config(tmp_path, mc=SMALL_MC), "validate") in (0, 1)
         before = cache_entries(cache)
+        files = {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                 for p in cache.rglob("*") if p.is_file()}
         calls = {name: count_calls(monkeypatch, module, name)
                  for module, name in BUILDERS}
-        assert run(write_config(tmp_path, **{field: value}), "validate") \
-            in (0, 1)
+        assert run(write_config(tmp_path, **{"mc": SMALL_MC, field: value}),
+                   "validate") in (0, 1)
         assert {name: len(c) for name, c in calls.items()} == {
             name: 0 for _, name in BUILDERS}
         assert cache_entries(cache) == before
+        # no file is rewritten: a smaller budget reads inside the tape
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in files} == files
         if field == "tol_refine":     # the cached change, judged afresh
             doc = json.loads(
                 (tmp_path / "out" / "validate_0.35.json").read_text())
@@ -409,7 +419,14 @@ class TestDerivedCache:
         before = listing()
         assert run(path, "validate") == 0
         assert listing() == before
-        assert all(cache_entries(cache).values())
+        entries = cache_entries(cache)
+        assert not entries.pop("normals")   # Monte Carlo is off
+        assert all(entries.values())
+        with_mc = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
+                               mc=SMALL_MC)
+        assert run(with_mc, "validate") in (0, 1)
+        assert listing() == before
+        assert len(list((cache / "derived" / "normals").glob("*.bin"))) == 2
 
     @pytest.mark.parametrize("damage,kind", DAMAGED,
                              ids=[f"{d}-{k}" for d, k in DAMAGED])
@@ -462,7 +479,7 @@ class TestDerivedCache:
             del meta["hash"], meta["crc32"]
             permuted = rng.permutation(np.fromfile(p))
             assert metareduce.kernel.save_entry(cache, kind, meta,
-                                                permuted) == p.stem
+                                                [permuted]) == p.stem
             assert p.read_bytes() != good[p]
             assert np.array_equal(metareduce.kernel.load_entry(
                 cache, kind, meta, permuted.size), permuted)
@@ -881,6 +898,39 @@ class TestNormalsTape:
             assert len(reads) == 4          # 2 sigmas x 2 estimators
             assert max(reads) <= n <= max(reads) + 1000
             assert sum(reads) > max(reads) + 1000   # the replay saved draws
+
+    def test_warm_validate_draws_nothing(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.4],
+                            mc=self.MC)
+        first = run(path, "validate")
+        cold = outputs(tmp_path / "out")
+        drawn, _ = count_normals(monkeypatch)
+        warm = tmp_path / "warm-out"
+        assert run(path, "validate", "--out", str(warm)) == first
+        assert drawn == {}
+        assert outputs(warm) == cold
+
+    def test_larger_budget_draws_its_extension(self, tmp_path, monkeypatch):
+        # the tape loaded from the cache is read on past its end: only the
+        # normals past it are drawn, at most one chunk more than are read
+        monkeypatch.setattr(metareduce.montecarlo, "TAPE_CHUNK", 1000)
+        drawn, readers = count_normals(monkeypatch)
+        assert run(write_config(tmp_path, sigma=None, sigmas=[0.5, 0.4],
+                                mc=self.MC), "validate") in (0, 1)
+        loaded, first = dict(drawn), len(readers)
+        more = dict(self.MC, trace_runs=2000)
+        warm = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.4], mc=more,
+                            out_dir=str(tmp_path / "warm"))
+        assert run(warm, "validate") in (0, 1)
+        assert sorted(drawn) == sorted(loaded) == [(11, 0), (11, 1)]
+        for (_, w), n in loaded.items():
+            extension = max(k for v, k in readers[first:] if v == w) - n
+            assert 0 < extension <= drawn[11, w] - n <= extension + 1000
+        cold = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.4], mc=more,
+                            out_dir=str(tmp_path / "cold"),
+                            cache_dir=str(tmp_path / "cold-cache"))
+        assert run(cold, "validate") in (0, 1)
+        assert outputs(tmp_path / "warm") == outputs(tmp_path / "cold")
 
     def test_each_command_draws_again(self, tmp_path, monkeypatch):
         drawn, _ = count_normals(monkeypatch)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import metareduce as mr
+import metareduce.kernel
 import metareduce.montecarlo
 from metareduce.dynamics import DeterministicMapModel
 from metareduce.errors import (DegenerateRow, NonRecurrentComplement,
@@ -438,6 +439,29 @@ class TestKernelCache:
         data = path.read_bytes()
         path.write_bytes(data[:change] if change < 0 else data + b"\0" * change)
         assert load_kernel(tmp_path, model, g) is None
+
+    def test_schemas_key_their_own_entries(self, tmp_path, monkeypatch):
+        # CACHE_SCHEMA keys the derived entries alone, so a bump for them
+        # renames no kernel; KERNEL_SCHEMA renames the kernels
+        model = make_ref_model(0.5)
+        g = Grid.from_box(model.box, 51)
+        K = mr.discretize_kernel(model, g)
+
+        def names(**schemas):
+            for name, value in schemas.items():
+                monkeypatch.setattr(metareduce.kernel, name, value)
+            cache = tmp_path / str(len(list(tmp_path.iterdir())))
+            save_kernel(cache, model, g, K)
+            meta = dict(metareduce.kernel.kernel_metadata(model, g), k=2)
+            metareduce.kernel.save_entry(cache, "spectrum", meta, [[1.0]])
+            return ({p.name for p in cache.glob("*.kern")},
+                    {p.name for p in cache.glob("derived/spectrum/*.bin")})
+
+        base = names(CACHE_SCHEMA=4, KERNEL_SCHEMA=4)
+        derived = names(CACHE_SCHEMA=5)
+        kernel = names(CACHE_SCHEMA=4, KERNEL_SCHEMA=5)
+        assert derived[0] == base[0] and derived[1] != base[1]
+        assert kernel[0] != base[0] and kernel[1] != base[1]
 
     def test_cache_key_sensitivity(self):
         base = {"map_id": "tanh", "dim": 1, "box": [[-2, 2]], "nodes": [101],

@@ -16,6 +16,7 @@ from metareduce.errors import (NumericError, Runaway, SimulationTimeout,
 from metareduce.dynamics import (DeterministicMapModel, MetastableStructure,
                                  _in_closed_ball)
 from metareduce.maps import build_map, builtin_names
+from metareduce.kernel import save_entry
 from metareduce.montecarlo import Normals, fit_log_scaling
 
 from test_maps import PARAMS as MAP_PARAMS
@@ -1125,6 +1126,63 @@ class TestNormals:
         for _ in range(3):
             tape.read(0, 0, 250, [])
         assert sum(c.size for c in tape.streams[0][0]) == 250
+
+    @pytest.mark.parametrize("cap", [None, 700])
+    def test_cached_tape_replays_its_streams(self, tmp_path, monkeypatch,
+                                             cap):
+        # a tape saves 300 normals of stream 0 and 200 of stream 1; a tape
+        # loading them reads inside, across and past that stretch as a fresh
+        # generator does; a cap of 700 normals sends its last reads past it
+        monkeypatch.setattr(metareduce.montecarlo, "TAPE_CHUNK", 100)
+        if cap is not None:
+            monkeypatch.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * cap)
+        first = Normals(MASTER_SEED, tmp_path)
+        for w, n in ((0, 300), (1, 200)):
+            first.read(w, 0, n, [])
+        first.save()
+        tape, at, parts = Normals(MASTER_SEED, tmp_path), [0, 0], [[], []]
+        for n in (150, 100, 200, 350, 250):
+            for w in (0, 1):
+                at[w] = tape.read(w, at[w], n, parts[w])
+        for w in (0, 1):
+            want = mr.rng_stream(MASTER_SEED, w).standard_normal(1050)
+            assert np.concatenate(parts[w]).tobytes() == want.tobytes()
+        assert tape.cached == {0: 300, 1: 200}
+        assert [len(tape.streams[w][0][0]) for w in (0, 1)] == [300, 200]
+        # loaded normals count toward the cap
+        assert 8 * 500 <= recorded(tape) <= 8 * (cap or 2 * 1100)
+
+    def test_load_past_the_cap_is_skipped(self, tmp_path, monkeypatch):
+        # 300 normals of stream 0 are loaded; stream 1's 200 would pass a
+        # cap of 450, so it is drawn afresh, recording 100, and its longer
+        # entry is kept
+        first = Normals(MASTER_SEED, tmp_path)
+        for w, n in ((0, 300), (1, 200)):
+            first.read(w, 0, n, [])
+        first.save()
+        entries = {p: p.read_bytes() for p in tmp_path.rglob("*.bin")}
+        monkeypatch.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * 450)
+        tape, at, parts = Normals(MASTER_SEED, tmp_path), [0, 0], [[], []]
+        for w, n in ((0, 250), (1, 100), (1, 150)):
+            at[w] = tape.read(w, at[w], n, parts[w])
+        assert tape.cached == {0: 300, 1: 200}
+        assert [tape.streams[w][1] for w in (0, 1)] == [[0, 300], [0, 100]]
+        for w, z in enumerate(parts):
+            want = mr.rng_stream(MASTER_SEED, w).standard_normal(250)
+            assert np.concatenate(z).tobytes() == want.tobytes()
+        tape.save()
+        assert {p: p.read_bytes() for p in entries} == entries
+
+    def test_short_entry_is_a_miss(self, tmp_path):
+        # fewer words than the Philox state: the stream is drawn afresh
+        tape = Normals(MASTER_SEED, tmp_path)
+        save_entry(tmp_path, "normals", dict(tape.meta, stream=0),
+                   [np.zeros(12)])
+        parts = []
+        tape.read(0, 0, 5, parts)
+        assert tape.cached == {0: 0}
+        want = mr.rng_stream(MASTER_SEED, 0).standard_normal(5)
+        assert parts[0].tobytes() == want.tobytes()
 
 
 class TestFitLogScaling:
