@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BallConstructionFailed, ConfigError, DriftViolated,
-                     MarginalFixedPoint, NoStableFixedPoint, NumericError)
+from .errors import (BallConstructionFailed, ConfigError, MarginalFixedPoint,
+                     NoStableFixedPoint, NumericError)
 from .grid import Grid
 
 STABILITY_MARGIN = 1e-6         # |rho - 1| below this is marginal
@@ -314,38 +314,32 @@ def _ball_invariant(model, center, radius):
 
 @dataclass(frozen=True)
 class DriftReport:
-    max_drift: float
-    epsilon: float
-    n_samples: int
-    contraction_ok: bool
+    """Each sample of ``check_lyapunov_drift`` and its drift, in draw
+    order; the drift condition holds when every drift is negative."""
+    samples: np.ndarray     # (64, d)
+    drifts: np.ndarray      # (64,)
 
 
 def check_lyapunov_drift(model):
     """Drift of U(x) = |x - c|^2, c the box centre, under one noisy step,
-    at 64 points (seed 2) in the shell 1.05 to 2 half-diagonals from c.
+    at 64 points (seed 2) in the shell 1.05 to 2 half-diagonals from c:
+    each draws a direction, then a radius, and all map in one ``pi`` call.
 
     For Gaussian noise the expectation is exact:
-    E|pi(x) + sigma xi - c|^2 = |pi(x) - c|^2 + sigma^2 tr(cov).  Raises
-    DriftViolated at the first sample with nonnegative drift.
+    E|pi(x) + sigma xi - c|^2 = |pi(x) - c|^2 + sigma^2 tr(cov).  A negative
+    drift gives |pi(x) - c| < |x - c| in floating point too, as
+    sigma^2 tr(cov) >= 0 and rounding is monotone.  Never raises.
     """
     rng = np.random.default_rng(2)
     lo, hi = model.box[:, 0], model.box[:, 1]
     center, half = (lo + hi) / 2, (hi - lo) / 2
-    trace_cov = float(np.trace(model.cov))
-    r0 = float(np.linalg.norm(half))
-
-    worst, contraction_ok = -np.inf, True
-    for _ in range(64):
+    xs = np.empty((64, model.dim))
+    for x in xs:
         u = rng.standard_normal(model.dim)
         u /= np.linalg.norm(u)
-        scale = 1.05 + 0.95 * rng.random()
-        x = center + u * scale * np.linalg.norm(half)
-        dx, dpx = x - center, model.pi(x) - center
-        drift = float(dpx @ dpx + model.sigma ** 2 * trace_cov - dx @ dx)
-        worst = max(worst, drift)
-        if drift >= 0:
-            raise DriftViolated(
-                f"nonnegative drift {drift:.3g} at {x}", sample=x, drift=drift)
-        if np.linalg.norm(dx) >= r0 and dpx @ dpx > dx @ dx:
-            contraction_ok = False
-    return DriftReport(worst, -worst, 64, contraction_ok)
+        x[:] = center + u * (1.05 + 0.95 * rng.random()) * np.linalg.norm(half)
+    noise = model.sigma ** 2 * float(np.trace(model.cov))
+    # one dot per row: a row sum over the batch may differ in the last bit
+    drifts = np.array([p @ p + noise - q @ q for p, q in
+                       zip(model.pi(xs) - center, xs - center)])
+    return DriftReport(xs, drifts)

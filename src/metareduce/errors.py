@@ -27,15 +27,6 @@ class BallConstructionFailed(NumericError):
     """Ball radius shrank below the floor without passing the invariance check."""
 
 
-class DriftViolated(NumericError):
-    """Lyapunov drift is nonnegative at a sampled point outside the box."""
-
-    def __init__(self, message, sample=None, drift=None):
-        super().__init__(message)
-        self.sample = sample
-        self.drift = drift
-
-
 # --- kernel -----------------------------------------------------------------
 
 class DegenerateRow(NumericError):

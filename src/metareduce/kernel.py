@@ -54,7 +54,8 @@ class KernelMatrix:
 
     ``kind`` is "stochastic" (rows sum to 1) or "substochastic" (rows sum to
     at most 1).  ``domain`` holds the flattened grid indices the rows/columns
-    refer to, so sub-kernels remember where they live.
+    refer to, strictly increasing, so sub-kernels remember where they live
+    and ``local_indices`` can search it.
     """
 
     matrix: np.ndarray
@@ -69,6 +70,8 @@ class KernelMatrix:
             raise NumericError("kernel matrix must be square")
         if m.shape[0] != self.domain.size:
             raise NumericError("domain size must match matrix dimension")
+        if (np.diff(self.domain) <= 0).any():
+            raise NumericError("kernel domain must be strictly increasing")
         if (m < 0).any():
             raise NumericError("kernel matrix entries must be nonnegative")
         sums = m.sum(axis=1)

@@ -166,6 +166,18 @@ class TestConfigErrors:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and field in err["message"]
 
+    @pytest.mark.parametrize("overrides,message", [
+        ({"map": {"name": "tanh", "params": {"beta": 2.0, "gamma": 1.0}}},
+         "unknown parameters for map 'tanh': ['gamma']"),
+        ({"map": {"name": "tanh2d", "params": {"beta": [2.0, 2.0]}}},
+         "map 'tanh2d' is 2D but config says dim=1")])
+    def test_map_rejected_as_model_is_built(self, tmp_path, capsys,
+                                            overrides, message):
+        path = write_config(tmp_path, **overrides)
+        assert run(path, "analyze") == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "ConfigError" and err["message"] == message
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--workers", "0", "workers"), ("--workers", "-2", "workers"),
         ("--seed", "-1", "seed")])
@@ -698,6 +710,15 @@ class TestSingleWell:
 
 
 class TestEmptyBall:
+    def test_ball_without_nodes_in_process(self, tmp_path, capsys):
+        # spacing 4/51: the nodes nearest the well at -0.9575 lie 0.023
+        # and 0.055 from it, outside a radius 0.01 ball
+        path = write_config(tmp_path, grid_nodes=52, delta=0.01)
+        assert run(path, "qsd") == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "BallConstructionFailed"
+        assert "holds no grid node" in err["message"]
+
     @pytest.mark.parametrize("command", ["qsd", "reduce", "validate"])
     def test_ball_without_nodes_named(self, tmp_path, command):
         # spacing 0.01 on 401 nodes: a radius 0.002 ball misses every node

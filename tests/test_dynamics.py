@@ -1,13 +1,15 @@
 """Fixed points, stability classification, metastable balls, drift."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import metareduce as mr
 from metareduce.dynamics import (DeterministicMapModel, FixedPointRecord,
                                  MetastableStructure)
-from metareduce.errors import (BallConstructionFailed, DriftViolated,
-                               MarginalFixedPoint, NoStableFixedPoint)
+from metareduce.errors import (BallConstructionFailed, MarginalFixedPoint,
+                               NoStableFixedPoint)
 from metareduce.maps import build_map
 
 from conftest import make_ref_model
@@ -232,8 +234,7 @@ class TestLyapunovDrift:
     def test_tanh_drift_negative(self):
         model = make_ref_model(0.3)
         rep = mr.check_lyapunov_drift(model)
-        assert rep.max_drift < 0
-        assert rep.contraction_ok
+        assert rep.drifts.max() < 0
         # closed-form oracle at x = 1.5: tanh(3)^2 + 0.09 - 2.25
         drift = np.tanh(3.0) ** 2 + 0.09 - 2.25
         assert drift == pytest.approx(-1.16987, abs=1e-4)
@@ -244,7 +245,7 @@ class TestLyapunovDrift:
         model = DeterministicMapModel(1, pi, jac, [[-2, 2]], [[1.0]], 0.0,
                                       "tanh")
         rep = mr.check_lyapunov_drift(model)
-        assert rep.max_drift < 0
+        assert rep.drifts.max() < 0
 
     def test_drift_measured_from_box_centre(self):
         # the reference map translated by 3 onto the box [1, 5]: the same
@@ -255,15 +256,38 @@ class TestLyapunovDrift:
             [[1.0, 5.0]], [[1.0]], 0.3, "tanh-shifted")
         rep = mr.check_lyapunov_drift(shifted)
         ref = mr.check_lyapunov_drift(make_ref_model(0.3))
-        assert rep.max_drift == pytest.approx(ref.max_drift, abs=1e-12)
-        assert rep.contraction_ok == ref.contraction_ok
+        np.testing.assert_allclose(rep.drifts, ref.drifts, rtol=0,
+                                   atol=1e-12)
 
     def test_expanding_map_violates(self):
-        model = linear_model(2.0)
-        with pytest.raises(DriftViolated) as err:
-            mr.check_lyapunov_drift(model)
-        assert err.value.drift >= 0
-        assert err.value.sample is not None
+        rep = mr.check_lyapunov_drift(linear_model(2.0))
+        bad = rep.drifts >= 0
+        assert bad.any()
+        sample = rep.samples[bad.argmax()]
+        assert sample.shape == (1,) and abs(sample[0]) >= 1.05  # the shell
+
+    @pytest.mark.parametrize("name, cov", [
+        ("tanh", [[1.0]]), ("coupled2d", [[1.0, 0.3], [0.3, 0.8]])])
+    def test_one_pi_call_per_point_bits(self, name, cov):
+        # the samples drawn one at a time, each mapped on its own: the
+        # batch must give the same points and drift bits in one pi call
+        dim, pi, jac = build_map(name, {})
+        model = DeterministicMapModel(dim, pi, jac, [[-2.0, 2.0]] * dim,
+                                      cov, 0.4, name)
+        calls = []
+        counted = dataclasses.replace(
+            model, pi=lambda x: calls.append(x.shape) or pi(x))
+        rep = mr.check_lyapunov_drift(counted)
+        assert calls == [(64, dim)]
+        rng, center = np.random.default_rng(2), np.zeros(dim)
+        r, tr = np.linalg.norm(np.full(dim, 2.0)), float(np.trace(model.cov))
+        for x, drift in zip(rep.samples, rep.drifts):
+            u = rng.standard_normal(dim)
+            u /= np.linalg.norm(u)
+            want = center + u * (1.05 + 0.95 * rng.random()) * r
+            assert x.tobytes() == want.tobytes()
+            dx, dpx = want - center, pi(want) - center
+            assert drift == dpx @ dpx + 0.4 ** 2 * tr - dx @ dx
 
 
 class TestModelValidation:

@@ -482,3 +482,19 @@ class TestKernelMatrixValidation:
     def test_substochastic_accepts_deficit(self):
         k = kernel_from_matrix([[0.5, 0.3], [0.1, 0.2]], kind="substochastic")
         assert k.kind == "substochastic"
+
+    @pytest.fixture
+    def k5(self):
+        m = np.random.default_rng(0).random((5, 5))
+        return kernel_from_matrix(m / m.sum(axis=1, keepdims=True))
+
+    def test_repeated_state_rejected(self, k5):
+        # a domain [1, 1, 3] would hold state 1 twice, its rows summing to
+        # 0.47, 0.47 and 0.88
+        with pytest.raises(NumericError, match="strictly increasing"):
+            mr.killed_kernel(k5, [1, 1, 3])
+
+    def test_unsorted_domain_rejected(self, k5):
+        # a trace on domain [3, 1] could not look up its own states
+        with pytest.raises(NumericError, match="strictly increasing"):
+            mr.trace_kernel(k5, [3, 1])

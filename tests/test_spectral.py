@@ -179,7 +179,7 @@ def _dense_pairs(K, n):
     return lam[order].astype(complex), R / c, L * c[:, None], at
 
 
-class TestInverseIteration:
+class TestFewModes:
     """``eigendecompose`` with few modes, against closed forms and one
     dense solve of all pairs made in the test."""
 
@@ -307,6 +307,20 @@ class TestSolveQsd:
         assert sol.next_modulus == pytest.approx(0.2, abs=1e-12)
         assert sol.gap_ratio == pytest.approx(2 / 7, abs=1e-12)
         assert sol.mean_killing_time == pytest.approx(1 / 0.3, abs=1e-10)
+
+    def test_ball_leaking_through_its_last_state(self):
+        # only state 2 leaks, so states 0 and 1 reach the leak through
+        # their edges: q K = 0.6 q gives q1 = 4 q0 and q2 = 20 q0 / 3
+        trace = kernel_from_matrix([[0.6, 0.4, 0, 0], [0, 0.5, 0.5, 0],
+                                    [0, 0, 0.3, 0.7],
+                                    [0.25, 0.25, 0.25, 0.25]])
+        sol = mr.solve_qsd(trace, [0, 1, 2])
+        assert (sol.escape_rows > 0).tolist() == [False, False, True]
+        np.testing.assert_allclose(sol.qsd, np.array([3, 12, 20]) / 35,
+                                   rtol=0, atol=1e-12)
+        assert sol.lambda0 == pytest.approx(0.6, abs=1e-12)
+        assert sol.escape == pytest.approx(0.4, abs=1e-12)
+        assert sol.next_modulus == pytest.approx(0.5, abs=1e-12)
 
     def test_scalar_multiple_of_identity_rejected(self):
         padded = kernel_from_matrix(
