@@ -28,8 +28,8 @@ _MC_DEFAULTS = {
     "step_cap": DEFAULT_STEP_CAP,
 }
 _FIELDS = {"schema", "map", "dim", "box", "cov", "sigma", "sigmas",
-           "grid_nodes", "delta", "theta", "r_hop", "mc", "tol_refine",
-           "seed", "workers", "out_dir", "cache_dir"}
+           "grid_nodes", "delta", "theta", "r_hop", "mc", "seed", "workers",
+           "out_dir", "cache_dir"}
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class RunConfig:
     theta: object                # float or "auto"
     r_hop: float
     mc: dict
-    tol_refine: float
     seed: int
     workers: int
     out_dir: str
@@ -191,8 +190,6 @@ def parse_config(doc):
         if 0 < mc[key] < least:
             raise ConfigError(f"mc.{key} must be 0 (off) or >= {least}")
 
-    tol_refine = _positive("tol_refine", doc.get("tol_refine", 0.05))
-
     seed = _integer("seed", doc.get("seed", 0))
     if seed < 0:
         raise ConfigError("field 'seed' must be >= 0")
@@ -209,6 +206,6 @@ def parse_config(doc):
         map_name=name, map_params=dict(params), dim=dim,
         box=box_arr.tolist(), cov=np.atleast_2d(np.asarray(cov, float)).tolist(),
         sigmas=sigmas, grid_nodes=nodes, delta=delta, theta=theta,
-        r_hop=r_hop, mc=mc, tol_refine=tol_refine, seed=seed, workers=workers,
+        r_hop=r_hop, mc=mc, seed=seed, workers=workers,
         out_dir=str(doc.get("out_dir", "out")),
         cache_dir=str(doc.get("cache_dir", ".metareduce-cache")))

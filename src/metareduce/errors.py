@@ -85,13 +85,5 @@ class Runaway(NumericError):
     """Simulated state left the 100 * diam(X) safety region."""
 
 
-class ZeroHits(NumericError):
-    """No committor run reached the target ball."""
-
-    def __init__(self, message, upper_bound=None):
-        super().__init__(message)
-        self.upper_bound = upper_bound
-
-
 class SimulationTimeout(NumericError):
     """A single run exceeded the step cap."""

@@ -89,7 +89,10 @@ class KernelMatrix:
         return self.matrix.shape[0]
 
     def local_indices(self, subset):
-        """Positions inside this kernel's domain of the given grid indices."""
+        """Positions inside this kernel's domain of the given grid indices,
+        which must be strictly increasing."""
+        if (np.diff(subset) <= 0).any():
+            raise NumericError("subset must be strictly increasing")
         pos = np.searchsorted(self.domain, subset)
         if (pos >= self.domain.size).any() or (self.domain[pos] != subset).any():
             raise NumericError("subset is not contained in the kernel domain")
@@ -160,10 +163,10 @@ def trace_kernel(kernel, subset):
     if kernel.kind != "stochastic":
         raise NumericError("trace_kernel needs a stochastic kernel")
     subset = np.asarray(subset, dtype=int)
-    if subset.size == kernel.domain.size:
+    loc = kernel.local_indices(subset)
+    if subset.size == kernel.domain.size:   # checked above: all of it
         return KernelMatrix(kernel.matrix.copy(), "stochastic",
                             kernel.domain.copy())
-    loc = kernel.local_indices(subset)
     comp = np.setdiff1d(np.arange(kernel.size), loc)
     K = kernel.matrix
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve

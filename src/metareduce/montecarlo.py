@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_STEP_CAP, MIN_COMMITTOR_RUNS, MIN_TRACE_RUNS
 from .dynamics import _in_closed_ball
-from .errors import NumericError, Runaway, SimulationTimeout, ZeroHits
+from .errors import NumericError, Runaway, SimulationTimeout
 from .kernel import load_entry, save_entry
 
 RUNAWAY_FACTOR = 100.0
@@ -311,7 +311,7 @@ class EstimateWithError:
     stderr: float
     n_samples: int
     sigma: float
-    log_scale: float = field(default=np.nan)   # sigma^2 log(estimate)
+    log_scale: float = field(default=np.nan)   # sigma^2 log(estimate) or -inf
 
 
 def _run(model, groups, seed, workers, step_cap, what, retire, *state):
@@ -394,7 +394,9 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
                        step_cap=DEFAULT_STEP_CAP):
     """For each ordered pair (i, j) of ``pairs``, P[reach ball j before
     returning to ball i], started at the i-th stable point so the first
-    step is the displacing noise kick.  Returns one estimate per pair.
+    step is the displacing noise kick.  Returns one estimate per pair; a
+    pair that no run reaches reads 0 with stderr 0 and log_scale -inf, an
+    ordinary binomial count whose 95% upper bound is 3 / n_runs.
 
     Membership is tested only after a step (first-passage times
     tau+ = min{n >= 1 : X_n in B}), so a run still inside ball i after the
@@ -432,13 +434,10 @@ def estimate_committor(model, structure, pairs, n_runs, seed, workers=1,
     _run(model, [(c[i], n_runs, 0) for i in pairs[:, 0]], seed, workers,
          step_cap, "committor", retire, np.arange(len(pairs) * n_runs))
     hits = hit.reshape(-1, n_runs).sum(axis=1)
-    if not hits.all():
-        i, j = pairs[hits.argmin()]       # the first pair with no hit
-        raise ZeroHits(f"no run from ball {i} reached ball {j}",
-                       upper_bound=3.0 / n_runs)
     return [EstimateWithError(p, float(np.sqrt(p * (1.0 - p) / n_runs)),
                               n_runs, model.sigma,
-                              float(model.sigma ** 2 * np.log(p)))
+                              float(model.sigma ** 2 * np.log(p)) if p
+                              else -np.inf)
             for p in (hits / n_runs).tolist()]
 
 

@@ -154,7 +154,9 @@ class TestConfigErrors:
          "symmetric"),
         # the second run of a sigma would overwrite the first's files
         ({"sigma": None, "sigmas": [0.5, 0.4, 0.5]},
-         "'sigmas' repeats a value: [0.5, 0.4, 0.5]")])
+         "'sigmas' repeats a value: [0.5, 0.4, 0.5]"),
+        # validate's refinement tolerance is a constant, no longer a field
+        ({"tol_refine": 0.05}, "unknown fields: ['tol_refine']")])
     def test_malformed_value_names_field(self, tmp_path, capsys, overrides,
                                          field):
         if isinstance(overrides, str):
@@ -350,8 +352,7 @@ class TestDerivedCache:
         assert outputs(tmp_path / "cold-out") == outputs(tmp_path / "out")
 
     @pytest.mark.parametrize("field,value", [
-        ("theta", 0.05), ("mc", SMALLER_MC), ("out_dir", "other"),
-        ("tol_refine", 0.001)])
+        ("theta", 0.05), ("mc", SMALLER_MC), ("out_dir", "other")])
     def test_unkeyed_input_reuses_every_entry(self, tmp_path, monkeypatch,
                                               field, value):
         if field == "out_dir":
@@ -371,14 +372,6 @@ class TestDerivedCache:
         # no file is rewritten: a smaller budget reads inside the tape
         assert {p: (p.read_bytes(), p.stat().st_mtime_ns)
                 for p in files} == files
-        if field == "tol_refine":     # the cached change, judged afresh
-            doc = json.loads(
-                (tmp_path / "out" / "validate_0.35.json").read_text())
-            detail, = [c["detail"] for c in doc["checks"]
-                       if c["name"] == "grid_refinement_stability"]
-            assert detail["tolerance"] == 0.001
-            assert detail["warning"] == (
-                detail["max_relative_change"] > 0.001)
 
     @pytest.fixture(scope="class")
     def cold(self, tmp_path_factory):
@@ -783,6 +776,23 @@ class TestSimulate:
         first = json.loads(events.splitlines()[0])
         assert set(first) == {"step", "ball", "kind", "position"}
 
+    def test_zero_hit_sigma_writes_every_row(self, tmp_path, capsys):
+        # at sigma 0.15 no committor run reaches the other well: an estimate
+        # of 0, and the rows of sigma 0.5 are still written
+        path = write_config(tmp_path, sigma=None, sigmas=[0.5, 0.15],
+                            workers=None, mc={"committor_runs": 1000,
+                                              "trace_runs": 0,
+                                              "sim_steps": 0})
+        assert run(path, "simulate") == 0
+        assert capsys.readouterr().err == ""
+        rows = [l.split(",") for l in (tmp_path / "out" / "results.csv")
+                .read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [
+            ["committor_0_to_1", "0.5"], ["committor_1_to_0", "0.5"],
+            ["committor_0_to_1", "0.15"], ["committor_1_to_0", "0.15"]]
+        assert all(float(r[2]) > 0.0 for r in rows[:2])
+        assert [r[2:] for r in rows[2:]] == [["0.0", "0.0", "1000", "11"]] * 2
+
     @pytest.mark.parametrize("overrides", [
         {"sigma": 0.4},
         {"map": {"name": "tanh2d", "params": {"beta": [2.0, 2.0]}}, "dim": 2,
@@ -1166,8 +1176,10 @@ class TestValidate:
             assert by_name[name]["skipped"] and by_name[name]["passed"]
             assert re.fullmatch(reason, by_name[name]["detail"]["reason"])
 
-    def test_coarse_grid_refinement_warning(self, tmp_path):
-        path = write_config(tmp_path, grid_nodes=51, tol_refine=0.01)
+    def test_coarse_grid_refinement_warning(self, tmp_path, monkeypatch):
+        # 51 nodes read a change of 0.0191
+        monkeypatch.setattr(metareduce.cli, "TOL_REFINE", 0.01)
+        path = write_config(tmp_path, grid_nodes=51)
         run(path, "validate")
         doc = json.loads(
             (tmp_path / "out" / "validate_0.35.json").read_text())

@@ -498,3 +498,17 @@ class TestKernelMatrixValidation:
         # a trace on domain [3, 1] could not look up its own states
         with pytest.raises(NumericError, match="strictly increasing"):
             mr.trace_kernel(k5, [3, 1])
+
+    @pytest.mark.parametrize("func", ["trace_kernel", "killed_kernel"])
+    @pytest.mark.parametrize("subset,match", [
+        ([7, 8, 9, 10, 11], "not contained"),
+        ([0, 0, 1, 2, 4], "strictly increasing"),
+        ([3, 1], "strictly increasing"),
+        ([1, 1, 3], "strictly increasing")])
+    def test_subset_checked_before_any_solve(self, k5, monkeypatch, func,
+                                             subset, match):
+        # five indices are the whole domain only if they are its indices
+        import scipy.linalg
+        monkeypatch.setattr(scipy.linalg, "lu_factor", None)   # no LU runs
+        with pytest.raises(NumericError, match=match):
+            getattr(mr, func)(k5, subset)

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import metareduce as mr
 import metareduce.montecarlo
-from metareduce.errors import (NumericError, Runaway, SimulationTimeout,
-                               ZeroHits)
+from metareduce.errors import NumericError, Runaway, SimulationTimeout
 from metareduce.dynamics import (DeterministicMapModel, MetastableStructure,
                                  _in_closed_ball)
 from metareduce.maps import build_map, builtin_names
@@ -624,7 +623,7 @@ class TestEstimateCommittor:
             mr.estimate_committor(never_stepped(), structure, pairs, 200,
                                   MASTER_SEED)
 
-    def test_first_zero_hit_pair_raises(self):
+    def test_zero_hit_pairs_read_zero(self):
         # pi(x) = 0: runs from balls 1 and 2 hit ball 0 at once, runs from
         # ball 0 return at once, so pairs (0, 1) and (0, 2) have no hits
         dim, pi, jac = build_map("linear", {"a": 0.0})
@@ -632,14 +631,11 @@ class TestEstimateCommittor:
                                       "zero")
         st = MetastableStructure(np.array([[0.0], [1.5], [-1.5]]),
                                  np.array([0.5, 0.1, 0.1]), 0.1)
-        ests = mr.estimate_committor(model, st, [(1, 0), (2, 0)], 100,
+        ests = mr.estimate_committor(model, st, [(1, 0), (0, 2), (0, 1)], 100,
                                      MASTER_SEED)
-        assert [e.estimate for e in ests] == [1.0, 1.0]
-        with pytest.raises(ZeroHits) as err:
-            mr.estimate_committor(model, st, [(1, 0), (0, 2), (0, 1)], 100,
-                                  MASTER_SEED)
-        assert str(err.value) == "no run from ball 0 reached ball 2"
-        assert err.value.upper_bound == 3 / 100
+        assert [(e.estimate, e.stderr, e.log_scale) for e in ests] == [
+            (1.0, 0.0, 0.0), (0.0, 0.0, -np.inf), (0.0, 0.0, -np.inf)]
+        assert [e.n_samples for e in ests] == [100, 100, 100]
 
     def test_step_cap_message(self, structure):
         with pytest.raises(SimulationTimeout) as err:
@@ -691,10 +687,10 @@ class TestEstimateCommittor:
 
     def test_zero_hits_flag(self, structure):
         model = make_ref_model(0.1)
-        with pytest.raises(ZeroHits) as err:
-            mr.estimate_committor(model, structure, [(0, 1)], 200,
-                                  MASTER_SEED)
-        assert err.value.upper_bound == pytest.approx(3 / 200)
+        est, = mr.estimate_committor(model, structure, [(0, 1)], 200,
+                                     MASTER_SEED)
+        assert (est.estimate, est.stderr, est.log_scale) == (0.0, 0.0,
+                                                             -np.inf)
 
     def test_log_scale_recorded(self, structure):
         model = make_ref_model(0.5)
@@ -1051,11 +1047,6 @@ class TestEngineProperties:
         hits = plain_committor(model, balls, pairs, n_runs, 7, workers)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metareduce.montecarlo, "TAPE_BYTES", 8 * tape)
-            if not hits.all():
-                with pytest.raises(ZeroHits):
-                    mr.estimate_committor(model, balls, pairs, n_runs, 7,
-                                          workers=workers)
-                return
             ests = mr.estimate_committor(model, balls, pairs, n_runs, 7,
                                          workers=workers)
         assert [e.estimate for e in ests] == (hits / n_runs).tolist()
