@@ -74,10 +74,10 @@ def _sig_tag(sigma):
 
 class Pipeline:
     """Shared per-config state, lazily built and cached in memory.  What no
-    seed, theta or MC budget enters (the kernel's top eigenvalues, the trace
-    on M, its top eigenpairs, the QSDs, the H table and its refinement) is
-    loaded from the derived cache or built and saved there, and only when
-    a command reads it."""
+    seed, theta or MC budget enters (the kernel's top k eigenvalues: N + 1
+    for ``validate``, all n for ``spectrum``; the trace on M, its top
+    eigenpairs, the QSDs, the H table and its refinement) is loaded from the
+    derived cache or built and saved there, when a command reads it."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
@@ -110,7 +110,7 @@ class Pipeline:
         return self.grid.membership(self.structure)
 
     def kernel(self, sigma):
-        """K, read only to build a missing derived entry or the spectrum."""
+        """K, read only to build a missing derived entry."""
         model = self.model(sigma)
         k = load_kernel(self.cache_dir, model, self.grid)
         if k is None:
@@ -256,10 +256,9 @@ def cmd_analyze(pipe: Pipeline):
 
 
 def cmd_spectrum(pipe: Pipeline):
-    all_pass = True
-    n = pipe.structure.n_balls
+    all_pass, n = True, pipe.structure.n_balls
     for sigma in pipe.cfg.sigmas:
-        lams = eigenvalues(pipe.kernel(sigma))
+        lams = pipe.top_eigenvalues(sigma, pipe.grid.n_nodes)
         rows = [(k, lam.real, lam.imag, abs(lam), abs(lam - 1.0))
                 for k, lam in enumerate(lams)]
         write_csv(pipe.out_dir / f"spectrum_{_sig_tag(sigma)}.csv",

@@ -10,14 +10,15 @@ staying in the box.
 
 The cache keeps kernels as ``<key>.kern`` data and ``<key>.meta.json``, keyed
 on ``kernel_metadata``.  Under ``derived/<kind>``, per ``DERIVED`` kind, keyed
-also on ``CACHE_SCHEMA`` and: the kernel's top k eigenvalues, on k; the trace
-on M, on M's grid indices; its top-N eigenpairs and each ball's QSD and next
-modulus, on the balls' grid indices (M is their union); the H table and the
-largest relative change of H under grid refinement (one float), on r_hop and
-the balls' centres and radii, but not on sigma; the Monte Carlo normals, on
-the seed, the stream and numpy's version alone (``montecarlo.Normals``).  No
-entry records theta, an MC budget, the refinement tolerance (``validate``
-judges the float) or a path.  A save makes every derived folder, so a
+also on ``CACHE_SCHEMA`` and: the kernel's top k eigenvalues (N + 1 for
+``validate``, all n for ``spectrum``), on k; the trace on M, on M's grid
+indices; its top-N eigenpairs and each ball's QSD and next modulus, on the
+balls' grid indices (M is their union); the H table and the largest relative
+change of H under grid refinement (one float), on r_hop and the balls' centres
+and radii, not on sigma; the Monte Carlo normals, one entry pair per seed and
+stream, on those and numpy's version (``montecarlo.Normals``), never evicted:
+sweep seeds on a throwaway cache.  No entry records theta, an MC budget, the
+refinement tolerance or a path.  A save makes every derived folder, so a
 kernels-only cache keeps its top-level listing.  Metadata records its data's
 CRC-32, so damaged data is a miss.  Bump ``KERNEL_SCHEMA`` when a kernel's
 bits change, ``CACHE_SCHEMA`` when a derived entry's bits do.

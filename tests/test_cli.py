@@ -252,13 +252,16 @@ class TestIoErrors:
                                          b"\xff\xfe"])
     def test_garbled_meta_file_is_a_miss(self, tmp_path, monkeypatch,
                                          garbled):
-        # the kernel is recomputed and its meta file rewritten
+        # the kernel is recomputed and its meta file rewritten; a warm
+        # spectrum reads K only to build its derived entry, so that goes
         path = write_config(tmp_path)
         assert run(path, "spectrum") == 0
         first = (tmp_path / "out" / "spectrum_0.35.csv").read_bytes()
         meta, = (tmp_path / "cache").glob("*.meta.json")
         good = meta.read_bytes()
         meta.write_bytes(garbled)
+        for p in (tmp_path / "cache" / "derived" / "spectrum").glob("*"):
+            p.unlink()
         calls = count_calls(monkeypatch, metareduce.cli, "discretize_kernel")
         assert run(path, "spectrum") == 0
         assert len(calls) == 1
@@ -328,7 +331,7 @@ class TestDerivedCache:
     QSDs, the H table and its refinement check are cached beside the
     kernels, keyed on exactly what they are built from."""
 
-    COMMANDS = ("reduce", "qsd", "quasipotential", "validate")
+    COMMANDS = ("reduce", "qsd", "quasipotential", "validate", "spectrum")
 
     @pytest.mark.parametrize("field,value,kinds", KEYED,
                              ids=[k[0] for k in KEYED])
@@ -494,9 +497,11 @@ class TestDerivedCache:
 
     def test_warm_commands_solve_no_eigenproblem(self, tmp_path, monkeypatch,
                                                  cold):
+        # validate fills all but the full spectra, which spectrum adds
         path = write_config(tmp_path, sigma=None, sigmas=[0.4, 0.35],
                             mc=SMALL_MC)
         assert run(path, "validate") in (0, 1)
+        assert run(path, "spectrum") == 0
 
         def refused(*args, **kwargs):
             raise AssertionError("a warm run solved an eigenproblem")
@@ -517,10 +522,14 @@ class TestDerivedCache:
         monkeypatch.setattr("scipy.linalg.eig", refused)
         for module in (metareduce.cli, metareduce.kernel):
             monkeypatch.setattr(module, "load_kernel", refused)
-        for command in ("validate", "reduce", "qsd"):
+        calls = {name: count_calls(monkeypatch, module, name)
+                 for module, name in BUILDERS}
+        for command in self.COMMANDS:
             out = tmp_path / f"out-{command}"
             assert run(path, command, "--out", str(out)) in (0, 1)
             assert outputs(out) == cold[command]
+        assert {name: len(c) for name, c in calls.items()} == {
+            name: 0 for _, name in BUILDERS}
 
     def test_cold_commands_solve_only_what_they_read(self, tmp_path,
                                                      monkeypatch):

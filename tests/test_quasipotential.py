@@ -447,6 +447,38 @@ class TestHMatrix:
         assert asym > 1e-3
         assert np.isfinite(t.h0_hat)
 
+    def test_one_axis_h_bounded_by_the_axis_h(self):
+        # tanh2d is separable and C = I, so a 2D edge weighs its axis-k
+        # step's 1D weight plus a nonnegative term, and a 2D path between
+        # wells that differ in axis k alone projects to a 1D walk between
+        # the same centre nodes: the 2D H is at least the 1D H, in floating
+        # point too.  Not equal on a grid: 51 nodes read 1.3e-2 (axis 0)
+        # and 4.2e-5 (axis 1) relative above
+        beta, box, nodes = [2.0, 2.6], [[-2.0, 2.0]], 51
+
+        def table(name, params, dim):
+            _, pi, jac = build_map(name, params)
+            model = DeterministicMapModel(dim, pi, jac, box * dim,
+                                          np.eye(dim), 0.35, name)
+            structure = mr.build_metastable_structure(
+                model, mr.find_fixed_points(model), 0.2)
+            grid = Grid.from_box(model.box, nodes)
+            return structure.centers, mr.compute_h_matrix(
+                model, grid, structure, 2.5).h_matrix
+
+        centers, h = table("tanh2d", {"beta": beta}, 2)
+        signs = np.sign(centers)
+        pairs = 0
+        for k in range(2):
+            axis_centers, axis_h = table("tanh", {"beta": beta[k]}, 1)
+            ball = {np.sign(c): b for b, c in enumerate(axis_centers[:, 0])}
+            for i, j in itertools.permutations(range(len(centers)), 2):
+                if (signs[i] != signs[j]).tolist() == [m == k for m in (0, 1)]:
+                    pairs += 1
+                    assert h[i, j] >= axis_h[ball[signs[i, k]],
+                                             ball[signs[j, k]]]
+        assert pairs == 8
+
     def test_index_path_costs_consistent(self, table):
         # minimal enumerated path cost equals the H entry
         for (i, j), paths in table.optimal_paths.items():

@@ -415,6 +415,20 @@ class TestUniformPositivity:
                 assert res.achieved
                 assert res.achieved_ratio <= 1.9
 
+    @pytest.mark.parametrize("sigma", [0.5, 0.4, 0.3, 0.2, 0.15, 0.12, 0.1])
+    def test_birkhoff_bounds_the_gap_ratio(self, cache, ref, sigma):
+        # a killed kernel whose n0-th power has columns within a factor L
+        # contracts Hilbert's projective metric by (L - 1) / (L + 1) per n0
+        # steps (Birkhoff), so |lambda1 / lambda0| is at most its n0-th
+        # root; a theorem, so no tolerance (measured 0.0042 <= 0.019 at
+        # sigma = 0.5, 0.136 <= 0.307 at 0.1)
+        for sol in solve_all_qsds(cache.trace(sigma), ref["balls"]):
+            res = check_uniform_positivity(sol.killed, 1.5,
+                                           n_cap=positivity_cap(sigma))
+            assert res.achieved
+            ratio = res.achieved_ratio
+            assert sol.gap_ratio <= ((ratio - 1) / (ratio + 1)) ** (1 / res.n0)
+
     def test_monotone_ratio_on_tested_kernels(self, cache, ref):
         killed = kernel_from_matrix(HAND_KILLED, kind="substochastic")
         res = check_uniform_positivity(killed, 1.0 + 1e-9, n_cap=40)
